@@ -1,6 +1,5 @@
 """Near-field LoS MIMO array design and hybrid beam focusing toolkit."""
 
-from ._kernels import active_backend
 from .beamforming import (
     DigitalBeamformer,
     HybridBeamformer,
@@ -35,6 +34,7 @@ from .geometry import (
 from .linalg import (
     EigenSpectrum,
     SvdResult,
+    active_backend,
     dft_matrix,
     eig_hermitian,
     kron,

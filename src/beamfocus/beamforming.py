@@ -16,10 +16,12 @@ import numpy as np
 
 from .channel import ChannelParams
 from .geometry import AntennaLayout, Side
-from .linalg import SvdResult, dft_matrix, kron, least_squares, svd
+from .linalg import SVD_RANK_RTOL, SvdResult, dft_matrix, kron, least_squares, svd
 from .spectral import PowerAllocation, water_filling
 
-SVD_RANK_RTOL = 1e-10
+# digital beamformer entries this far below their column's largest are
+# rounding noise (exact zeros by the array symmetry), so they get phase 0
+PHASE_FLOOR_RTOL = 1e-9
 
 
 class DictionaryExhaustedError(ValueError):
@@ -194,21 +196,28 @@ def phase_extraction_hybrid(
     h: np.ndarray,
     digital: DigitalBeamformer,
     n_rf: int,
+    n_rf_rx: int | None = None,
 ) -> tuple[HybridBeamformer, HybridBeamformer]:
     """Baseline: analog stages carry the phases of the digital beamformers.
 
-    Extra RF chains beyond ns are filled with unused gain-ranked columns of
-    the plain 2-D DFT; basebands come from the SVD of the effective channel.
+    ``n_rf`` RF chains transmit and ``n_rf_rx`` (default ``n_rf``) receive.
+    Entries below PHASE_FLOOR_RTOL of their column's largest magnitude get
+    phase 0. Extra RF chains beyond ns are filled with unused gain-ranked
+    columns of the plain 2-D DFT; basebands come from the SVD of the
+    effective channel.
     """
     h = np.asarray(h, dtype=np.complex128)
     n, m = h.shape
     ns = digital.precoder.shape[1]
-    if n_rf < ns:
-        raise ValueError(f"n_rf={n_rf} below stream count {ns}")
+    n_rf_rx = n_rf if n_rf_rx is None else n_rf_rx
+    if min(n_rf, n_rf_rx) < ns:
+        raise ValueError(f"n_rf={min(n_rf, n_rf_rx)} below stream count {ns}")
 
-    def analog_stage(opt: np.ndarray, dim: int, tx_side: bool) -> np.ndarray:
-        stage = np.exp(1j * np.angle(opt)) / math.sqrt(dim)
-        if n_rf > ns:
+    def analog_stage(opt: np.ndarray, dim: int, count: int, tx_side: bool) -> np.ndarray:
+        mag = np.abs(opt)
+        phase = np.where(mag < PHASE_FLOOR_RTOL * mag.max(axis=0), 0.0, np.angle(opt))
+        stage = np.exp(1j * phase) / math.sqrt(dim)
+        if count > ns:
             dic = dft_matrix(dim)
             gains = np.linalg.norm(h @ dic if tx_side else h.conj().T @ dic, axis=0)
             order = np.argsort(-gains, kind="stable")
@@ -217,20 +226,20 @@ def phase_extraction_hybrid(
                 overlap = np.abs(stage.conj().T @ dic[:, k]).max()
                 if overlap < 1.0 - 1e-9:
                     pads.append(dic[:, k])
-                if len(pads) == n_rf - ns:
+                if len(pads) == count - ns:
                     break
-            if len(pads) < n_rf - ns:
-                raise ValueError(f"cannot pad to n_rf={n_rf} with {dim} antennas")
+            if len(pads) < count - ns:
+                raise ValueError(f"cannot pad to n_rf={count} with {dim} antennas")
             stage = np.hstack([stage, np.column_stack(pads)])
         return stage
 
-    f_rf = analog_stage(digital.precoder, m, tx_side=True)
-    w_rf = analog_stage(digital.combiner, n, tx_side=False)
+    f_rf = analog_stage(digital.precoder, m, n_rf, tx_side=True)
+    w_rf = analog_stage(digital.combiner, n, n_rf_rx, tx_side=False)
     effective = w_rf.conj().T @ h @ f_rf
     eff = svd(effective)
     f_bb = eff.right[:, :ns].copy()
     w_bb = eff.left[:, :ns].copy()
     f_bb /= np.linalg.norm(f_rf @ f_bb)
     tx = HybridBeamformer(analog=f_rf, baseband=f_bb, side=Side.TX, n_rf=n_rf)
-    rx = HybridBeamformer(analog=w_rf, baseband=w_bb, side=Side.RX, n_rf=n_rf)
+    rx = HybridBeamformer(analog=w_rf, baseband=w_bb, side=Side.RX, n_rf=n_rf_rx)
     return tx, rx

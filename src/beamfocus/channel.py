@@ -60,10 +60,21 @@ class ChannelSet:
 
 
 def exact_channel(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> np.ndarray:
-    """Unit-modulus N x M channel with exact pairwise-distance phases."""
-    diff = rx.coords.T[:, None, :] - tx.coords.T[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    return np.exp(-2j * np.pi / params.wavelength * dist)
+    """Unit-modulus N x M channel with exact pairwise-distance phases.
+
+    The distances are built in the real part of the output, with the
+    imaginary part as scratch, so no N x M x 3 difference tensor is made.
+    """
+    out = np.zeros((rx.count, tx.count), dtype=np.complex128)
+    dist, scratch = out.real, out.imag
+    for r, t in zip(rx.coords, tx.coords):
+        np.subtract.outer(r, t, out=scratch)
+        np.square(scratch, out=scratch)
+        dist += scratch
+    np.sqrt(dist, out=dist)
+    np.multiply(dist, -2.0 * np.pi / params.wavelength, out=scratch)
+    dist[...] = 0.0
+    return np.exp(out, out=out)
 
 
 def taylor_channel(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> np.ndarray:

@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from . import validation
-from ._kernels import active_backend
 from .geometry import aperture, aperture_feasible, nominal_extent
+from .linalg import active_backend
 from .scenario import Scenario, ScenarioConfig, load_config, spectrum_data
 from .scenario import ConfigError
 
@@ -87,6 +85,9 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = Fals
         return out
 
     if threads > 1 and len(config.rotation_deg) > 1:
+        # imported on use, like validation below: every CLI start pays for its imports
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(evaluate_rotation, config.rotation_deg))
     else:
@@ -148,6 +149,8 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
 
 
 def run_validate(seed: int = 0) -> int:
+    from . import validation
+
     results = validation.run_all(seed=seed)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -155,7 +158,7 @@ def run_validate(seed: int = 0) -> int:
         print(f"{mark}  {r.name:<{width}}  {r.detail}")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} invariants passed "
-          f"(kernel backend: {active_backend()})")
+          f"(solver: {active_backend()})")
     return 1 if failed else 0
 
 

@@ -183,11 +183,15 @@ def build_layout(spec: ArraySpec, side: Side, distance: float) -> AntennaLayout:
 
 
 def aperture(layout: AntennaLayout) -> float:
-    """Largest Euclidean distance between two elements of the array."""
-    c = layout.coords
-    if c.shape[1] == 1:
-        return 0.0
-    diff = c.T[:, None, :] - c.T[None, :, :]
+    """Largest Euclidean distance between two elements of the array.
+
+    Every layout from build_layout is an affine image of the n_v x n_h
+    grid, and the farthest pair of points of a parallelogram is a pair of
+    its corners, so only the four corner elements are compared.
+    """
+    n_v, n_h = layout.n_v, layout.n_h
+    corners = layout.coords[:, [0, n_h - 1, (n_v - 1) * n_h, n_v * n_h - 1]].T
+    diff = corners[:, None, :] - corners[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
 
 

@@ -1,8 +1,9 @@
-"""Dense complex linear algebra on top of a self-contained Jacobi eigensolver.
+"""Dense complex linear algebra on top of LAPACK (numpy.linalg).
 
 Everything downstream (channel Grams, SVD beamformers, OMP least squares)
-goes through these routines, so the eigensolver keeps a deterministic
-rotation schedule and the SVD keeps a deterministic basis completion.
+goes through these routines. They add what LAPACK leaves open: descending
+order, input checks, and a canonical basis, so that results do not depend
+on which singular vectors or eigenvector phases the solver happens to return.
 """
 
 from __future__ import annotations
@@ -11,14 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 HERMITIAN_ASYMMETRY_RTOL = 1e-10
-EIG_OFFDIAG_RTOL = 1e-11
 SVD_RANK_RTOL = 1e-10
-SVD_COHERENCE_TOL = 1e-12
 GRAM_COND_LIMIT = 1e12
-_MAX_SWEEPS = 100
 
 
 class NonSquareError(ValueError):
@@ -54,6 +50,11 @@ class SvdResult:
     right: np.ndarray
 
 
+def active_backend() -> str:
+    """Name of the solver behind eig_hermitian and svd."""
+    return "lapack"
+
+
 def _as_complex_matrix(a):
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
@@ -65,12 +66,52 @@ def _as_complex_matrix(a):
     return a
 
 
-def eig_hermitian(a, tol: float = EIG_OFFDIAG_RTOL) -> EigenSpectrum:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def _first_within(values: np.ndarray, axis=None):
+    """Index of the first entry within SVD_RANK_RTOL of the largest, so ties go to the lowest index."""
+    top = values.max(axis=axis, keepdims=axis is not None)
+    return np.argmax(values >= (1.0 - SVD_RANK_RTOL) * top, axis=axis)
 
-    Sweeps run in row-major pivot order until the off-diagonal Frobenius
-    mass drops below ``tol * ||a||_F``. Ties in the descending eigenvalue
-    sort are broken by the lower original index.
+
+def _fix_phases(x: np.ndarray, *others: np.ndarray) -> None:
+    """Make the largest-magnitude entry of each column of ``x`` real and positive, in place.
+
+    The same unit factor multiplies the matching column of every array in
+    ``others``, so factorizations stay consistent.
+    """
+    lead = x[_first_within(np.abs(x), axis=0), np.arange(x.shape[1])]
+    lead = np.conj(lead) / np.abs(lead)
+    x *= lead
+    for y in others:
+        y *= lead
+
+
+def _to_canonical_basis(x: np.ndarray, *others: np.ndarray) -> None:
+    """Rotate the orthonormal columns of ``x`` in place to a basis fixed by their span.
+
+    Greedily picks the rows with the largest residual energy (ties to the
+    lowest index), then rotates by the LQ factorization of those rows with
+    a positive diagonal. Both steps depend only on the span. The same
+    rotation is applied to every array in ``others``.
+    """
+    resid = x.copy()
+    rows = []
+    for _ in range(x.shape[1]):
+        i = int(_first_within((resid.real**2 + resid.imag**2).sum(axis=1)))
+        rows.append(i)
+        r = resid[i] / np.linalg.norm(resid[i])
+        resid -= np.outer(resid @ r.conj(), r)
+    q, r = np.linalg.qr(x[rows].conj().T)
+    d = np.diag(r)
+    q *= d / np.abs(d)
+    for y in (x, *others):
+        y[...] = y @ q
+
+
+def eig_hermitian(a) -> EigenSpectrum:
+    """Full eigendecomposition of a Hermitian matrix (LAPACK heevd).
+
+    Eigenvalues come in non-increasing order. Each eigenvector has its
+    largest-magnitude entry real and positive, ties going to the lower index.
     """
     a = _as_complex_matrix(a)
     n, m = a.shape
@@ -82,84 +123,49 @@ def eig_hermitian(a, tol: float = EIG_OFFDIAG_RTOL) -> EigenSpectrum:
         raise NonHermitianError(
             f"relative asymmetry {asym / frob:.3e} exceeds {HERMITIAN_ASYMMETRY_RTOL:.1e}"
         )
-    work = 0.5 * (a + a.conj().T)
-    vecs = np.eye(n, dtype=np.complex128)
-    tol_off = tol * frob
-    off, _ = _kernels.jacobi_cycles(work, vecs, tol_off, _MAX_SWEEPS)
-    if off > tol_off:
-        raise ConvergenceError(
-            f"Jacobi sweeps stalled at off-diagonal mass {off:.3e} > {tol_off:.3e}"
-        )
-    values = np.diag(work).real.copy()
-    order = np.argsort(-values, kind="stable")
-    return EigenSpectrum(values=values[order], vectors=vecs[:, order])
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolve did not converge: {exc}") from exc
+    values, vectors = values[::-1], vectors[:, ::-1]
+    _fix_phases(vectors)
+    return EigenSpectrum(values=values, vectors=vectors)
 
 
-def _complete_basis(u, empty_cols):
-    """Fill the listed (all-zero) columns with unit vectors orthogonal to the rest.
+def svd(a) -> SvdResult:
+    """Thin SVD (LAPACK gesdd) with a canonical basis.
 
-    Each fill picks the canonical basis vector with the largest residual
-    against the current columns; the residual of e_i is 1 minus the i-th
-    row mass of u, so candidate selection is O(n) per fill and always
-    succeeds while columns remain to fill.
-    """
-    n = u.shape[0]
-    row_mass = (np.abs(u) ** 2).sum(axis=1)
-    for j in empty_cols:
-        i = int(np.argmin(row_mass))
-        cand = np.zeros(n, dtype=np.complex128)
-        cand[i] = 1.0
-        for _ in range(2):
-            cand -= u @ (u.conj().T @ cand)
-        nrm = float(np.linalg.norm(cand))
-        if nrm < 1e-6:
-            raise ConvergenceError("failed to complete an orthonormal basis")
-        cand /= nrm
-        u[:, j] = cand
-        row_mass += np.abs(cand) ** 2
-
-
-def svd(a, tol: float = SVD_COHERENCE_TOL) -> SvdResult:
-    """Thin SVD by one-sided Jacobi rotations on the columns of ``a``.
-
-    Column pairs are rotated until mutually orthogonal in the relative
-    sense, which keeps full relative accuracy on small singular values
-    (squaring through the Gram matrix would bury them in eigen-noise).
-    Columns whose norm falls below SVD_RANK_RTOL of the largest get a zero
-    singular value and a deterministically completed left vector.
+    Singular values below SVD_RANK_RTOL of the largest are set to zero.
+    Each run of values within SVD_RANK_RTOL * sigma_max of the run's first
+    value is a cluster. Its right vectors are rotated to the basis that
+    ``_to_canonical_basis`` fixes and its left vectors by the same rotation,
+    so degenerate subspaces come back in one basis whatever LAPACK returned.
+    The error is about eps * sigma_max in absolute terms.
     """
     a = _as_complex_matrix(a)
-    n, m = a.shape
-    swap = m > n
-    work = a.conj().T.copy() if swap else a.copy()
-    k = work.shape[1]
-    rot = np.eye(k, dtype=np.complex128)
-    worst, _ = _kernels.onesided_cycles(work, rot, tol, _MAX_SWEEPS)
-    if worst > tol:
-        raise ConvergenceError(
-            f"one-sided sweeps stalled at column coherence {worst:.3e} > {tol:.3e}"
-        )
-    norms = np.linalg.norm(work, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    work = work[:, order]
-    rot = rot[:, order]
-    norms = norms[order]
-    cut = SVD_RANK_RTOL * float(norms[0]) if norms.size else 0.0
-
-    left = np.zeros((work.shape[0], k), dtype=np.complex128)
-    sigma = np.zeros(k)
-    empty = []
-    for j in range(k):
-        if norms[j] > cut and norms[j] > 0.0:
-            sigma[j] = norms[j]
-            left[:, j] = work[:, j] / norms[j]
-        else:
-            empty.append(j)
-    if empty:
-        _complete_basis(left, empty)
-    if swap:
-        return SvdResult(left=rot, singular_values=sigma, right=left)
-    return SvdResult(left=left, singular_values=sigma, right=rot)
+    try:
+        left, sigma, right = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    np.conjugate(right, out=right)
+    right = right.T
+    tol = SVD_RANK_RTOL * sigma[0]
+    sigma[sigma <= tol] = 0.0
+    _fix_phases(right, left)
+    start = 0
+    while start < sigma.size:
+        stop = start + 1
+        while stop < sigma.size and sigma[start] - sigma[stop] <= tol:
+            stop += 1
+        cols = slice(start, stop)
+        if sigma[start] == 0.0:
+            # a zero singular value ties no left vector to its right vector
+            _to_canonical_basis(left[:, cols])
+            _to_canonical_basis(right[:, cols])
+        elif stop - start > 1:
+            _to_canonical_basis(right[:, cols], left[:, cols])
+        start = stop
+    return SvdResult(left=left, singular_values=sigma, right=right)
 
 
 def dft_matrix(k: int) -> np.ndarray:
@@ -180,7 +186,7 @@ def kron(a, b) -> np.ndarray:
 def least_squares(basis, target, cond_limit: float = GRAM_COND_LIMIT) -> np.ndarray:
     """Solve min ||target - basis @ x||_F through the normal equations.
 
-    The Gram matrix condition is estimated from its Jacobi spectrum;
+    The Gram matrix condition is estimated from its eigenvalues;
     anything past ``cond_limit`` raises IllConditionedBasisError.
     """
     basis = _as_complex_matrix(basis)

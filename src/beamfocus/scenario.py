@@ -62,7 +62,6 @@ class ScenarioConfig:
     spacing_mode: str = "optimal"
     rotation_deg: tuple[float, ...] = (0.0,)
     layout: str = "parallelogram"
-    seed: int = 0
     output_path: str | None = None
     cluster_eps: float = 0.1
 
@@ -191,10 +190,6 @@ def parse_config(data: dict, raw_text: str | None = None) -> ScenarioConfig:
     if layout not in LAYOUT_NAMES:
         raise ConfigError("layout", f"must be one of {tuple(LAYOUT_NAMES)}", _line_of(raw_text, "layout"))
 
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed", "expected an integer", _line_of(raw_text, "seed"))
-
     output_path = data.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output_path", "expected a string", _line_of(raw_text, "output_path"))
@@ -226,7 +221,6 @@ def parse_config(data: dict, raw_text: str | None = None) -> ScenarioConfig:
         spacing_mode=spacing_mode,
         rotation_deg=rotation,
         layout=layout,
-        seed=seed,
         output_path=output_path,
         cluster_eps=float(cluster_eps),
     )
@@ -346,7 +340,9 @@ class Scenario:
         if scheme == "phase-extract":
             return self._memo(
                 "phase-extract",
-                lambda: beamforming.phase_extraction_hybrid(self.h, self.digital, self.config.n_rf_tx),
+                lambda: beamforming.phase_extraction_hybrid(
+                    self.h, self.digital, self.config.n_rf_tx, self.config.n_rf_rx
+                ),
             )
         raise ValueError(f"not a hybrid scheme: {scheme}")
 

@@ -1,5 +1,6 @@
 """Tests for digital, dictionary-based, OMP, and phase-extraction beamformers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -229,6 +230,18 @@ class TestPhaseExtraction:
         mods = np.abs(tx_bf.analog)
         assert (mods.max() - mods.min()) / mods.max() <= 1e-9
         assert abs(np.linalg.norm(tx_bf.product()) ** 2 - 1.0) <= 1e-9
+
+    def test_rounding_noise_entries_get_zero_phase(self):
+        _, tx, rx, params, h = desk_channel(side=4, ns_axis=2)
+        dig = digital_svd(h, 4)
+        variants = []
+        for noise in (0.0, 1e-15j, -1e-15):
+            precoder = dig.precoder.copy()
+            precoder[3, 0] = noise
+            bf, _ = phase_extraction_hybrid(h, dataclasses.replace(dig, precoder=precoder), 4)
+            variants.append(bf.analog)
+        assert abs(variants[0][3, 0] - 0.25) <= 1e-15
+        assert all(np.array_equal(variants[0], v) for v in variants[1:])
 
     def test_rf_chains_below_streams_rejected(self):
         _, _, _, _, h = desk_channel(side=4, ns_axis=2)

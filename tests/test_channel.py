@@ -59,6 +59,15 @@ class TestExactChannel:
             assert abs(np.linalg.norm(h) ** 2 - h.size) <= 1e-12 * h.size
             assert np.abs(np.abs(h) - 1.0).max() <= 1e-12
 
+    def test_matches_pairwise_distance_formula(self):
+        spec_t = ArraySpec(n_v=3, n_h=5, d_v=0.07, d_h=0.11, theta=0.3, phi=-0.4)
+        spec_r = ArraySpec(n_v=4, n_h=2, d_v=0.09, d_h=0.05, theta=-0.2, phi=0.5)
+        tx, rx = layout_pair(spec_t, spec_r, 20.0)
+        params = ChannelParams(wavelength=LAMBDA_28GHZ, distance=20.0)
+        dist = np.linalg.norm(rx.coords[:, :, None] - tx.coords[:, None, :], axis=0)
+        expected = np.exp(-2j * np.pi / LAMBDA_28GHZ * dist)
+        assert np.abs(exact_channel(tx, rx, params) - expected).max() <= 1e-9
+
 
 class TestFresnelFactors:
     def test_single_on_axis_pair(self):

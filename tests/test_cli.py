@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line harness and its CSV contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import beamfocus
 from beamfocus import channel, cli, validation
 from beamfocus.geometry import ArraySpec, optimal_spacing
 from beamfocus.scenario import parse_config
@@ -65,6 +71,23 @@ class TestRateSweep:
             ["rate-sweep", "--config", str(small_config), "--out", str(out2), "--threads", "4"]
         ) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_blas_threads_do_not_change_desk_rates(self, tmp_path):
+        # the desk SVD has exactly degenerate singular values, so this also
+        # checks that phase-extract does not depend on the basis LAPACK picks
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk_scale.yaml"
+        rates = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"desk-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(beamfocus.__file__).resolve().parents[1]))
+            subprocess.run([sys.executable, "-m", "beamfocus.cli", "rate-sweep", "--config",
+                            str(desk), "--out", str(out)], env=env, check=True)
+            _, rows = read_rows(out)
+            rates.append({tuple(r[:3]): float(r[3]) for r in rows})
+        assert rates[0].keys() == rates[1].keys()
+        for key, value in rates[0].items():
+            assert abs(value - rates[1][key]) <= 1e-9 * value, key
 
     def test_timing_column_opt_in(self, small_config, tmp_path):
         out = tmp_path / "timed.csv"

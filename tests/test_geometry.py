@@ -138,6 +138,19 @@ class TestAperture:
         assert abs(aperture(tx) - aperture(rx)) <= 1e-12
 
 
+    @pytest.mark.parametrize("kind", list(LayoutKind))
+    def test_corners_match_all_pairs(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            n_v, n_h = (int(n) for n in rng.integers(1, 7, size=2))
+            theta, phi = rng.uniform(-1.2, 1.2, size=2)
+            spec = ArraySpec(n_v=n_v, n_h=n_h, d_v=rng.uniform(0.01, 0.3),
+                             d_h=rng.uniform(0.01, 0.3), theta=theta, phi=phi, layout_kind=kind)
+            c = build_layout(spec, Side.RX, 5.0).coords
+            pairs = np.linalg.norm(c[:, :, None] - c[:, None, :], axis=0).max()
+            assert abs(aperture(build_layout(spec, Side.RX, 5.0)) - pairs) <= 1e-12 * max(pairs, 1.0)
+
+
 class TestApertureFeasible:
     def test_above_threshold(self):
         # threshold 2 * 4 * 0.010707 * 50 = 4.2828 m^2

@@ -1,10 +1,11 @@
-"""Tests for the self-contained complex linear algebra core."""
+"""Tests for the complex linear algebra core on top of LAPACK."""
 
 import numpy as np
 import pytest
 
-from beamfocus import _kernels
 from beamfocus.linalg import (
+    SVD_RANK_RTOL,
+    ConvergenceError,
     IllConditionedBasisError,
     NonHermitianError,
     NonSquareError,
@@ -73,27 +74,26 @@ class TestEigHermitian:
         spec = eig_hermitian(np.zeros((4, 4)))
         assert np.allclose(spec.values, 0.0)
 
+    def test_largest_entry_of_each_vector_is_real_positive(self):
+        rng = np.random.default_rng(16)
+        vecs = eig_hermitian(random_hermitian(rng, 12)).vectors
+        lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(12)]
+        assert np.abs(lead.imag).max() <= 1e-15
+        assert np.all(lead.real > 0)
 
-@pytest.mark.skipif(_kernels.jacobi_cycles_numba is None, reason="numba unavailable")
-def test_kernel_backends_agree():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-    h = 0.5 * (x + x.conj().T)
-    tol_off = 1e-11 * np.linalg.norm(h)
+    def test_lapack_failure_reported_as_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    a1, v1 = h.astype(np.complex128), np.eye(20, dtype=np.complex128)
-    _kernels.jacobi_cycles_numba(a1, v1, tol_off, 100)
-    a2, v2 = h.astype(np.complex128), np.eye(20, dtype=np.complex128)
-    _kernels.jacobi_cycles_numpy(a2, v2, tol_off, 100)
-    assert np.abs(np.sort(np.diag(a1).real) - np.sort(np.diag(a2).real)).max() <= 1e-9
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            eig_hermitian(np.eye(3))
 
-    w1, r1 = h.copy(), np.eye(20, dtype=np.complex128)
-    _kernels.onesided_cycles_numba(w1, r1, 1e-12, 100)
-    w2, r2 = h.copy(), np.eye(20, dtype=np.complex128)
-    _kernels.onesided_cycles_numpy(w2, r2, 1e-12, 100)
-    s1 = np.sort(np.linalg.norm(w1, axis=0))
-    s2 = np.sort(np.linalg.norm(w2, axis=0))
-    assert np.abs(s1 - s2).max() <= 1e-9 * max(s1.max(), 1.0)
+
+def random_unitary(rng, n):
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(x)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestSvd:
@@ -146,6 +146,42 @@ class TestSvd:
         recon = res.left @ np.diag(res.singular_values) @ res.right.conj().T
         assert np.linalg.norm(recon - a) / np.linalg.norm(a) <= 1e-8
         assert np.abs(res.left.conj().T @ res.left - np.eye(3)).max() <= 1e-9
+
+    def test_graded_spectrum_accuracy(self):
+        # LAPACK's error is about eps * sigma_max in absolute terms, so the
+        # relative error grows as sigma shrinks; below SVD_RANK_RTOL it is zeroed
+        rng = np.random.default_rng(17)
+        sigma = np.logspace(0, -12, 24)
+        a = random_unitary(rng, 24) @ np.diag(sigma) @ random_unitary(rng, 24).conj().T
+        got = svd(a).singular_values
+        rel = np.abs(got - sigma) / sigma
+        assert rel[sigma >= 1e-6].max() <= 1e-9
+        assert rel[sigma > SVD_RANK_RTOL].max() <= 1e-6
+        assert np.all(got[sigma < SVD_RANK_RTOL] == 0.0)
+
+    def test_repeated_singular_value_basis_is_canonical(self):
+        # the same matrix assembled from two different bases of the
+        # three-fold cluster must give the same singular vectors
+        rng = np.random.default_rng(18)
+        u, v = random_unitary(rng, 8), random_unitary(rng, 8)
+        sigma = np.array([3.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.25, 0.0])
+        mix = np.eye(8, dtype=complex)
+        mix[1:4, 1:4] = random_unitary(rng, 3)
+        a1 = u @ np.diag(sigma) @ v.conj().T
+        a2 = (u @ mix) @ np.diag(sigma) @ (v @ mix).conj().T
+        r1, r2 = svd(a1), svd(a2)
+        assert np.abs(r1.right - r2.right).max() <= 1e-12
+        assert np.abs(r1.left - r2.left).max() <= 1e-12
+        recon = r1.left @ np.diag(r1.singular_values) @ r1.right.conj().T
+        assert np.linalg.norm(recon - a1) / np.linalg.norm(a1) <= 1e-12
+
+    def test_lapack_failure_reported_as_convergence_error(self, monkeypatch):
+        def fail(a, full_matrices=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError):
+            svd(np.eye(3))
 
 
 class TestDftMatrix:

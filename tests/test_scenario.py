@@ -139,6 +139,15 @@ class TestScenario:
         for scheme in ("asymptotic-hybrid", "omp-hybrid", "phase-extract"):
             assert scenario.rate(scheme, 1.0) <= digital + 1e-9
 
+    def test_hybrid_analog_widths_follow_each_side_rf_count(self):
+        config = parse_config(cfg(n_rf_tx=4, n_rf_rx=6))
+        scenario = Scenario(config, 0.0)
+        for scheme in ("omp-hybrid", "phase-extract"):
+            tx, rx = scenario.hybrid(scheme)
+            assert tx.analog.shape == (16, 4) and tx.n_rf == 4
+            assert rx.analog.shape == (16, 6) and rx.n_rf == 6
+            assert 0.0 < scenario.rate(scheme, 1.0) <= scenario.rate("digital-uniform", 1.0) + 1e-9
+
     def test_water_fill_beats_uniform_at_low_snr(self):
         config = parse_config(cfg())
         scenario = Scenario(config, 0.0)

@@ -18,6 +18,7 @@ from .channel import (
     gram,
     kron_factor_channel,
     prolate_matrix,
+    quadratic_phase,
     taylor_channel,
 )
 from .geometry import (

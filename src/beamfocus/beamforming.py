@@ -1,10 +1,11 @@
 """Fully-digital SVD beamformers, DFT-dictionary hybrids, OMP, and the
 phase-extraction baseline.
 
-Power convention: digital precoders keep orthonormal columns (trace ns
-before water-fill scaling); hybrid transmit products are normalized to
-unit trace and scaled back to trace ns by the evaluation layer. Combiners
-carry no power constraint since the rate formula whitens them.
+Power convention: digital precoders keep orthonormal columns (trace ns;
+the evaluation layer water-fills over the singular values); hybrid
+transmit products are normalized to unit trace and scaled back to trace
+ns by the evaluation layer. Combiners carry no power constraint since the
+rate formula whitens them.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, quadratic_phase
 from .geometry import AntennaLayout, Side
-from .linalg import SVD_RANK_RTOL, SvdResult, dft_matrix, kron, least_squares, svd
-from .spectral import PowerAllocation, water_filling
+from .linalg import SvdResult, dft_matrix, kron, least_squares, svd
 
 # digital beamformer entries this far below their column's largest are
 # rounding noise (exact zeros by the array symmetry), so they get phase 0
@@ -30,13 +30,11 @@ class DictionaryExhaustedError(ValueError):
 
 @dataclass(frozen=True)
 class DigitalBeamformer:
-    """Top singular-vector precoder/combiner pair, optionally water-filled."""
+    """Top singular-vector precoder/combiner pair and their singular values."""
 
     precoder: np.ndarray
     combiner: np.ndarray
-    powers: PowerAllocation | None
     singular_values: np.ndarray
-    rank_deficient: bool
 
 
 @dataclass(frozen=True)
@@ -53,64 +51,45 @@ class HybridBeamformer:
         return self.analog @ self.baseband
 
 
-def digital_svd(h, ns: int, power: tuple | None = None) -> DigitalBeamformer:
+def digital_svd(h, ns: int) -> DigitalBeamformer:
     """Precoder/combiner from the top ns singular vectors of the channel.
 
-    ``power=None`` keeps orthonormal columns (uniform split downstream);
-    ``power=(p_total, gain_over_noise)`` water-fills over the top singular
-    values and scales precoder columns by sqrt(p_i).
+    Columns stay orthonormal; Scenario.rate water-fills over the returned
+    singular values for the ``digital-wf`` scheme.
     """
     res: SvdResult = svd(h)
     n, m = np.asarray(h).shape
     if ns > min(n, m):
         raise ValueError(f"ns={ns} exceeds min(N, M)={min(n, m)}")
-    sigma = res.singular_values
-    rank = int((sigma > SVD_RANK_RTOL * sigma[0]).sum()) if sigma[0] > 0 else 0
-    precoder = res.right[:, :ns].copy()
-    combiner = res.left[:, :ns].copy()
-    allocation = None
-    if power is not None:
-        p_total, gain_over_noise = power
-        allocation = water_filling(sigma[:ns] ** 2, p_total, gain_over_noise)
-        precoder = precoder * np.sqrt(allocation.powers)[None, :]
     return DigitalBeamformer(
-        precoder=precoder,
-        combiner=combiner,
-        powers=allocation,
-        singular_values=sigma[:ns].copy(),
-        rank_deficient=rank < ns,
+        precoder=res.right[:, :ns].copy(),
+        combiner=res.left[:, :ns].copy(),
+        singular_values=res.singular_values[:ns].copy(),
     )
 
 
-def _twisted_dft(diag_phase: np.ndarray, nv: int, nh: int) -> np.ndarray:
+def _twisted_dft(layout: AntennaLayout, params: ChannelParams, side: Side) -> np.ndarray:
     # conj(diagonal) times the conjugate-transposed 2-D DFT; unitary by construction
-    return np.conj(diag_phase)[:, None] * kron(dft_matrix(nv), dft_matrix(nh)).conj().T
+    if layout.side is not side:
+        raise ValueError(f"expected a {side.value} layout, got {layout.side.value}")
+    twist = np.conj(quadratic_phase(layout, params))
+    return twist[:, None] * kron(dft_matrix(layout.n_v), dft_matrix(layout.n_h)).conj().T
 
 
-def dictionary_tx(layout: AntennaLayout, params: ChannelParams, nv: int, nh: int) -> np.ndarray:
-    """Transmit-side unitary dictionary: quadratic-phase twist times 2-D DFT."""
-    if layout.count != nv * nh:
-        raise ValueError(f"layout has {layout.count} antennas, expected {nv * nh}")
-    x, y, z = layout.coords
-    d = params.distance
-    d_t = np.exp(2j * np.pi / params.wavelength * (z - (x**2 + y**2) / (2.0 * d)))
-    return _twisted_dft(d_t, nv, nh)
+def dictionary_tx(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
+    """Transmit-side unitary dictionary: conj(d_t) twist times the 2-D DFT."""
+    return _twisted_dft(layout, params, Side.TX)
 
 
-def dictionary_rx(layout: AntennaLayout, params: ChannelParams, nv: int, nh: int) -> np.ndarray:
-    """Receive-side unitary dictionary; the twist includes the link-distance phase."""
-    if layout.count != nv * nh:
-        raise ValueError(f"layout has {layout.count} antennas, expected {nv * nh}")
-    x, y, z_abs = layout.coords
-    d = params.distance
-    z = z_abs - d
-    d_r = np.exp(2j * np.pi / params.wavelength * (d + z + (x**2 + y**2) / (2.0 * d)))
-    return _twisted_dft(d_r, nv, nh)
+def dictionary_rx(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
+    """Receive-side unitary dictionary; its d_r twist includes the link-distance phase."""
+    return _twisted_dft(layout, params, Side.RX)
 
 
-def _ranked_columns(dictionary: np.ndarray, channel: np.ndarray, count: int, tx_side: bool):
-    gains = np.linalg.norm(channel @ dictionary if tx_side else channel.conj().T @ dictionary, axis=0)
-    return np.argsort(-gains, kind="stable")[:count]
+def _gain_order(dictionary: np.ndarray, h: np.ndarray, side: Side) -> np.ndarray:
+    """Dictionary column indices by effective channel gain, largest first, ties by index."""
+    effective = h @ dictionary if side is Side.TX else h.conj().T @ dictionary
+    return np.argsort(-np.linalg.norm(effective, axis=0), kind="stable")
 
 
 def asymptotic_hybrid(
@@ -118,25 +97,15 @@ def asymptotic_hybrid(
     rx_dict: np.ndarray,
     h: np.ndarray,
     ns: int,
-    selection: str = "gain-ranked",
 ) -> tuple[HybridBeamformer, HybridBeamformer]:
     """Closed-form hybrid pair: ns dictionary columns with identity baseband.
 
-    ``gain-ranked`` picks the columns with the largest effective channel
-    gain; ``first-columns`` takes the leading columns literally.
+    Each side takes the ns columns with the largest effective channel gain.
     """
     if ns > min(tx_dict.shape[1], rx_dict.shape[1]):
         raise ValueError(f"ns={ns} exceeds dictionary column counts")
-    if selection == "gain-ranked":
-        sel_t = _ranked_columns(tx_dict, h, ns, tx_side=True)
-        sel_r = _ranked_columns(rx_dict, h, ns, tx_side=False)
-    elif selection == "first-columns":
-        sel_t = np.arange(ns)
-        sel_r = np.arange(ns)
-    else:
-        raise ValueError(f"unknown selection rule {selection!r}")
-    f_rf = tx_dict[:, sel_t]
-    w_rf = rx_dict[:, sel_r]
+    f_rf = tx_dict[:, _gain_order(tx_dict, h, Side.TX)[:ns]]
+    w_rf = rx_dict[:, _gain_order(rx_dict, h, Side.RX)[:ns]]
     f_bb = np.eye(ns, dtype=np.complex128)
     f_bb /= np.linalg.norm(f_rf @ f_bb)
     w_bb = np.eye(ns, dtype=np.complex128)
@@ -202,9 +171,10 @@ def phase_extraction_hybrid(
 
     ``n_rf`` RF chains transmit and ``n_rf_rx`` (default ``n_rf``) receive.
     Entries below PHASE_FLOOR_RTOL of their column's largest magnitude get
-    phase 0. Extra RF chains beyond ns are filled with unused gain-ranked
-    columns of the plain 2-D DFT; basebands come from the SVD of the
-    effective channel.
+    phase 0. Extra RF chains beyond ns are filled with gain-ranked columns
+    of the 1-D DFT matrix of the side's antenna count (``dft_matrix(dim)``,
+    not the 2-D DFT of the dictionaries), skipping columns that repeat an
+    analog column; basebands come from the SVD of the effective channel.
     """
     h = np.asarray(h, dtype=np.complex128)
     n, m = h.shape
@@ -213,16 +183,14 @@ def phase_extraction_hybrid(
     if min(n_rf, n_rf_rx) < ns:
         raise ValueError(f"n_rf={min(n_rf, n_rf_rx)} below stream count {ns}")
 
-    def analog_stage(opt: np.ndarray, dim: int, count: int, tx_side: bool) -> np.ndarray:
+    def analog_stage(opt: np.ndarray, dim: int, count: int, side: Side) -> np.ndarray:
         mag = np.abs(opt)
         phase = np.where(mag < PHASE_FLOOR_RTOL * mag.max(axis=0), 0.0, np.angle(opt))
         stage = np.exp(1j * phase) / math.sqrt(dim)
         if count > ns:
             dic = dft_matrix(dim)
-            gains = np.linalg.norm(h @ dic if tx_side else h.conj().T @ dic, axis=0)
-            order = np.argsort(-gains, kind="stable")
             pads = []
-            for k in order:
+            for k in _gain_order(dic, h, side):
                 overlap = np.abs(stage.conj().T @ dic[:, k]).max()
                 if overlap < 1.0 - 1e-9:
                     pads.append(dic[:, k])
@@ -233,8 +201,8 @@ def phase_extraction_hybrid(
             stage = np.hstack([stage, np.column_stack(pads)])
         return stage
 
-    f_rf = analog_stage(digital.precoder, m, n_rf, tx_side=True)
-    w_rf = analog_stage(digital.combiner, n, n_rf_rx, tx_side=False)
+    f_rf = analog_stage(digital.precoder, m, n_rf, Side.TX)
+    w_rf = analog_stage(digital.combiner, n, n_rf_rx, Side.RX)
     effective = w_rf.conj().T @ h @ f_rf
     eff = svd(effective)
     f_bb = eff.right[:, :ns].copy()

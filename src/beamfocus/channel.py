@@ -30,11 +30,9 @@ class ChannelParams:
     distance: float
     tx_gain: float = 1.0
     rx_gain: float = 1.0
-    noise_power: float = 1.0
-    tx_power: float = 1.0
 
     def __post_init__(self):
-        for name in ("wavelength", "distance", "tx_gain", "rx_gain", "noise_power", "tx_power"):
+        for name in ("wavelength", "distance", "tx_gain", "rx_gain"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -93,6 +91,22 @@ def taylor_channel(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) 
     return np.exp(-2j * np.pi / params.wavelength * approx)
 
 
+def quadratic_phase(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
+    """Per-side diagonal of the quadratic-phase factorization.
+
+    d_t for a transmit layout, d_r (which carries the link-distance phase)
+    for a receive layout. fresnel_factors and both beamforming
+    dictionaries take their diagonals from here.
+    """
+    d = params.distance
+    x, y, z = layout.coords
+    if layout.side is Side.TX:
+        phase = z - (x**2 + y**2) / (2.0 * d)
+    else:
+        phase = d + (z - d) + (x**2 + y**2) / (2.0 * d)
+    return np.exp(2j * np.pi / params.wavelength * phase)
+
+
 def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> ChannelSet:
     """Factor the quadratic-phase channel into per-side diagonals and the xy core.
 
@@ -110,19 +124,16 @@ def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams)
             RuntimeWarning,
             stacklevel=2,
         )
-    tx_x, tx_y, tx_z = tx.coords
+    tx_x, tx_y = tx.coords[0], tx.coords[1]
     rx_x, rx_y = rx.coords[0], rx.coords[1]
-    rx_z = rx.coords[2] - d
-    d_t = np.exp(2j * np.pi / lam * (tx_z - (tx_x**2 + tx_y**2) / (2.0 * d)))
-    d_r = np.exp(2j * np.pi / lam * (d + rx_z + (rx_x**2 + rx_y**2) / (2.0 * d)))
     h_tilde = np.exp(
         2j * np.pi / lam * (np.outer(rx_x, tx_x) + np.outer(rx_y, tx_y)) / d
     )
     return ChannelSet(
         h_exact=exact_channel(tx, rx, params),
         h_tilde=h_tilde,
-        d_t=d_t,
-        d_r=d_r,
+        d_t=quadratic_phase(tx, params),
+        d_r=quadratic_phase(rx, params),
         zeta=params.zeta,
     )
 

@@ -11,10 +11,16 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from .geometry import aperture, aperture_feasible, nominal_extent
-from .linalg import active_backend
+from .linalg import ConvergenceError, active_backend
 from .scenario import Scenario, ScenarioConfig, load_config, spectrum_data
 from .scenario import ConfigError
+
+# what a grid point's numerics can raise; anything else is a bug and surfaces
+# as a traceback rather than as exit code 3
+NUMERIC_ERRORS = (ArithmeticError, ValueError, np.linalg.LinAlgError, ConvergenceError)
 
 
 class GridPointError(RuntimeError):
@@ -42,6 +48,14 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _grid_rate(scenario: Scenario, scheme: str, snr_db: float) -> float:
+    """Scenario.rate at one grid point, numeric failures raised as GridPointError."""
+    try:
+        return scenario.rate(scheme, 10 ** (snr_db / 10.0))
+    except NUMERIC_ERRORS as exc:
+        raise GridPointError(scheme, snr_db, scenario.rotation_deg, exc) from exc
+
+
 def _resolve_out(config: ScenarioConfig, out_flag: str | None) -> str:
     if out_flag:
         return out_flag
@@ -63,21 +77,11 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = Fals
         reference = {}
         out = []
         for snr_db in config.snr_db:
-            snr = 10 ** (snr_db / 10.0)
-            try:
-                reference[snr_db] = scenario.rate("digital-uniform", snr)
-            except Exception as exc:  # noqa: BLE001 - surfaced as exit code 3
-                raise GridPointError("digital-uniform", snr_db, rot, exc) from exc
+            reference[snr_db] = _grid_rate(scenario, "digital-uniform", snr_db)
         for scheme in config.schemes:
             for snr_db in config.snr_db:
-                snr = 10 ** (snr_db / 10.0)
                 start = time.perf_counter()
-                try:
-                    rate = scenario.rate(scheme, snr)
-                except GridPointError:
-                    raise
-                except Exception as exc:  # noqa: BLE001
-                    raise GridPointError(scheme, snr_db, rot, exc) from exc
+                rate = _grid_rate(scenario, scheme, snr_db)
                 elapsed_ms = (time.perf_counter() - start) * 1e3
                 ref = reference[snr_db]
                 gap = rate / ref if ref > 0 else float("nan")
@@ -126,7 +130,6 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
     if any(s <= 0 for s in scales):
         raise ConfigError("aperture_scale", "scales must be positive")
     snr_db = config.snr_db[0]
-    snr = 10 ** (snr_db / 10.0)
     rot = config.rotation_deg[0]
     rows = []
     for scale in sorted(scales):
@@ -139,10 +142,7 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
         feasible = aperture_feasible(
             nominal_t, nominal_r, config.ns, config.wavelength, config.distance_m
         )
-        try:
-            rate = scenario.rate("digital-uniform", snr)
-        except Exception as exc:  # noqa: BLE001
-            raise GridPointError("digital-uniform", snr_db, rot, exc) from exc
+        rate = _grid_rate(scenario, "digital-uniform", snr_db)
         rows.append((scale, l_t, l_r, nominal_t * nominal_r, feasible, rate))
     header = ["scale", "l_t_m", "l_r_m", "nominal_product_m2", "feasible", "rate_bps_hz"]
     return header, rows

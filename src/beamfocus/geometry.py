@@ -105,14 +105,13 @@ def optimal_spacing(
     ns_i: int,
     wavelength: float,
     distance: float,
-    split: float = 1.0,
 ) -> SpacingSolution:
     """Spacing pair whose product supports exactly ns_i streams on one axis.
 
     The attainable per-axis stream count is 2*floor(d_t d_r N M / (2 lambda D)),
     always even; the returned product sits at the lower edge of the floor
-    interval so exactly ns_i streams are realized. ``split`` fixes the
-    otherwise free ratio d_t / d_r.
+    interval so exactly ns_i streams are realized. Only the product is fixed,
+    and both sides get its square root.
     """
     if ns_i % 2 != 0 or ns_i < 2:
         raise OddStreamCountError(
@@ -124,11 +123,8 @@ def optimal_spacing(
         )
     if wavelength <= 0 or distance <= 0:
         raise ValueError("wavelength and distance must be positive")
-    if not 0 < split <= 1:
-        raise ValueError(f"split must lie in (0, 1], got {split}")
     product = ns_i * wavelength * distance / (n_i * m_i)
-    d_t = math.sqrt(product * split)
-    d_r = math.sqrt(product / split)
+    d_t = d_r = math.sqrt(product)
     n_max = max(n_i, m_i)
     delta = d_t * d_r * n_max / (wavelength * distance)
     achieved = 2 * stream_floor(d_t * d_r * n_i * m_i / (2 * wavelength * distance))
@@ -142,6 +138,21 @@ def _rotation_xy(theta: float, phi: float) -> np.ndarray:
     rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ct, -st], [0.0, st, ct]])
     rot_y = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
     return rot_y @ rot_x
+
+
+def plane_cosine(theta: float, phi: float) -> float:
+    """cos(theta) cos(phi), the link-axis component of a tilted array's normal.
+
+    Raises DegeneratePlaneError when it is within DEGENERATE_PLANE_TOL of
+    zero: the array plane then contains the link axis, and the parallelogram
+    layout cannot put its elements on it.
+    """
+    cc = math.cos(theta) * math.cos(phi)
+    if abs(cc) <= DEGENERATE_PLANE_TOL:
+        raise DegeneratePlaneError(
+            f"|cos(theta) cos(phi)| = {abs(cc):.2e}: array plane contains the link axis"
+        )
+    return cc
 
 
 def build_layout(spec: ArraySpec, side: Side, distance: float) -> AntennaLayout:
@@ -159,11 +170,7 @@ def build_layout(spec: ArraySpec, side: Side, distance: float) -> AntennaLayout:
     y = spec.d_h * mh.astype(float)
 
     if spec.layout_kind is LayoutKind.PARALLELOGRAM_OPTIMAL:
-        cc = math.cos(spec.theta) * math.cos(spec.phi)
-        if abs(cc) <= DEGENERATE_PLANE_TOL:
-            raise DegeneratePlaneError(
-                f"|cos(theta) cos(phi)| = {abs(cc):.2e}: array plane contains the link axis"
-            )
+        cc = plane_cosine(spec.theta, spec.phi)
         shear = math.cos(spec.theta) * math.sin(spec.phi) * x + math.sin(spec.theta) * y
         z = shear / (-cc) if side is Side.TX else shear / cc
         coords = np.vstack([x, y, z])

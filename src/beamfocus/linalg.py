@@ -183,11 +183,11 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def least_squares(basis, target, cond_limit: float = GRAM_COND_LIMIT) -> np.ndarray:
+def least_squares(basis, target) -> np.ndarray:
     """Solve min ||target - basis @ x||_F through the normal equations.
 
     The Gram matrix condition is estimated from its eigenvalues;
-    anything past ``cond_limit`` raises IllConditionedBasisError.
+    anything past GRAM_COND_LIMIT raises IllConditionedBasisError.
     """
     basis = _as_complex_matrix(basis)
     target = _as_complex_matrix(target)
@@ -199,7 +199,7 @@ def least_squares(basis, target, cond_limit: float = GRAM_COND_LIMIT) -> np.ndar
     spec = eig_hermitian(gram)
     lmax = float(spec.values[0])
     lmin = float(spec.values[-1])
-    if lmin <= 0.0 or lmax / lmin > cond_limit:
+    if lmin <= 0.0 or lmax / lmin > GRAM_COND_LIMIT:
         cond = np.inf if lmin <= 0.0 else lmax / lmin
         raise IllConditionedBasisError(f"Gram condition estimate {cond:.3e} too large")
     rhs = basis.conj().T @ target

@@ -189,6 +189,14 @@ def parse_config(data: dict, raw_text: str | None = None) -> ScenarioConfig:
     layout = data.get("layout", "parallelogram")
     if layout not in LAYOUT_NAMES:
         raise ConfigError("layout", f"must be one of {tuple(LAYOUT_NAMES)}", _line_of(raw_text, "layout"))
+    if LAYOUT_NAMES[layout] is geometry.LayoutKind.PARALLELOGRAM_OPTIMAL:
+        for r in rotation:
+            try:
+                geometry.plane_cosine(math.radians(r), math.radians(r))
+            except geometry.DegeneratePlaneError as exc:
+                raise ConfigError(
+                    "rotation_deg", f"{r:g} deg: {exc}", _line_of(raw_text, "rotation_deg")
+                ) from exc
 
     output_path = data.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
@@ -303,18 +311,14 @@ class Scenario:
     def tx_dictionary(self) -> np.ndarray:
         return self._memo(
             "tx_dict",
-            lambda: beamforming.dictionary_tx(
-                self.tx_layout, self.params, self.config.tx.n_v, self.config.tx.n_h
-            ),
+            lambda: beamforming.dictionary_tx(self.tx_layout, self.params),
         )
 
     @property
     def rx_dictionary(self) -> np.ndarray:
         return self._memo(
             "rx_dict",
-            lambda: beamforming.dictionary_rx(
-                self.rx_layout, self.params, self.config.rx.n_v, self.config.rx.n_h
-            ),
+            lambda: beamforming.dictionary_rx(self.rx_layout, self.params),
         )
 
     def hybrid(self, scheme: str):
@@ -369,37 +373,31 @@ def spectrum_data(config: ScenarioConfig):
     scenario = Scenario(config, config.rotation_deg[0])
     g = channel.gram(scenario.channel_set.h_tilde, geometry.Side.TX)
     eig = eig_hermitian(g)
-    nm = scenario.tx_layout.count * scenario.rx_layout.count
-    normalizer = nm / config.ns
-    lam, dist = config.wavelength, config.distance_m
+    normalizer = scenario.tx_layout.count * scenario.rx_layout.count / config.ns
+    lam, dist, eps = config.wavelength, config.distance_m, config.cluster_eps
     (d_tv, d_th), (d_rv, d_rh) = axis_spacings(config)
 
-    axes = {}
+    deltas, reports = {}, {}
     for name, (n_i, m_i, d_t, d_r) in {
         "v": (config.rx.n_v, config.tx.n_v, d_tv, d_rv),
         "h": (config.rx.n_h, config.tx.n_h, d_th, d_rh),
     }.items():
         n_max, n_min = max(n_i, m_i), min(n_i, m_i)
-        delta = d_t * d_r * n_max / (lam * dist)
-        axes[name] = {
-            "delta": delta,
-            "rank": 2 * geometry.stream_floor(delta * n_min / 2.0),
-            "bound": 2.0 * spectral.transition_band(n_max, m_i, delta, config.cluster_eps),
-        }
-    predicted_rank = axes["v"]["rank"] * axes["h"]["rank"]
+        deltas[name] = d_t * d_r * n_max / (lam * dist)
+        reports[name] = spectral.cluster_report(eig, normalizer, eps, deltas[name], n_min, n_max, m_i)
 
-    omega = eig.values / normalizer
-    eps = config.cluster_eps
+    # the counts classify the whole 2-D spectrum, so both axis reports agree on them
+    rep_v, rep_h = reports["v"], reports["h"]
     summary = {
         "eps": eps,
         "normalizer": normalizer,
-        "count_near_one": int((omega >= 1.0 - eps).sum()),
-        "count_near_zero": int((omega <= eps).sum()),
-        "transition_count": int(((omega > eps) & (omega < 1.0 - eps)).sum()),
-        "predicted_rank": predicted_rank,
-        "delta_v": axes["v"]["delta"],
-        "delta_h": axes["h"]["delta"],
-        "transition_bound_v": axes["v"]["bound"],
-        "transition_bound_h": axes["h"]["bound"],
+        "count_near_one": rep_v.count_near_one,
+        "count_near_zero": rep_v.count_near_zero,
+        "transition_count": rep_v.transition_count,
+        "predicted_rank": rep_v.predicted_rank * rep_h.predicted_rank,
+        "delta_v": deltas["v"],
+        "delta_h": deltas["h"],
+        "transition_bound_v": rep_v.transition_bound,
+        "transition_bound_h": rep_h.transition_bound,
     }
-    return eig.values, omega, summary
+    return eig.values, eig.values / normalizer, summary

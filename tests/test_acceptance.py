@@ -304,7 +304,7 @@ def test_criterion_11_omp_exact_recovery():
     spec = ArraySpec(n_v=8, n_h=8, d_v=sol.d_t, d_h=sol.d_t)
     params = ChannelParams(wavelength=LAMBDA, distance=50.0)
     tx, _ = layout_pair(spec, spec, 50.0)
-    dic = dictionary_tx(tx, params, 8, 8)
+    dic = dictionary_tx(tx, params)
     worst_residual = 0.0
     for _ in range(10):
         sparsity = int(rng.integers(1, 6))

@@ -49,21 +49,13 @@ class TestDigitalSvd:
         assert np.abs(np.abs(dig.precoder[:, 0]) - [1.0, 0.0]).max() <= 1e-9
         assert abs(rate(h, dig.precoder, dig.combiner, 1.0, 1) - math.log2(10.0)) <= 1e-9
 
-    def test_water_filled_scaling(self):
-        h = np.diag([2.0, 1.0]).astype(complex)
-        dig = digital_svd(h, 2, power=(1.0, 1.0))
-        assert dig.powers is not None
-        assert abs(dig.powers.powers.sum() - 1.0) <= 1e-9
-        norms = np.linalg.norm(dig.precoder, axis=0) ** 2
-        assert np.abs(norms - dig.powers.powers).max() <= 1e-9
-
     def test_rank_deficiency_flagged_not_fatal(self):
         rng = np.random.default_rng(40)
         base = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         h = np.hstack([base, base])  # rank 2 of 4 columns
         dig = digital_svd(h, 3)
-        assert dig.rank_deficient
         assert dig.precoder.shape == (4, 3)
+        assert dig.singular_values[2] == 0.0
 
     def test_stream_count_validated(self):
         with pytest.raises(ValueError):
@@ -75,7 +67,7 @@ class TestDictionaries:
         spec = ArraySpec(n_v=1, n_h=1, d_v=0.1, d_h=0.1)
         params = ChannelParams(wavelength=0.01, distance=10.0)
         tx, _ = layout_pair(spec, spec, 10.0)
-        d = dictionary_tx(tx, params, 1, 1)
+        d = dictionary_tx(tx, params)
         assert d.shape == (1, 1)
         assert abs(abs(d[0, 0]) - 1.0) <= 1e-12
 
@@ -84,13 +76,22 @@ class TestDictionaries:
         spec = ArraySpec(n_v=2, n_h=2, d_v=0.05, d_h=0.05)
         params = ChannelParams(wavelength=0.01, distance=10.0)
         tx, _ = layout_pair(spec, spec, 10.0)
-        d = dictionary_tx(tx, params, 2, 2)
+        d = dictionary_tx(tx, params)
         x, y, _ = tx.coords
         twist = np.exp(2j * np.pi / 0.01 * (-(x**2 + y**2) / 20.0))
         expected = np.conj(twist)[:, None].conj() * 0  # placeholder, structure checked below
         f2 = np.kron(dft_matrix(2), dft_matrix(2)).conj().T
         expected = np.conj(twist)[:, None] * f2
         assert np.abs(d - expected).max() <= 1e-12
+
+    def test_side_mismatch_rejected(self):
+        spec = ArraySpec(n_v=2, n_h=2, d_v=0.05, d_h=0.05)
+        params = ChannelParams(wavelength=0.01, distance=10.0)
+        tx, rx = layout_pair(spec, spec, 10.0)
+        with pytest.raises(ValueError, match="expected a rx layout"):
+            dictionary_rx(tx, params)
+        with pytest.raises(ValueError, match="expected a tx layout"):
+            dictionary_tx(rx, params)
 
     @pytest.mark.parametrize("theta", [0.0, 0.35])
     def test_unitary_any_geometry(self, theta):
@@ -99,7 +100,7 @@ class TestDictionaries:
         spec = ArraySpec(n_v=4, n_h=4, d_v=sol.d_t, d_h=sol.d_t, theta=theta, phi=theta)
         params = ChannelParams(wavelength=lam, distance=50.0)
         tx, rx = layout_pair(spec, spec, 50.0)
-        for d in (dictionary_tx(tx, params, 4, 4), dictionary_rx(rx, params, 4, 4)):
+        for d in (dictionary_tx(tx, params), dictionary_rx(rx, params)):
             assert np.abs(d.conj().T @ d - np.eye(16)).max() <= 1e-10
             assert np.abs(np.abs(d) - 0.25).max() <= 1e-12
 
@@ -107,8 +108,8 @@ class TestDictionaries:
 class TestAsymptoticHybrid:
     def test_complete_selection_matches_digital(self):
         _, tx, rx, params, h = desk_channel(side=2, ns_axis=2)
-        tx_dict = dictionary_tx(tx, params, 2, 2)
-        rx_dict = dictionary_rx(rx, params, 2, 2)
+        tx_dict = dictionary_tx(tx, params)
+        rx_dict = dictionary_rx(rx, params)
         tx_bf, rx_bf = asymptotic_hybrid(tx_dict, rx_dict, h, 4)
         dig = digital_svd(h, 4)
         digital = rate(h, dig.precoder, dig.combiner, 1.0, 4)
@@ -119,8 +120,8 @@ class TestAsymptoticHybrid:
         # 16x16 grids, 4 streams: alignment at this soft-transition point is
         # the oracle-measured 0.6966 of digital, not the asymptotic limit
         _, tx, rx, params, h = desk_channel(side=16, ns_axis=2)
-        tx_dict = dictionary_tx(tx, params, 16, 16)
-        rx_dict = dictionary_rx(rx, params, 16, 16)
+        tx_dict = dictionary_tx(tx, params)
+        rx_dict = dictionary_rx(rx, params)
         tx_bf, rx_bf = asymptotic_hybrid(tx_dict, rx_dict, h, 4)
         dig = digital_svd(h, 4)
         digital = rate(h, dig.precoder, dig.combiner, 1.0, 4)
@@ -128,20 +129,10 @@ class TestAsymptoticHybrid:
         assert hybrid <= digital + 1e-9
         assert hybrid >= 0.65 * digital
 
-    def test_gain_ranked_dominates_first_columns(self):
-        _, tx, rx, params, h = desk_channel(side=4, ns_axis=2)
-        tx_dict = dictionary_tx(tx, params, 4, 4)
-        rx_dict = dictionary_rx(rx, params, 4, 4)
-        ranked = asymptotic_hybrid(tx_dict, rx_dict, h, 4, selection="gain-ranked")
-        literal = asymptotic_hybrid(tx_dict, rx_dict, h, 4, selection="first-columns")
-        r_ranked = hybrid_rate(h, *ranked, 1.0, 4)
-        r_literal = hybrid_rate(h, *literal, 1.0, 4)
-        assert r_ranked >= r_literal - 1e-9
-
     def test_constant_modulus_and_power(self):
         _, tx, rx, params, h = desk_channel(side=4, ns_axis=2)
         tx_bf, rx_bf = asymptotic_hybrid(
-            dictionary_tx(tx, params, 4, 4), dictionary_rx(rx, params, 4, 4), h, 4
+            dictionary_tx(tx, params), dictionary_rx(rx, params), h, 4
         )
         mods = np.abs(tx_bf.analog)
         assert (mods.max() - mods.min()) / mods.max() <= 1e-12
@@ -152,7 +143,7 @@ class TestAsymptoticHybrid:
 class TestOmpHybrid:
     def test_exact_recovery_of_dictionary_columns(self):
         _, tx, _, params, _ = desk_channel(side=4, ns_axis=2)
-        dic = dictionary_tx(tx, params, 4, 4)
+        dic = dictionary_tx(tx, params)
         target = dic[:, [3, 11]]
         bf = omp_hybrid(target, dic, 2)
         assert bf.residual_norms[-1] <= 1e-9
@@ -162,7 +153,7 @@ class TestOmpHybrid:
     def test_full_dictionary_reproduces_any_target(self):
         rng = np.random.default_rng(41)
         _, tx, _, params, _ = desk_channel(side=4, ns_axis=2)
-        dic = dictionary_tx(tx, params, 4, 4)
+        dic = dictionary_tx(tx, params)
         target = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         bf = omp_hybrid(target, dic, 16, side=Side.RX)
         assert bf.residual_norms[-1] <= 1e-9
@@ -170,7 +161,7 @@ class TestOmpHybrid:
     def test_residual_monotone_and_selection_unique(self):
         _, tx, _, params, h = desk_channel(side=8, ns_axis=2)
         dig = digital_svd(h, 4)
-        dic = dictionary_tx(tx, params, 8, 8)
+        dic = dictionary_tx(tx, params)
         bf = omp_hybrid(dig.precoder, dic, 8)
         norms = np.array(bf.residual_norms)
         assert np.all(np.diff(norms) <= 1e-12)
@@ -182,7 +173,7 @@ class TestOmpHybrid:
     def test_reconstruction_beats_phase_extraction(self):
         _, tx, _, params, h = desk_channel(side=16, ns_axis=4)
         dig = digital_svd(h, 16)
-        dic = dictionary_tx(tx, params, 16, 16)
+        dic = dictionary_tx(tx, params)
         bf = omp_hybrid(dig.precoder, dic, 16)
         e_omp = bf.residual_norms[-1] / np.linalg.norm(dig.precoder)
         phases = np.exp(1j * np.angle(dig.precoder)) / 16.0
@@ -192,14 +183,14 @@ class TestOmpHybrid:
 
     def test_dictionary_exhausted(self):
         _, tx, _, params, _ = desk_channel(side=2, ns_axis=2)
-        dic = dictionary_tx(tx, params, 2, 2)
+        dic = dictionary_tx(tx, params)
         with pytest.raises(DictionaryExhaustedError):
             omp_hybrid(dic[:, :1], dic, 5)
 
     def test_power_convention(self):
         _, tx, _, params, h = desk_channel(side=4, ns_axis=2)
         dig = digital_svd(h, 4)
-        bf = omp_hybrid(dig.precoder, dictionary_tx(tx, params, 4, 4), 4)
+        bf = omp_hybrid(dig.precoder, dictionary_tx(tx, params), 4)
         assert abs(np.linalg.norm(bf.product()) ** 2 - 1.0) <= 1e-9
 
 
@@ -230,6 +221,19 @@ class TestPhaseExtraction:
         mods = np.abs(tx_bf.analog)
         assert (mods.max() - mods.min()) / mods.max() <= 1e-9
         assert abs(np.linalg.norm(tx_bf.product()) ** 2 - 1.0) <= 1e-9
+
+    def test_pads_are_1d_dft_columns(self):
+        # n_rf > ns, as in the fine-grid and panel scenarios: the pads are
+        # columns of dft_matrix(dim), not of the twisted 2-D DFT dictionary
+        _, tx, rx, params, h = desk_channel(side=4, ns_axis=2)
+        dig = digital_svd(h, 4)
+        tx_bf, rx_bf = phase_extraction_hybrid(h, dig, 8, 6)
+        for bf, extra in ((tx_bf, 4), (rx_bf, 2)):
+            pads = bf.analog[:, 4:]
+            assert pads.shape == (16, extra)
+            match = np.abs(dft_matrix(16).conj().T @ pads)
+            assert np.abs(match.max(axis=0) - 1.0).max() <= 1e-12
+            assert len(set(match.argmax(axis=0))) == extra
 
     def test_rounding_noise_entries_get_zero_phase(self):
         _, tx, rx, params, h = desk_channel(side=4, ns_axis=2)

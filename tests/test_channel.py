@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beamfocus.beamforming import dictionary_rx, dictionary_tx
 from beamfocus.channel import (
     ChannelParams,
     NotParallelError,
@@ -14,10 +17,11 @@ from beamfocus.channel import (
     kron_factor_channel,
     layout_pair,
     prolate_matrix,
+    quadratic_phase,
     taylor_channel,
 )
-from beamfocus.geometry import ArraySpec, Side, optimal_spacing
-from beamfocus.linalg import kron
+from beamfocus.geometry import ArraySpec, LayoutKind, Side, build_layout, optimal_spacing
+from beamfocus.linalg import dft_matrix, kron
 
 LAMBDA_28GHZ = 299_792_458.0 / 28e9
 
@@ -113,6 +117,57 @@ class TestFresnelFactors:
         params = ChannelParams(wavelength=0.01, distance=10.0, tx_gain=4.0, rx_gain=9.0)
         expected = (math.sqrt(36.0) * 0.01 / (4 * math.pi * 10.0)) ** 2
         assert abs(params.zeta - expected) <= 1e-18
+
+
+def array_specs(theta, phi, kind):
+    return st.builds(
+        ArraySpec,
+        n_v=st.integers(1, 6),
+        n_h=st.integers(1, 6),
+        d_v=st.floats(0.002, 0.2),
+        d_h=st.floats(0.002, 0.2),
+        theta=st.just(theta),
+        phi=st.just(phi),
+        layout_kind=st.just(kind),
+    )
+
+
+@st.composite
+def link_geometries(draw):
+    """Random tx/rx arrays sharing one tilt, and a link distance of 10-100 m."""
+    angle = st.floats(-0.9, 0.9)
+    theta, phi = draw(angle), draw(angle)
+    kind = draw(st.sampled_from(LayoutKind))
+    dist = draw(st.floats(10.0, 100.0))
+    spec_t = draw(array_specs(theta, phi, kind))
+    spec_r = draw(array_specs(theta, phi, kind))
+    tx = build_layout(spec_t, Side.TX, dist)
+    rx = build_layout(spec_r, Side.RX, dist)
+    return tx, rx, ChannelParams(wavelength=LAMBDA_28GHZ, distance=dist)
+
+
+class TestQuadraticPhaseProperties:
+    """The one quadratic-phase source against the independent Taylor oracle."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(link_geometries())
+    def test_factors_recompose_taylor_channel(self, geometry):
+        tx, rx, params = geometry
+        cs = fresnel_factors(tx, rx, params)
+        assert np.abs(cs.recompose() - taylor_channel(tx, rx, params)).max() <= 1e-10
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(link_geometries())
+    def test_dictionaries_are_unitary_twisted_dfts(self, geometry):
+        tx, rx, params = geometry
+        for layout, dic in ((tx, dictionary_tx(tx, params)), (rx, dictionary_rx(rx, params))):
+            eye = np.eye(layout.count)
+            assert np.abs(dic.conj().T @ dic - eye).max() <= 1e-10
+            f2h = kron(dft_matrix(layout.n_v), dft_matrix(layout.n_h)).conj().T
+            # every column carries the same twist, conj of the side's diagonal
+            twist = dic / f2h
+            expected = np.conj(quadratic_phase(layout, params))[:, None]
+            assert np.abs(twist - expected).max() <= 1e-12
 
 
 class TestKronFactorChannel:

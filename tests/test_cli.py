@@ -116,6 +116,30 @@ class TestRateSweep:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["rate-sweep", "aperture-sweep"])
+    def test_convergence_error_exit_code(self, small_config, tmp_path, monkeypatch, capsys, command):
+        from beamfocus.linalg import ConvergenceError
+        from beamfocus.scenario import Scenario
+
+        def fail(self, scheme, snr):
+            raise ConvergenceError("synthetic LAPACK failure")
+
+        monkeypatch.setattr(Scenario, "rate", fail)
+        code = cli.main([command, "--config", str(small_config), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "scheme=digital-uniform snr_db=-5.0 rotation_deg=0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rate-sweep", "aperture-sweep"])
+    def test_programming_error_propagates(self, small_config, tmp_path, monkeypatch, command):
+        from beamfocus.scenario import Scenario
+
+        def bug(self, scheme, snr):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(Scenario, "rate", bug)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            cli.main([command, "--config", str(small_config), "--out", str(tmp_path / "x.csv")])
+
 
 class TestConfigErrors:
     def test_bad_config_exit_two(self, tmp_path, capsys):
@@ -125,6 +149,15 @@ class TestConfigErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "ns_split" in err
+
+    def test_degenerate_rotation_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "rot90.yaml"
+        path.write_text(SMALL_YAML.replace("rotation_deg: [0, 15]", "rotation_deg: [0, 90]"))
+        code = cli.main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rotation_deg" in err and "90 deg" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_output_exit_two(self, small_config, capsys):
         code = cli.main(["rate-sweep", "--config", str(small_config)])

@@ -33,10 +33,10 @@ class TestOptimalSpacing:
         assert abs(sol.d_t - 0.22360679774997896) <= 1e-15
 
     def test_product_and_split_are_exact(self):
-        sol = optimal_spacing(8, 16, 4, 0.011, 40.0, split=0.5)
+        sol = optimal_spacing(8, 16, 4, 0.011, 40.0)
         product = 4 * 0.011 * 40.0 / (8 * 16)
         assert abs(sol.d_t * sol.d_r - product) <= 1e-15
-        assert abs(sol.d_t / sol.d_r - 0.5) <= 1e-12
+        assert sol.d_t == sol.d_r
         assert sol.achieved_streams == 4
         assert abs(sol.delta - product * 16 / (0.011 * 40.0)) <= 1e-12
 

@@ -61,6 +61,17 @@ class TestParseConfig:
             parse_config(cfg(ns=3, ns_split=[3, 1]))
         assert err.value.field_path == "ns_split"
 
+    def test_degenerate_rotation_rejected(self):
+        # the parallelogram plane contains the link axis at +-90 degrees
+        for rot in (90, -90.0, 89.99):
+            with pytest.raises(ConfigError) as err:
+                parse_config(cfg(rotation_deg=[0, rot]))
+            assert err.value.field_path == "rotation_deg"
+        assert parse_config(cfg(rotation_deg=[89.0])).rotation_deg == (89.0,)
+        # a rigidly rotated flat grid has no such singularity
+        config = parse_config(cfg(rotation_deg=[90], layout="rotated-upa"))
+        assert Scenario(config, 90.0).h.shape == (16, 16)
+
     def test_rf_chain_ordering_enforced(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(n_rf_tx=2))

@@ -3,6 +3,7 @@
 from .beamforming import (
     DigitalBeamformer,
     HybridBeamformer,
+    TwistedDft,
     asymptotic_hybrid,
     dictionary_rx,
     dictionary_tx,
@@ -14,6 +15,7 @@ from .channel import (
     ChannelParams,
     ChannelSet,
     exact_channel,
+    fresnel_core,
     fresnel_factors,
     gram,
     kron_factor_channel,

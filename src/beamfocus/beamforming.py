@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelParams, quadratic_phase
 from .geometry import AntennaLayout, Side
-from .linalg import SvdResult, dft_matrix, kron, least_squares, svd
+from .linalg import SVD_RANK_RTOL, SvdResult, dft_matrix, kron, least_squares, svd
 
 # digital beamformer entries this far below their column's largest are
 # rounding noise (exact zeros by the array symmetry), so they get phase 0
@@ -68,44 +68,93 @@ def digital_svd(h, ns: int) -> DigitalBeamformer:
     )
 
 
-def _twisted_dft(layout: AntennaLayout, params: ChannelParams, side: Side) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class TwistedDft:
+    """Unitary dictionary ``diag(twist) @ kron(f_v, f_h).conj().T``, kept as its factors.
+
+    Atom ``q = i * n_h + j`` is row (i, j) of the 2-D DFT, conjugated and
+    multiplied entrywise by the per-antenna twist. Memory is O(N) for N
+    antennas; only ``dense`` forms the N x N matrix, and it is for checks
+    on small arrays.
+    """
+
+    twist: np.ndarray
+    f_v: np.ndarray
+    f_h: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Atom count, equal to the antenna count."""
+        return self.twist.shape[0]
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """``D^H @ x`` for an N x k matrix x, by one DFT product per axis."""
+        n_v, n_h = self.f_v.shape[0], self.f_h.shape[0]
+        y = (np.conj(self.twist)[:, None] * x).reshape(n_v, -1)
+        z = (self.f_v @ y).reshape(n_v, n_h, -1)
+        return (self.f_h @ z).reshape(self.size, -1)
+
+    def columns(self, idx) -> np.ndarray:
+        """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``."""
+        i, j = np.divmod(np.asarray(idx, dtype=np.intp), self.f_h.shape[0])
+        rows = (self.f_v[i][:, :, None] * self.f_h[j][:, None, :]).reshape(i.size, -1)
+        return self.twist[:, None] * rows.conj().T
+
+    def dense(self) -> np.ndarray:
+        """The full N x N matrix, for checks on small arrays only."""
+        return self.twist[:, None] * kron(self.f_v, self.f_h).conj().T
+
+
+def _twisted_dft(layout: AntennaLayout, params: ChannelParams, side: Side) -> TwistedDft:
     # conj(diagonal) times the conjugate-transposed 2-D DFT; unitary by construction
     if layout.side is not side:
         raise ValueError(f"expected a {side.value} layout, got {layout.side.value}")
-    twist = np.conj(quadratic_phase(layout, params))
-    return twist[:, None] * kron(dft_matrix(layout.n_v), dft_matrix(layout.n_h)).conj().T
+    return TwistedDft(
+        twist=np.conj(quadratic_phase(layout, params)),
+        f_v=dft_matrix(layout.n_v),
+        f_h=dft_matrix(layout.n_h),
+    )
 
 
-def dictionary_tx(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
+def dictionary_tx(layout: AntennaLayout, params: ChannelParams) -> TwistedDft:
     """Transmit-side unitary dictionary: conj(d_t) twist times the 2-D DFT."""
     return _twisted_dft(layout, params, Side.TX)
 
 
-def dictionary_rx(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
+def dictionary_rx(layout: AntennaLayout, params: ChannelParams) -> TwistedDft:
     """Receive-side unitary dictionary; its d_r twist includes the link-distance phase."""
     return _twisted_dft(layout, params, Side.RX)
 
 
-def _gain_order(dictionary: np.ndarray, h: np.ndarray, side: Side) -> np.ndarray:
-    """Dictionary column indices by effective channel gain, largest first, ties by index."""
-    effective = h @ dictionary if side is Side.TX else h.conj().T @ dictionary
-    return np.argsort(-np.linalg.norm(effective, axis=0), kind="stable")
+def _gain_order(gains: np.ndarray) -> np.ndarray:
+    """Indices by gain, largest first, ties by index.
+
+    Gains are compared in steps of SVD_RANK_RTOL of the largest, so gains
+    that are equal up to rounding noise tie, whatever order the arithmetic
+    that produced them happened to use.
+    """
+    step = SVD_RANK_RTOL * gains.max()
+    key = np.rint(gains / step) if step > 0 else gains
+    return np.argsort(-key, kind="stable")
 
 
 def asymptotic_hybrid(
-    tx_dict: np.ndarray,
-    rx_dict: np.ndarray,
+    tx_dict: TwistedDft,
+    rx_dict: TwistedDft,
     h: np.ndarray,
     ns: int,
 ) -> tuple[HybridBeamformer, HybridBeamformer]:
     """Closed-form hybrid pair: ns dictionary columns with identity baseband.
 
-    Each side takes the ns columns with the largest effective channel gain.
+    Each side takes the ns columns with the largest effective channel gain,
+    the column norms of ``h @ V`` and ``h^H @ U``.
     """
-    if ns > min(tx_dict.shape[1], rx_dict.shape[1]):
+    if ns > min(tx_dict.size, rx_dict.size):
         raise ValueError(f"ns={ns} exceeds dictionary column counts")
-    f_rf = tx_dict[:, _gain_order(tx_dict, h, Side.TX)[:ns]]
-    w_rf = rx_dict[:, _gain_order(rx_dict, h, Side.RX)[:ns]]
+    tx_gain = np.linalg.norm(tx_dict.adjoint(h.conj().T), axis=1)
+    rx_gain = np.linalg.norm(rx_dict.adjoint(h), axis=1)
+    f_rf = tx_dict.columns(_gain_order(tx_gain)[:ns])
+    w_rf = rx_dict.columns(_gain_order(rx_gain)[:ns])
     f_bb = np.eye(ns, dtype=np.complex128)
     f_bb /= np.linalg.norm(f_rf @ f_bb)
     w_bb = np.eye(ns, dtype=np.complex128)
@@ -116,21 +165,22 @@ def asymptotic_hybrid(
 
 def omp_hybrid(
     target: np.ndarray,
-    dictionary: np.ndarray,
+    dictionary: TwistedDft,
     n_rf: int,
     side: Side = Side.TX,
 ) -> HybridBeamformer:
     """Greedy sparse reconstruction of a beamformer over a unitary dictionary.
 
     Runs exactly n_rf iterations: pick the dictionary column with the
-    largest residual projection (never re-selecting), refit the baseband by
-    least squares, renormalize the residual by its squared Frobenius norm.
+    largest residual projection (never re-selecting; ties as in
+    ``_gain_order``), refit the baseband by least squares, renormalize the
+    residual by its squared Frobenius norm. The projections come from
+    ``dictionary.adjoint`` and the analog stage from ``dictionary.columns``.
     """
     target = np.asarray(target, dtype=np.complex128)
-    dictionary = np.asarray(dictionary, dtype=np.complex128)
-    if n_rf > dictionary.shape[1]:
+    if n_rf > dictionary.size:
         raise DictionaryExhaustedError(
-            f"n_rf={n_rf} exceeds dictionary size {dictionary.shape[1]}"
+            f"n_rf={n_rf} exceeds dictionary size {dictionary.size}"
         )
     if n_rf < target.shape[1]:
         raise ValueError(f"n_rf={n_rf} below stream count {target.shape[1]}")
@@ -139,17 +189,16 @@ def omp_hybrid(
     baseband = None
     norms = []
     for _ in range(n_rf):
-        metric = (np.abs(dictionary.conj().T @ residual) ** 2).sum(axis=1)
+        metric = (np.abs(dictionary.adjoint(residual)) ** 2).sum(axis=1)
         if selected:
             metric[selected] = -1.0
-        selected.append(int(np.argmax(metric)))
-        analog = dictionary[:, selected]
+        selected.append(int(_gain_order(metric)[0]))
+        analog = dictionary.columns(selected)
         baseband = least_squares(analog, target)
         raw = target - analog @ baseband
         raw_sq = float(np.linalg.norm(raw)) ** 2
         norms.append(math.sqrt(raw_sq))
         residual = raw / raw_sq if raw_sq > 1e-300 else np.zeros_like(raw)
-    analog = dictionary[:, selected]
     if side is Side.TX:
         baseband = baseband / np.linalg.norm(analog @ baseband)
     return HybridBeamformer(
@@ -171,10 +220,12 @@ def phase_extraction_hybrid(
 
     ``n_rf`` RF chains transmit and ``n_rf_rx`` (default ``n_rf``) receive.
     Entries below PHASE_FLOOR_RTOL of their column's largest magnitude get
-    phase 0. Extra RF chains beyond ns are filled with gain-ranked columns
-    of the 1-D DFT matrix of the side's antenna count (``dft_matrix(dim)``,
-    not the 2-D DFT of the dictionaries), skipping columns that repeat an
-    analog column; basebands come from the SVD of the effective channel.
+    phase 0. Extra RF chains beyond ns are filled with columns of the 1-D
+    DFT matrix of the side's antenna count (``dft_matrix(dim)``, not the 2-D
+    DFT of the dictionaries), ranked by their gains ``||h F||`` or
+    ``||h^H F||`` read off an FFT of h, skipping columns that repeat an
+    analog column. Only the ``n_rf`` best columns are built, never the
+    full matrix. Basebands come from the SVD of the effective channel.
     """
     h = np.asarray(h, dtype=np.complex128)
     n, m = h.shape
@@ -188,17 +239,16 @@ def phase_extraction_hybrid(
         phase = np.where(mag < PHASE_FLOOR_RTOL * mag.max(axis=0), 0.0, np.angle(opt))
         stage = np.exp(1j * phase) / math.sqrt(dim)
         if count > ns:
-            dic = dft_matrix(dim)
-            pads = []
-            for k in _gain_order(dic, h, side):
-                overlap = np.abs(stage.conj().T @ dic[:, k]).max()
-                if overlap < 1.0 - 1e-9:
-                    pads.append(dic[:, k])
-                if len(pads) == count - ns:
-                    break
-            if len(pads) < count - ns:
+            # column b of h F (TX) or h^H F (RX) is an FFT along the side's axis
+            spectrum = np.fft.fft(h.T if side is Side.TX else h.conj(), axis=0)
+            # each unit-norm stage column repeats at most one of the orthonormal
+            # DFT columns, so the best `count` of them hold enough pads
+            candidates = dft_matrix(dim, _gain_order(np.linalg.norm(spectrum, axis=1))[:count])
+            fresh = np.abs(stage.conj().T @ candidates).max(axis=0) < 1.0 - 1e-9
+            pads = candidates[:, fresh][:, : count - ns]
+            if pads.shape[1] < count - ns:
                 raise ValueError(f"cannot pad to n_rf={count} with {dim} antennas")
-            stage = np.hstack([stage, np.column_stack(pads)])
+            stage = np.hstack([stage, pads])
         return stage
 
     f_rf = analog_stage(digital.precoder, m, n_rf, Side.TX)

@@ -107,12 +107,11 @@ def quadratic_phase(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
     return np.exp(2j * np.pi / params.wavelength * phase)
 
 
-def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> ChannelSet:
-    """Factor the quadratic-phase channel into per-side diagonals and the xy core.
+def fresnel_core(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> np.ndarray:
+    """The xy core h_tilde of the quadratic-phase factorization.
 
-    The recomposition conj(d_r) * h_tilde * d_t reproduces taylor_channel
-    exactly; the gap to the exact channel is the Taylor remainder, which
-    shrinks as the link distance grows relative to the apertures.
+    Warns (RuntimeWarning) when an aperture is not small against the link
+    distance, where the factorization stops describing the exact channel.
     """
     d = params.distance
     lam = params.wavelength
@@ -126,12 +125,21 @@ def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams)
         )
     tx_x, tx_y = tx.coords[0], tx.coords[1]
     rx_x, rx_y = rx.coords[0], rx.coords[1]
-    h_tilde = np.exp(
+    return np.exp(
         2j * np.pi / lam * (np.outer(rx_x, tx_x) + np.outer(rx_y, tx_y)) / d
     )
+
+
+def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> ChannelSet:
+    """Factor the quadratic-phase channel into per-side diagonals and the xy core.
+
+    The recomposition conj(d_r) * h_tilde * d_t reproduces taylor_channel
+    exactly; the gap to the exact channel is the Taylor remainder, which
+    shrinks as the link distance grows relative to the apertures.
+    """
     return ChannelSet(
         h_exact=exact_channel(tx, rx, params),
-        h_tilde=h_tilde,
+        h_tilde=fresnel_core(tx, rx, params),
         d_t=quadratic_phase(tx, params),
         d_r=quadratic_phase(rx, params),
         zeta=params.zeta,

@@ -56,6 +56,17 @@ def _grid_rate(scenario: Scenario, scheme: str, snr_db: float) -> float:
         raise GridPointError(scheme, snr_db, scenario.rotation_deg, exc) from exc
 
 
+def _parse_scales(text: str) -> list[float]:
+    """The --scales list; anything but a non-empty list of numbers is a ConfigError."""
+    try:
+        scales = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError("scales", f"not a comma-separated list of numbers: {text!r}") from exc
+    if not scales:
+        raise ConfigError("scales", f"no scale given: {text!r}")
+    return scales
+
+
 def _resolve_out(config: ScenarioConfig, out_flag: str | None) -> str:
     if out_flag:
         return out_flag
@@ -200,8 +211,7 @@ def main(argv=None) -> int:
         elif args.command in ("rate-sweep", "rotation-sweep"):
             header, rows = run_rate_sweep(config, threads=args.threads, timing=args.timing)
         else:
-            scales = [float(s) for s in args.scales.split(",") if s.strip()]
-            header, rows = run_aperture_sweep(config, scales)
+            header, rows = run_aperture_sweep(config, _parse_scales(args.scales))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -168,12 +168,17 @@ def svd(a) -> SvdResult:
     return SvdResult(left=left, singular_values=sigma, right=right)
 
 
-def dft_matrix(k: int) -> np.ndarray:
-    """Unitary k x k DFT matrix, entry (a, b) = exp(-2j pi a b / k) / sqrt(k)."""
+def dft_matrix(k: int, cols=None) -> np.ndarray:
+    """Unitary k x k DFT matrix, entry (a, b) = exp(-2j pi a b / k) / sqrt(k).
+
+    ``cols`` (indices) builds only those columns, bitwise equal to the same
+    columns of the full matrix.
+    """
     if k < 1:
         raise ValueError(f"DFT size must be >= 1, got {k}")
     idx = np.arange(k)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / k) / np.sqrt(k)
+    cols = idx if cols is None else np.asarray(cols, dtype=idx.dtype)
+    return np.exp(-2j * np.pi * np.outer(idx, cols) / k) / np.sqrt(k)
 
 
 def kron(a, b) -> np.ndarray:

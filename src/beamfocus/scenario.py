@@ -308,14 +308,14 @@ class Scenario:
         return self._memo("digital", lambda: beamforming.digital_svd(self.h, self.config.ns))
 
     @property
-    def tx_dictionary(self) -> np.ndarray:
+    def tx_dictionary(self) -> beamforming.TwistedDft:
         return self._memo(
             "tx_dict",
             lambda: beamforming.dictionary_tx(self.tx_layout, self.params),
         )
 
     @property
-    def rx_dictionary(self) -> np.ndarray:
+    def rx_dictionary(self) -> beamforming.TwistedDft:
         return self._memo(
             "rx_dict",
             lambda: beamforming.dictionary_rx(self.rx_layout, self.params),
@@ -371,7 +371,8 @@ class Scenario:
 def spectrum_data(config: ScenarioConfig):
     """Eigenvalues of the transmit gain matrix plus per-axis cluster reports."""
     scenario = Scenario(config, config.rotation_deg[0])
-    g = channel.gram(scenario.channel_set.h_tilde, geometry.Side.TX)
+    h_tilde = channel.fresnel_core(scenario.tx_layout, scenario.rx_layout, scenario.params)
+    g = channel.gram(h_tilde, geometry.Side.TX)
     eig = eig_hermitian(g)
     normalizer = scenario.tx_layout.count * scenario.rx_layout.count / config.ns
     lam, dist, eps = config.wavelength, config.distance_m, config.cluster_eps

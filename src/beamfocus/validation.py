@@ -161,8 +161,8 @@ def check_dft_unitarity() -> CheckResult:
 def check_dictionary_unitarity() -> CheckResult:
     spec_t, spec_r, params, _ = _small_specs()
     tx, rx = channel.layout_pair(spec_t, spec_r, params.distance)
-    v = beamforming.dictionary_tx(tx, params)
-    u = beamforming.dictionary_rx(rx, params)
+    v = beamforming.dictionary_tx(tx, params).dense()
+    u = beamforming.dictionary_rx(rx, params).dense()
     worst = max(
         float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()),
         float(np.abs(u.conj().T @ u - np.eye(u.shape[1])).max()),

@@ -308,9 +308,9 @@ def test_criterion_11_omp_exact_recovery():
     worst_residual = 0.0
     for _ in range(10):
         sparsity = int(rng.integers(1, 6))
-        support = rng.choice(dic.shape[1], size=sparsity, replace=False)
+        support = rng.choice(dic.size, size=sparsity, replace=False)
         coeff = rng.standard_normal((sparsity, sparsity)) + 1j * rng.standard_normal((sparsity, sparsity))
-        target = dic[:, support] @ coeff
+        target = dic.columns(support) @ coeff
         n_rf = sparsity + int(rng.integers(0, 3))
         bf = omp_hybrid(target, dic, n_rf, side=Side.RX)
         worst_residual = max(worst_residual, bf.residual_norms[-1])

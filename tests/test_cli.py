@@ -237,6 +237,16 @@ class TestApertureSweep:
         _, rows = read_rows(out)
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("scales", ["0.5,abc", ",", ""])
+    def test_bad_scales_exit_two(self, small_config, tmp_path, capsys, scales):
+        out = tmp_path / "bad.csv"
+        code = cli.main([
+            "aperture-sweep", "--config", str(small_config), "--out", str(out), "--scales", scales,
+        ])
+        assert code == 2
+        assert "config field scales" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_fresh_build_passes(self, capsys):

@@ -1,14 +1,20 @@
 """Tests for config parsing/validation and scenario assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from beamfocus import channel
+from beamfocus.geometry import Side
+from beamfocus.linalg import eig_hermitian
 from beamfocus.scenario import (
     ConfigError,
     Scenario,
     axis_spacings,
     load_config,
     parse_config,
+    spectrum_data,
 )
 
 BASE = {
@@ -176,3 +182,41 @@ class TestScenario:
         config = parse_config(cfg())
         with pytest.raises(AttributeError):
             config.ns = 8
+
+    def test_hybrid_rates_never_form_a_dense_dictionary(self):
+        # 64 x 64 receiver: one dense 4096 x 4096 dictionary would be 256 MiB
+        config = parse_config(cfg(rx={"n_v": 64, "n_h": 64}, n_rf_tx=8, n_rf_rx=8))
+        scenario = Scenario(config, 0.0)
+        tracemalloc.start()
+        try:
+            for scheme in ("asymptotic-hybrid", "omp-hybrid", "phase-extract"):
+                assert scenario.rate(scheme, 1.0) > 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestSpectrumData:
+    def test_reads_the_core_without_the_exact_channel(self, monkeypatch):
+        config = parse_config(cfg())
+        scenario = Scenario(config, 0.0)
+        h_tilde = channel.fresnel_factors(scenario.tx_layout, scenario.rx_layout, scenario.params).h_tilde
+        expected = eig_hermitian(channel.gram(h_tilde, Side.TX)).values
+
+        def unused(*args):
+            raise AssertionError("spectrum_data built the exact channel")
+
+        monkeypatch.setattr(channel, "exact_channel", unused)
+        values, _, _ = spectrum_data(config)
+        assert np.array_equal(values, expected)
+
+    def test_large_aperture_still_warns(self):
+        config = parse_config(cfg(
+            distance_m=2.0,
+            spacing_mode="explicit",
+            tx={"n_v": 4, "n_h": 4, "d_v": 1.0, "d_h": 1.0},
+            rx={"n_v": 4, "n_h": 4, "d_v": 1.0, "d_h": 1.0},
+        ))
+        with pytest.warns(RuntimeWarning, match="not small against distance"):
+            spectrum_data(config)

@@ -8,6 +8,7 @@ identical configs produce byte-identical files (timings are opt-in).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -57,13 +58,15 @@ def _grid_rate(scenario: Scenario, scheme: str, snr_db: float) -> float:
 
 
 def _parse_scales(text: str) -> list[float]:
-    """The --scales list; anything but a non-empty list of numbers is a ConfigError."""
+    """The --scales list; anything but a non-empty list of positive finite numbers is a ConfigError."""
     try:
         scales = [float(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError("scales", f"not a comma-separated list of numbers: {text!r}") from exc
     if not scales:
         raise ConfigError("scales", f"no scale given: {text!r}")
+    if not all(0.0 < s < math.inf for s in scales):
+        raise ConfigError("scales", f"scales must be positive and finite: {text!r}")
     return scales
 
 
@@ -136,10 +139,9 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
 
     The feasibility flag tests the nominal grid extent (n*d per side), the
     scale on which the threshold is exact for optimally spaced arrays; the
-    l_t/l_r columns report realized corner-to-corner apertures.
+    l_t/l_r columns report realized corner-to-corner apertures. ``scales``
+    must be positive and finite, as ``_parse_scales`` checks.
     """
-    if any(s <= 0 for s in scales):
-        raise ConfigError("aperture_scale", "scales must be positive")
     snr_db = config.snr_db[0]
     rot = config.rotation_deg[0]
     rows = []

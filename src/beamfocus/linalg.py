@@ -85,22 +85,39 @@ def _fix_phases(x: np.ndarray, *others: np.ndarray) -> None:
         y *= lead
 
 
+def _pivot_rows(x: np.ndarray) -> list[int]:
+    """Rows of ``x`` picked greedily by largest residual energy, ties to the lowest index.
+
+    This is QR with column pivoting on ``x^H`` (Businger & Golub 1965): each
+    pick projects only its own row off the directions picked so far, and
+    the row energies are downdated by the new direction rather than
+    recomputed, so a pick costs one n x k matrix-vector product.
+    """
+    k = x.shape[1]
+    energy = (x.real**2 + x.imag**2).sum(axis=1)
+    picked = np.empty((k, k), dtype=x.dtype)  # orthonormal directions, one per row
+    rows = []
+    for m in range(k):
+        i = int(_first_within(energy))
+        rows.append(i)
+        r = x[i] - (picked[:m].conj() @ x[i]) @ picked[:m]
+        r /= np.linalg.norm(r)
+        picked[m] = r
+        c = x @ r.conj()
+        energy -= c.real**2 + c.imag**2
+        # the downdate leaves rounding noise on the picked row; never pick it again
+        energy[i] = -np.inf
+    return rows
+
+
 def _to_canonical_basis(x: np.ndarray, *others: np.ndarray) -> None:
     """Rotate the orthonormal columns of ``x`` in place to a basis fixed by their span.
 
-    Greedily picks the rows with the largest residual energy (ties to the
-    lowest index), then rotates by the LQ factorization of those rows with
-    a positive diagonal. Both steps depend only on the span. The same
-    rotation is applied to every array in ``others``.
+    Picks rows with ``_pivot_rows``, then rotates by the LQ factorization
+    of those rows with a positive diagonal. Both steps depend only on the
+    span. The same rotation is applied to every array in ``others``.
     """
-    resid = x.copy()
-    rows = []
-    for _ in range(x.shape[1]):
-        i = int(_first_within((resid.real**2 + resid.imag**2).sum(axis=1)))
-        rows.append(i)
-        r = resid[i] / np.linalg.norm(resid[i])
-        resid -= np.outer(resid @ r.conj(), r)
-    q, r = np.linalg.qr(x[rows].conj().T)
+    q, r = np.linalg.qr(x[_pivot_rows(x)].conj().T)
     d = np.diag(r)
     q *= d / np.abs(d)
     for y in (x, *others):

@@ -91,7 +91,13 @@ def _require(mapping, key, kind, raw_text, path=""):
         raise ConfigError(
             full, f"expected {kind.__name__}, got {type(value).__name__}", _line_of(raw_text, full)
         )
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(full, f"must be finite, got {value}", _line_of(raw_text, full))
     return value
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _array_config(mapping, path, raw_text, need_spacing):
@@ -165,10 +171,8 @@ def parse_config(data: dict, raw_text: str | None = None) -> ScenarioConfig:
         )
 
     snr_db = data.get("snr_db")
-    if not isinstance(snr_db, (list, tuple)) or not snr_db or not all(
-        isinstance(s, (int, float)) and not isinstance(s, bool) for s in snr_db
-    ):
-        raise ConfigError("snr_db", "expected a non-empty list of numbers", _line_of(raw_text, "snr_db"))
+    if not isinstance(snr_db, (list, tuple)) or not snr_db or not all(map(_is_finite_number, snr_db)):
+        raise ConfigError("snr_db", "expected a non-empty list of finite numbers", _line_of(raw_text, "snr_db"))
 
     schemes = data.get("schemes")
     if not isinstance(schemes, (list, tuple)) or not schemes:
@@ -180,10 +184,8 @@ def parse_config(data: dict, raw_text: str | None = None) -> ScenarioConfig:
     rotation = data.get("rotation_deg", [])
     if rotation is None:
         rotation = []
-    if not isinstance(rotation, (list, tuple)) or not all(
-        isinstance(r, (int, float)) and not isinstance(r, bool) for r in rotation
-    ):
-        raise ConfigError("rotation_deg", "expected a list of numbers", _line_of(raw_text, "rotation_deg"))
+    if not isinstance(rotation, (list, tuple)) or not all(map(_is_finite_number, rotation)):
+        raise ConfigError("rotation_deg", "expected a list of finite numbers", _line_of(raw_text, "rotation_deg"))
     rotation = tuple(float(r) for r in rotation) or (0.0,)
 
     layout = data.get("layout", "parallelogram")
@@ -364,8 +366,14 @@ class Scenario:
             # trace-1 precoder with the plain snr prefactor == sqrt(ns)-scaled
             # precoder under the uniform formula
             return spectral.rate(self.h, root * scaled, dig.combiner, snr, ns)
-        tx, rx = self.hybrid(scheme)
-        return spectral.rate(self.h, root * tx.product(), rx.product(), snr, ns)
+
+        def products():
+            # built once per scenario and shared across the SNR grid
+            tx, rx = self.hybrid(scheme)
+            return root * tx.product(), rx.product()
+
+        precoder, combiner = self._memo(("products", scheme), products)
+        return spectral.rate(self.h, precoder, combiner, snr, ns)
 
 
 def spectrum_data(config: ScenarioConfig):

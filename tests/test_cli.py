@@ -11,7 +11,7 @@ import pytest
 import beamfocus
 from beamfocus import channel, cli, validation
 from beamfocus.geometry import ArraySpec, optimal_spacing
-from beamfocus.scenario import parse_config
+from beamfocus.scenario import load_config, parse_config
 
 SMALL_YAML = """\
 frequency_ghz: 28.0
@@ -89,6 +89,19 @@ class TestRateSweep:
         for key, value in rates[0].items():
             assert abs(value - rates[1][key]) <= 1e-9 * value, key
 
+    def test_desk_rates_match_golden_csv(self):
+        # every scheme, hybrids included, against the committed desk sweep:
+        # a change in the picked atoms or the SVD basis shows here
+        root = Path(__file__).resolve().parents[1]
+        config = load_config(str(root / "configs" / "desk_scale.yaml"))
+        _, rows = cli.run_rate_sweep(config)
+        _, golden = read_rows(root / "tests" / "data" / "desk_rate_sweep.csv")
+        assert len(rows) == len(golden) == 35
+        for row, gold in zip(rows, golden):
+            assert (row[0], row[1], row[2]) == (gold[0], float(gold[1]), float(gold[2]))
+            for got, want in zip(row[3:], gold[3:]):
+                assert abs(got - float(want)) <= 1e-9 * abs(float(want)), gold
+
     def test_timing_column_opt_in(self, small_config, tmp_path):
         out = tmp_path / "timed.csv"
         assert cli.main(
@@ -157,6 +170,20 @@ class TestConfigErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "rotation_deg" in err and "90 deg" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("line, bad", [
+        ("frequency_ghz: 28.0", "frequency_ghz: .nan"),
+        ("distance_m: 50.0", "distance_m: .inf"),
+        ("snr_db: [-5, 5]", "snr_db: [.nan, 0]"),
+        ("rotation_deg: [0, 15]", "rotation_deg: [.nan]"),
+    ])
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, line, bad):
+        path = tmp_path / "nonfinite.yaml"
+        path.write_text(SMALL_YAML.replace(line, bad))
+        code = cli.main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"config field {line.split(':')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_output_exit_two(self, small_config, capsys):
@@ -237,7 +264,7 @@ class TestApertureSweep:
         _, rows = read_rows(out)
         assert len(rows) == 1
 
-    @pytest.mark.parametrize("scales", ["0.5,abc", ",", ""])
+    @pytest.mark.parametrize("scales", ["0.5,abc", ",", "", "nan", "inf", "0,1", "-1"])
     def test_bad_scales_exit_two(self, small_config, tmp_path, capsys, scales):
         out = tmp_path / "bad.csv"
         code = cli.main([

@@ -1,8 +1,13 @@
 """Tests for the complex linear algebra core on top of LAPACK."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beamfocus import linalg
 from beamfocus.linalg import (
     SVD_RANK_RTOL,
     ConvergenceError,
@@ -96,6 +101,38 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+@st.composite
+def rank_deficient_factorizations(draw):
+    """A rank-deficient matrix built twice, its degenerate subspaces mixed differently.
+
+    Returns ``(a1, a2, rank)``. Each repeated nonzero singular value gets
+    one random unitary on both sides, and the left and right null spaces
+    (each of dimension >= 2) get independent ones, so ``a1 == a2`` up to
+    rounding while their factorizations differ.
+    """
+    multiplicities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rank = sum(multiplicities)
+    short = rank + draw(st.integers(2, 4))
+    long = short + draw(st.integers(0, 3))
+    m, n = (long, short) if draw(st.booleans()) else (short, long)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = np.repeat(4.0 ** -np.arange(len(multiplicities)), multiplicities)
+    u, v = random_unitary(rng, m), random_unitary(rng, n)
+    mix_u, mix_v = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
+    start = 0
+    for count in multiplicities:
+        mix_u[start:start + count, start:start + count] = random_unitary(rng, count)
+        mix_v[start:start + count, start:start + count] = mix_u[start:start + count, start:start + count]
+        start += count
+    mix_u[rank:, rank:] = random_unitary(rng, m - rank)
+    mix_v[rank:, rank:] = random_unitary(rng, n - rank)
+    s = np.zeros((m, n))
+    s[np.arange(rank), np.arange(rank)] = sigma
+    a1 = u @ s @ v.conj().T
+    a2 = (u @ mix_u) @ s @ (v @ mix_v).conj().T
+    return a1, a2, rank
+
+
 class TestSvd:
     def test_identity(self):
         res = svd(np.eye(4))
@@ -175,6 +212,29 @@ class TestSvd:
         recon = r1.left @ np.diag(r1.singular_values) @ r1.right.conj().T
         assert np.linalg.norm(recon - a1) / np.linalg.norm(a1) <= 1e-12
 
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(rank_deficient_factorizations())
+    def test_null_space_basis_is_canonical(self, case):
+        # the same matrix from two factorizations that mix each repeated
+        # sigma and both null spaces differently must give the same vectors
+        a1, a2, rank = case
+        r1, r2 = svd(a1), svd(a2)
+        m, n = a1.shape
+        assert np.all(r1.singular_values[rank:] == 0.0)
+        assert np.abs(r1.singular_values - r2.singular_values).max() <= 1e-12
+        # the thin factor of the longer side holds only part of that side's
+        # null space, and which part the matrix does not fix
+        left_cols = slice(None) if m <= n else slice(rank)
+        right_cols = slice(None) if n <= m else slice(rank)
+        assert np.abs(r1.left[:, left_cols] - r2.left[:, left_cols]).max() <= 1e-12
+        assert np.abs(r1.right[:, right_cols] - r2.right[:, right_cols]).max() <= 1e-12
+        for res in (r1, r2):
+            k = min(m, n)
+            assert np.abs(res.left.conj().T @ res.left - np.eye(k)).max() <= 1e-12
+            assert np.abs(res.right.conj().T @ res.right - np.eye(k)).max() <= 1e-12
+            assert np.abs(a1.conj().T @ res.left[:, rank:]).max() <= 1e-12
+            assert np.abs(a1 @ res.right[:, rank:]).max() <= 1e-12
+
     def test_lapack_failure_reported_as_convergence_error(self, monkeypatch):
         def fail(a, full_matrices=True):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -182,6 +242,62 @@ class TestSvd:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceError):
             svd(np.eye(3))
+
+
+def dense_residual_pivots(x):
+    """The greedy row pick in its plain form, as an oracle for ``linalg._pivot_rows``.
+
+    Every pick rewrites the whole residual and recomputes every row energy.
+    """
+    resid = x.copy()
+    rows = []
+    for _ in range(x.shape[1]):
+        i = int(linalg._first_within((resid.real**2 + resid.imag**2).sum(axis=1)))
+        rows.append(i)
+        r = resid[i] / np.linalg.norm(resid[i])
+        resid -= np.outer(resid @ r.conj(), r)
+    return rows
+
+
+def desk_channel():
+    from beamfocus.scenario import Scenario, load_config
+
+    config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.yaml"))
+    return Scenario(config, config.rotation_deg[0]).h
+
+
+class TestPivotRows:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_matches_dense_residual_greedy(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        x = random_unitary(rng, n)[:, : min(k, n)]
+        assert linalg._pivot_rows(x) == dense_residual_pivots(x)
+
+    @pytest.mark.parametrize("n, cols", [(16, [0, 1, 2, 5]), (16, [0, 2, 4, 6, 8, 10]), (12, [3, 7])])
+    def test_tied_energies_match_dense_residual_greedy(self, n, cols):
+        # every row of a set of DFT columns has the same energy, and
+        # even-indexed columns make rows n/2 apart equal, so the picks are
+        # decided by the tie rule, not by rounding
+        x = dft_matrix(n)[:, cols]
+        rows = linalg._pivot_rows(x)
+        assert rows[0] == 0
+        assert rows == dense_residual_pivots(x)
+
+    def test_matches_dense_residual_greedy_on_desk_clusters(self, monkeypatch):
+        clusters = []
+        pivot_rows = linalg._pivot_rows
+
+        def record(x):
+            clusters.append(x.copy())
+            return pivot_rows(x)
+
+        monkeypatch.setattr(linalg, "_pivot_rows", record)
+        svd(desk_channel())
+        # the null space plus the repeated singular values of the centre
+        assert max(x.shape[1] for x in clusters) >= 2
+        for x in clusters:
+            assert pivot_rows(x) == dense_residual_pivots(x)
 
 
 class TestDftMatrix:

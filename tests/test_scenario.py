@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beamfocus import channel
+from beamfocus.beamforming import HybridBeamformer
 from beamfocus.geometry import Side
 from beamfocus.linalg import eig_hermitian
 from beamfocus.scenario import (
@@ -16,6 +17,7 @@ from beamfocus.scenario import (
     parse_config,
     spectrum_data,
 )
+from beamfocus.spectral import rate
 
 BASE = {
     "frequency_ghz": 28.0,
@@ -97,6 +99,25 @@ class TestParseConfig:
     def test_empty_rotation_defaults_to_zero(self):
         assert parse_config(cfg(rotation_deg=[])).rotation_deg == (0.0,)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [
+        "frequency_ghz", "distance_m", "snr_db", "rotation_deg", "tx.d_v", "rx.d_h", "cluster_eps",
+    ])
+    def test_non_finite_number_rejected(self, field, value):
+        spacings = {"d_v": 0.01, "d_h": 0.01}
+        data = cfg(spacing_mode="explicit", tx={"n_v": 4, "n_h": 4, **spacings},
+                   rx={"n_v": 4, "n_h": 4, **spacings})
+        if field in ("snr_db", "rotation_deg"):
+            data[field] = [0.0, value]
+        elif "." in field:
+            side, key = field.split(".")
+            data[side][key] = value
+        else:
+            data[field] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.field_path == field
+
     def test_explicit_mode_needs_spacings(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(spacing_mode="explicit"))
@@ -164,6 +185,20 @@ class TestScenario:
             assert tx.analog.shape == (16, 4) and tx.n_rf == 4
             assert rx.analog.shape == (16, 6) and rx.n_rf == 6
             assert 0.0 < scenario.rate(scheme, 1.0) <= scenario.rate("digital-uniform", 1.0) + 1e-9
+
+    def test_hybrid_products_built_once_per_scenario(self, monkeypatch):
+        config = parse_config(cfg(n_rf_tx=4, n_rf_rx=6))
+        scenario = Scenario(config, 0.0)
+        calls = []
+        product = HybridBeamformer.product
+        monkeypatch.setattr(HybridBeamformer, "product", lambda bf: calls.append(1) or product(bf))
+        for scheme in ("asymptotic-hybrid", "omp-hybrid", "phase-extract"):
+            tx, rx = scenario.hybrid(scheme)
+            for snr in (0.1, 1.0, 10.0):
+                # bitwise equal to the products built on every call
+                expected = rate(scenario.h, 2.0 * product(tx), product(rx), snr, 4)
+                assert scenario.rate(scheme, snr) == expected
+        assert len(calls) == 3 * 2
 
     def test_water_fill_beats_uniform_at_low_snr(self):
         config = parse_config(cfg())

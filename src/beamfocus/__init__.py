@@ -15,7 +15,6 @@ from .channel import (
     ChannelParams,
     ChannelSet,
     exact_channel,
-    fresnel_core,
     fresnel_factors,
     gram,
     kron_factor_channel,

@@ -138,29 +138,45 @@ def _gain_order(gains: np.ndarray) -> np.ndarray:
     return np.argsort(-key, kind="stable")
 
 
+def _svd_basebands(h: np.ndarray, f_rf: np.ndarray, w_rf: np.ndarray, ns: int):
+    """Top-ns right and left singular vectors of the effective channel ``W_RF^H h F_RF``."""
+    eff = svd(w_rf.conj().T @ h @ f_rf)
+    return eff.right[:, :ns].copy(), eff.left[:, :ns].copy()
+
+
+def _hybrid_pair(f_rf, f_bb, w_rf, w_bb) -> tuple[HybridBeamformer, HybridBeamformer]:
+    """Transmit and receive hybrids, the transmit product scaled to unit trace."""
+    tx = HybridBeamformer(f_rf, f_bb / np.linalg.norm(f_rf @ f_bb), Side.TX, f_rf.shape[1])
+    return tx, HybridBeamformer(w_rf, w_bb, Side.RX, w_rf.shape[1])
+
+
 def asymptotic_hybrid(
     tx_dict: TwistedDft,
     rx_dict: TwistedDft,
     h: np.ndarray,
     ns: int,
+    n_rf_tx: int | None = None,
+    n_rf_rx: int | None = None,
 ) -> tuple[HybridBeamformer, HybridBeamformer]:
-    """Closed-form hybrid pair: ns dictionary columns with identity baseband.
+    """Closed-form hybrid pair from the dictionary columns of largest gain.
 
-    Each side takes the ns columns with the largest effective channel gain,
-    the column norms of ``h @ V`` and ``h^H @ U``.
+    Each side takes its ``n_rf_tx``/``n_rf_rx`` (default ns) columns with the
+    largest effective channel gain, the column norms of ``h @ V`` and
+    ``h^H @ U``. With ns columns per side the baseband is the identity (any
+    unitary one gives the same rate); with more, it is the top-ns SVD of the
+    effective channel, as in phase extraction.
     """
-    if ns > min(tx_dict.size, rx_dict.size):
-        raise ValueError(f"ns={ns} exceeds dictionary column counts")
-    tx_gain = np.linalg.norm(tx_dict.adjoint(h.conj().T), axis=1)
-    rx_gain = np.linalg.norm(rx_dict.adjoint(h), axis=1)
-    f_rf = tx_dict.columns(_gain_order(tx_gain)[:ns])
-    w_rf = rx_dict.columns(_gain_order(rx_gain)[:ns])
-    f_bb = np.eye(ns, dtype=np.complex128)
-    f_bb /= np.linalg.norm(f_rf @ f_bb)
-    w_bb = np.eye(ns, dtype=np.complex128)
-    tx = HybridBeamformer(analog=f_rf, baseband=f_bb, side=Side.TX, n_rf=ns)
-    rx = HybridBeamformer(analog=w_rf, baseband=w_bb, side=Side.RX, n_rf=ns)
-    return tx, rx
+    n_rf_tx = ns if n_rf_tx is None else n_rf_tx
+    n_rf_rx = ns if n_rf_rx is None else n_rf_rx
+    if not ns <= min(n_rf_tx, n_rf_rx) or n_rf_tx > tx_dict.size or n_rf_rx > rx_dict.size:
+        raise ValueError(f"need ns={ns} <= n_rf={n_rf_tx}/{n_rf_rx} <= dictionary column counts")
+    f_rf = tx_dict.columns(_gain_order(np.linalg.norm(tx_dict.adjoint(h.conj().T), axis=1))[:n_rf_tx])
+    w_rf = rx_dict.columns(_gain_order(np.linalg.norm(rx_dict.adjoint(h), axis=1))[:n_rf_rx])
+    if max(n_rf_tx, n_rf_rx) > ns:
+        f_bb, w_bb = _svd_basebands(h, f_rf, w_rf, ns)
+    else:
+        f_bb = w_bb = np.eye(ns, dtype=np.complex128)
+    return _hybrid_pair(f_rf, f_bb, w_rf, w_bb)
 
 
 def omp_hybrid(
@@ -253,11 +269,5 @@ def phase_extraction_hybrid(
 
     f_rf = analog_stage(digital.precoder, m, n_rf, Side.TX)
     w_rf = analog_stage(digital.combiner, n, n_rf_rx, Side.RX)
-    effective = w_rf.conj().T @ h @ f_rf
-    eff = svd(effective)
-    f_bb = eff.right[:, :ns].copy()
-    w_bb = eff.left[:, :ns].copy()
-    f_bb /= np.linalg.norm(f_rf @ f_bb)
-    tx = HybridBeamformer(analog=f_rf, baseband=f_bb, side=Side.TX, n_rf=n_rf)
-    rx = HybridBeamformer(analog=w_rf, baseband=w_bb, side=Side.RX, n_rf=n_rf_rx)
-    return tx, rx
+    f_bb, w_bb = _svd_basebands(h, f_rf, w_rf, ns)
+    return _hybrid_pair(f_rf, f_bb, w_rf, w_bb)

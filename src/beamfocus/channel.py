@@ -9,51 +9,40 @@ operates on.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AntennaLayout, ArraySpec, Side, aperture, build_layout
-
-
-class NotParallelError(ValueError):
-    pass
+from .geometry import AntennaLayout, ArraySpec, LayoutKind, Side, aperture, build_layout
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Link-level constants; gains and powers only enter through the path-loss scalar."""
+    """Carrier wavelength and link distance, both in meters.
+
+    Rates use a normalized SNR, so the paper's path loss (lambda / 4 pi D)^2 is not modelled.
+    """
 
     wavelength: float
     distance: float
-    tx_gain: float = 1.0
-    rx_gain: float = 1.0
 
     def __post_init__(self):
-        for name in ("wavelength", "distance", "tx_gain", "rx_gain"):
+        for name in ("wavelength", "distance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-
-    @property
-    def zeta(self) -> float:
-        amp = math.sqrt(self.tx_gain * self.rx_gain) * self.wavelength
-        return (amp / (4.0 * math.pi * self.distance)) ** 2
 
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Exact channel, its quadratic-phase core, per-side diagonals, path loss."""
+    """The quadratic-phase factorization: xy core and per-side diagonals."""
 
-    h_exact: np.ndarray
     h_tilde: np.ndarray
     d_t: np.ndarray
     d_r: np.ndarray
-    zeta: float
 
     def recompose(self) -> np.ndarray:
-        """conj(D_r) * h_tilde * D_t, the factored approximation of h_exact."""
+        """conj(D_r) * h_tilde * D_t, which equals taylor_channel."""
         return np.conj(self.d_r)[:, None] * self.h_tilde * self.d_t[None, :]
 
 
@@ -107,14 +96,16 @@ def quadratic_phase(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
     return np.exp(2j * np.pi / params.wavelength * phase)
 
 
-def fresnel_core(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> np.ndarray:
-    """The xy core h_tilde of the quadratic-phase factorization.
+def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> ChannelSet:
+    """Factor the quadratic-phase channel into per-side diagonals and the xy core.
 
-    Warns (RuntimeWarning) when an aperture is not small against the link
+    The recomposition conj(d_r) * h_tilde * d_t reproduces taylor_channel
+    exactly; the gap to the exact channel is the Taylor remainder, which
+    shrinks as the link distance grows relative to the apertures. Warns
+    (RuntimeWarning) when an aperture is not small against the link
     distance, where the factorization stops describing the exact channel.
     """
     d = params.distance
-    lam = params.wavelength
     big = max(aperture(tx), aperture(rx))
     if big >= d:
         warnings.warn(
@@ -125,38 +116,30 @@ def fresnel_core(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) ->
         )
     tx_x, tx_y = tx.coords[0], tx.coords[1]
     rx_x, rx_y = rx.coords[0], rx.coords[1]
-    return np.exp(
-        2j * np.pi / lam * (np.outer(rx_x, tx_x) + np.outer(rx_y, tx_y)) / d
+    h_tilde = np.exp(
+        2j * np.pi / params.wavelength * (np.outer(rx_x, tx_x) + np.outer(rx_y, tx_y)) / d
     )
-
-
-def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> ChannelSet:
-    """Factor the quadratic-phase channel into per-side diagonals and the xy core.
-
-    The recomposition conj(d_r) * h_tilde * d_t reproduces taylor_channel
-    exactly; the gap to the exact channel is the Taylor remainder, which
-    shrinks as the link distance grows relative to the apertures.
-    """
     return ChannelSet(
-        h_exact=exact_channel(tx, rx, params),
-        h_tilde=fresnel_core(tx, rx, params),
+        h_tilde=h_tilde,
         d_t=quadratic_phase(tx, params),
         d_r=quadratic_phase(rx, params),
-        zeta=params.zeta,
     )
 
 
 def kron_factor_channel(
     spec_tx: ArraySpec, spec_rx: ArraySpec, params: ChannelParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vertical and horizontal linear-array factors of the parallel-UPA core.
+    """Vertical and horizontal linear-array factors of the planar core.
 
     kron(h_linv, h_linh) equals the h_tilde of the full planar pair, thanks
-    to the vertical-major element enumeration.
+    to the vertical-major element enumeration. A parallelogram layout keeps
+    the xy grid at every tilt, so the identity holds at any theta, phi; a
+    rigidly rotated UPA shears that grid, so only its flat case is accepted.
     """
     for spec in (spec_tx, spec_rx):
-        if spec.theta != 0.0 or spec.phi != 0.0:
-            raise NotParallelError("factorization requires theta = phi = 0 on both sides")
+        tilted = spec.theta != 0.0 or spec.phi != 0.0
+        if tilted and spec.layout_kind is LayoutKind.ROTATED_UPA:
+            raise ValueError("a rotated UPA has no Kronecker core unless theta = phi = 0")
     lam, dist = params.wavelength, params.distance
 
     def factor(n_rx, d_rx, n_tx, d_tx):

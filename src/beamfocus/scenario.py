@@ -86,7 +86,10 @@ def _require(mapping, key, kind, raw_text, path=""):
         raise ConfigError(full, "missing", _line_of(raw_text, full))
     value = mapping[key]
     if kind is float and isinstance(value, int):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(full, "integer too large for a float", _line_of(raw_text, full)) from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(
             full, f"expected {kind.__name__}, got {type(value).__name__}", _line_of(raw_text, full)
@@ -97,7 +100,12 @@ def _require(mapping, key, kind, raw_text, path=""):
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _array_config(mapping, path, raw_text, need_spacing):
@@ -300,12 +308,6 @@ class Scenario:
         return self._memo("h", lambda: channel.exact_channel(self.tx_layout, self.rx_layout, self.params))
 
     @property
-    def channel_set(self) -> channel.ChannelSet:
-        return self._memo(
-            "channel_set", lambda: channel.fresnel_factors(self.tx_layout, self.rx_layout, self.params)
-        )
-
-    @property
     def digital(self) -> beamforming.DigitalBeamformer:
         return self._memo("digital", lambda: beamforming.digital_svd(self.h, self.config.ns))
 
@@ -329,7 +331,8 @@ class Scenario:
             return self._memo(
                 "asymptotic",
                 lambda: beamforming.asymptotic_hybrid(
-                    self.tx_dictionary, self.rx_dictionary, self.h, ns
+                    self.tx_dictionary, self.rx_dictionary, self.h, ns,
+                    self.config.n_rf_tx, self.config.n_rf_rx,
                 ),
             )
         if scheme == "omp-hybrid":
@@ -379,7 +382,7 @@ class Scenario:
 def spectrum_data(config: ScenarioConfig):
     """Eigenvalues of the transmit gain matrix plus per-axis cluster reports."""
     scenario = Scenario(config, config.rotation_deg[0])
-    h_tilde = channel.fresnel_core(scenario.tx_layout, scenario.rx_layout, scenario.params)
+    h_tilde = channel.fresnel_factors(scenario.tx_layout, scenario.rx_layout, scenario.params).h_tilde
     g = channel.gram(h_tilde, geometry.Side.TX)
     eig = eig_hermitian(g)
     normalizer = scenario.tx_layout.count * scenario.rx_layout.count / config.ns

@@ -26,10 +26,10 @@ def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _small_specs(side=8, ns_axis=2, lam=None, dist=50.0):
+def _small_specs(side=8, ns_axis=2, lam=None, dist=50.0, theta=0.0, phi=0.0):
     lam = lam if lam is not None else 299_792_458.0 / 28e9
     sol = geometry.optimal_spacing(side, side, ns_axis, lam, dist)
-    spec = geometry.ArraySpec(n_v=side, n_h=side, d_v=sol.d_t, d_h=sol.d_t)
+    spec = geometry.ArraySpec(n_v=side, n_h=side, d_v=sol.d_t, d_h=sol.d_t, theta=theta, phi=phi)
     params = channel.ChannelParams(wavelength=lam, distance=dist)
     return spec, spec, params, sol
 
@@ -59,19 +59,19 @@ def check_channel_normalization(seed=0, cases=20) -> CheckResult:
     return _result("channel-normalization", worst <= 1e-9, f"worst deviation {worst:.3e}")
 
 
-def check_fresnel_recomposition(channel_set=None, tol=1e-10) -> CheckResult:
+def check_fresnel_recomposition(factors=None) -> CheckResult:
     """conj(D_r) H~ D_t reproduces the quadratic-phase channel entrywise.
 
-    ``channel_set`` may be injected (e.g. deliberately corrupted) and is
+    ``factors`` may be injected (e.g. deliberately corrupted) and is
     compared against the reference geometry's expansion.
     """
     spec_t, spec_r, params, _ = _small_specs()
     tx, rx = channel.layout_pair(spec_t, spec_r, params.distance)
-    if channel_set is None:
-        channel_set = channel.fresnel_factors(tx, rx, params)
+    if factors is None:
+        factors = channel.fresnel_factors(tx, rx, params)
     reference = channel.taylor_channel(tx, rx, params)
-    gap = float(np.abs(channel_set.recompose() - reference).max())
-    return _result("fresnel-recomposition", gap <= tol, f"max entry gap {gap:.3e}")
+    gap = float(np.abs(factors.recompose() - reference).max())
+    return _result("fresnel-recomposition", gap <= 1e-10, f"max entry gap {gap:.3e}")
 
 
 def check_fresnel_gap_monotone() -> CheckResult:
@@ -83,17 +83,18 @@ def check_fresnel_gap_monotone() -> CheckResult:
         spec = geometry.ArraySpec(n_v=8, n_h=8, d_v=sol.d_t, d_h=sol.d_t)
         params = channel.ChannelParams(wavelength=lam, distance=dist)
         tx, rx = channel.layout_pair(spec, spec, dist)
-        cs = channel.fresnel_factors(tx, rx, params)
-        w_exact = eig_hermitian(channel.gram(cs.h_exact, geometry.Side.TX)).values
-        w_tilde = eig_hermitian(channel.gram(cs.h_tilde, geometry.Side.TX)).values
-        gaps.append(float(np.abs(w_exact - w_tilde).max()) / cs.h_exact.size)
+        h = channel.exact_channel(tx, rx, params)
+        h_tilde = channel.fresnel_factors(tx, rx, params).h_tilde
+        w_exact = eig_hermitian(channel.gram(h, geometry.Side.TX)).values
+        w_tilde = eig_hermitian(channel.gram(h_tilde, geometry.Side.TX)).values
+        gaps.append(float(np.abs(w_exact - w_tilde).max()) / h.size)
     ok = gaps[0] > gaps[1] > gaps[2]
     return _result("fresnel-gap-monotone", ok, f"gaps over distance {[f'{g:.3e}' for g in gaps]}")
 
 
 def check_kron_factorization() -> CheckResult:
-    """Parallel-UPA core equals the Kronecker product of its axis factors."""
-    spec_t, spec_r, params, _ = _small_specs(side=4)
+    """A tilted parallelogram pair's core equals the Kronecker product of its axis factors."""
+    spec_t, spec_r, params, _ = _small_specs(side=4, theta=0.35, phi=-0.2)
     tx, rx = channel.layout_pair(spec_t, spec_r, params.distance)
     cs = channel.fresnel_factors(tx, rx, params)
     h_linv, h_linh = channel.kron_factor_channel(spec_t, spec_r, params)
@@ -102,8 +103,8 @@ def check_kron_factorization() -> CheckResult:
 
 
 def check_gram_kron() -> CheckResult:
-    """Gain matrix of the parallel pair factors as the Kronecker of axis Grams."""
-    spec_t, spec_r, params, _ = _small_specs(side=4)
+    """Gain matrix of a tilted parallelogram pair factors as the Kronecker of axis Grams."""
+    spec_t, spec_r, params, _ = _small_specs(side=4, theta=0.35, phi=-0.2)
     tx, rx = channel.layout_pair(spec_t, spec_r, params.distance)
     cs = channel.fresnel_factors(tx, rx, params)
     h_linv, h_linh = channel.kron_factor_channel(spec_t, spec_r, params)

@@ -376,3 +376,26 @@ class TestFactoredDictionaryProperties:
         f_pe, w_pe = phase_extraction_hybrid(h, dig, n_rf)
         assert np.array_equal(f_pe.analog[:, ns:], dft_matrix(tx.count)[:, tx_pads])
         assert np.array_equal(w_pe.analog[:, ns:], dft_matrix(rx.count)[:, rx_pads])
+
+
+class TestAsymptoticHybridProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(oblong_links())
+    def test_spare_rf_chains_never_lower_the_rate(self, link):
+        # the top-ns atoms are a prefix of the top-n_rf ones and the atoms are
+        # orthonormal, so by interlacing the effective channel's top-ns singular
+        # values can only grow with n_rf, and never pass those of h
+        tx, rx, params, seed = link
+        rng = np.random.default_rng(seed)
+        h = exact_channel(tx, rx, params)
+        v, u = dictionary_tx(tx, params), dictionary_rx(rx, params)
+        ns = int(rng.integers(1, min(tx.count, rx.count) + 1))
+        n_rf_tx, n_rf_rx = int(rng.integers(ns, tx.count + 1)), int(rng.integers(ns, rx.count + 1))
+        f_bf, w_bf = asymptotic_hybrid(v, u, h, ns, n_rf_tx, n_rf_rx)
+        assert (f_bf.n_rf, w_bf.n_rf) == (n_rf_tx, n_rf_rx)
+        assert np.abs(np.linalg.norm(f_bf.product()) - 1.0) <= 1e-12
+        dig = digital_svd(h, ns)
+        digital = rate(h, dig.precoder, dig.combiner, 1.0, ns)
+        base = hybrid_rate(h, *asymptotic_hybrid(v, u, h, ns), 1.0, ns)
+        spare = hybrid_rate(h, f_bf, w_bf, 1.0, ns)
+        assert base - 1e-9 * digital <= spare <= digital + 1e-9 * digital

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from beamfocus.beamforming import dictionary_rx, dictionary_tx
 from beamfocus.channel import (
     ChannelParams,
-    NotParallelError,
     exact_channel,
     fresnel_factors,
     gram,
@@ -81,7 +80,7 @@ class TestFresnelFactors:
         tx, rx = layout_pair(spec, spec, 20.0)
         cs = fresnel_factors(tx, rx, params)
         assert np.allclose(cs.h_tilde, [[1.0]])
-        assert abs(cs.recompose()[0, 0] - cs.h_exact[0, 0]) <= 1e-9
+        assert abs(cs.recompose()[0, 0] - exact_channel(tx, rx, params)[0, 0]) <= 1e-9
 
     def test_recomposition_matches_taylor_expansion(self):
         _, tx, rx, params = desk_pair(side=4, ns_axis=2, theta=0.3, phi=-0.2)
@@ -91,7 +90,7 @@ class TestFresnelFactors:
     def test_unit_modulus_factors(self):
         _, tx, rx, params = desk_pair(side=4)
         cs = fresnel_factors(tx, rx, params)
-        for arr in (cs.h_exact, cs.h_tilde, cs.d_t, cs.d_r):
+        for arr in (cs.h_tilde, cs.d_t, cs.d_r):
             assert np.abs(np.abs(arr) - 1.0).max() <= 1e-12
 
     def test_taylor_error_shrinks_with_distance(self):
@@ -102,8 +101,8 @@ class TestFresnelFactors:
         for dist in (25.0, 50.0, 100.0):
             params = ChannelParams(wavelength=lam, distance=dist)
             tx, rx = layout_pair(spec, spec, dist)
-            cs = fresnel_factors(tx, rx, params)
-            errs.append(np.linalg.norm(cs.h_exact - cs.recompose()) / np.linalg.norm(cs.h_exact))
+            h = exact_channel(tx, rx, params)
+            errs.append(np.linalg.norm(h - fresnel_factors(tx, rx, params).recompose()) / np.linalg.norm(h))
         assert errs[0] > errs[1] > errs[2]
 
     def test_warns_when_aperture_not_small(self):
@@ -112,11 +111,6 @@ class TestFresnelFactors:
         tx, rx = layout_pair(spec, spec, 1.0)
         with pytest.warns(RuntimeWarning):
             fresnel_factors(tx, rx, params)
-
-    def test_zeta_formula(self):
-        params = ChannelParams(wavelength=0.01, distance=10.0, tx_gain=4.0, rx_gain=9.0)
-        expected = (math.sqrt(36.0) * 0.01 / (4 * math.pi * 10.0)) ** 2
-        assert abs(params.zeta - expected) <= 1e-18
 
 
 def array_specs(theta, phi, kind):
@@ -195,11 +189,42 @@ class TestKronFactorChannel:
         cs = fresnel_factors(tx, rx, params)
         assert np.abs(h_linv - cs.h_tilde).max() <= 1e-12
 
-    def test_rotated_specs_rejected(self):
-        spec = ArraySpec(n_v=2, n_h=2, d_v=0.1, d_h=0.1, theta=0.1)
+    def test_rotated_upa_rejected(self):
         params = ChannelParams(wavelength=0.01, distance=10.0)
-        with pytest.raises(NotParallelError):
-            kron_factor_channel(spec, spec, params)
+        flat = ArraySpec(n_v=2, n_h=3, d_v=0.1, d_h=0.1, layout_kind=LayoutKind.ROTATED_UPA)
+        tilted = ArraySpec(n_v=2, n_h=3, d_v=0.1, d_h=0.1, phi=0.1, layout_kind=LayoutKind.ROTATED_UPA)
+        assert kron(*kron_factor_channel(flat, flat, params)).shape == (6, 6)
+        for spec_t, spec_r in ((tilted, flat), (flat, tilted)):
+            with pytest.raises(ValueError, match="rotated UPA"):
+                kron_factor_channel(spec_t, spec_r, params)
+
+
+@st.composite
+def tilted_parallelogram_links(draw):
+    """Parallelogram tx/rx specs with n_v != n_h, each with its own tilt, and a 10-100 m link."""
+    angle = st.floats(-1.2, 1.2)
+    specs = []
+    for _ in range(2):
+        n_v = draw(st.integers(1, 7))
+        n_h = draw(st.integers(1, 7).filter(lambda n: n != n_v))
+        specs.append(ArraySpec(
+            n_v=n_v, n_h=n_h, d_v=draw(st.floats(0.002, 0.2)), d_h=draw(st.floats(0.002, 0.2)),
+            theta=draw(angle), phi=draw(angle),
+        ))
+    dist = draw(st.floats(10.0, 100.0))
+    return specs[0], specs[1], ChannelParams(wavelength=LAMBDA_28GHZ, distance=dist)
+
+
+class TestKronFactorProperties:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(tilted_parallelogram_links())
+    def test_kron_equals_core_at_any_tilt(self, link):
+        # the parallelogram keeps the xy grid at every tilt, so the spec's
+        # spacing x index formula must reproduce the realized layout's core
+        spec_t, spec_r, params = link
+        tx, rx = layout_pair(spec_t, spec_r, params.distance)
+        h_tilde = fresnel_factors(tx, rx, params).h_tilde
+        assert np.abs(kron(*kron_factor_channel(spec_t, spec_r, params)) - h_tilde).max() <= 1e-12
 
 
 class TestGram:

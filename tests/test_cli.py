@@ -177,6 +177,9 @@ class TestConfigErrors:
         ("distance_m: 50.0", "distance_m: .inf"),
         ("snr_db: [-5, 5]", "snr_db: [.nan, 0]"),
         ("rotation_deg: [0, 15]", "rotation_deg: [.nan]"),
+        # integers too large for a float
+        pytest.param("frequency_ghz: 28.0", "frequency_ghz: 1" + "0" * 400, id="frequency_ghz-huge-int"),
+        pytest.param("snr_db: [-5, 5]", "snr_db: [0, 1" + "0" * 400 + "]", id="snr_db-huge-int"),
     ])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, line, bad):
         path = tmp_path / "nonfinite.yaml"
@@ -209,7 +212,8 @@ class TestSpectrum:
         from beamfocus.geometry import Side
 
         scenario = Scenario(config, 0.0)
-        g = channel.gram(scenario.channel_set.h_tilde, Side.TX)
+        h_tilde = channel.fresnel_factors(scenario.tx_layout, scenario.rx_layout, scenario.params).h_tilde
+        g = channel.gram(h_tilde, Side.TX)
         oracle = np.linalg.eigvalsh(g)[::-1]
         assert np.abs(values - oracle).max() <= 1e-8 * oracle[0]
         omega = oracle / summary["normalizer"]
@@ -291,9 +295,7 @@ class TestValidate:
         cs = channel.fresnel_factors(tx, rx, params)
         clean = validation.check_fresnel_recomposition(cs)
         assert clean.passed
-        mutated = channel.ChannelSet(
-            h_exact=cs.h_exact, h_tilde=cs.h_tilde, d_t=-cs.d_t, d_r=cs.d_r, zeta=cs.zeta
-        )
+        mutated = channel.ChannelSet(h_tilde=cs.h_tilde, d_t=-cs.d_t, d_r=cs.d_r)
         broken = validation.check_fresnel_recomposition(mutated)
         assert not broken.passed
 

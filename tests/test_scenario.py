@@ -99,7 +99,9 @@ class TestParseConfig:
     def test_empty_rotation_defaults_to_zero(self):
         assert parse_config(cfg(rotation_deg=[])).rotation_deg == (0.0,)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="int-too-large-for-a-float"),
+    ])
     @pytest.mark.parametrize("field", [
         "frequency_ghz", "distance_m", "snr_db", "rotation_deg", "tx.d_v", "rx.d_h", "cluster_eps",
     ])
@@ -180,11 +182,20 @@ class TestScenario:
     def test_hybrid_analog_widths_follow_each_side_rf_count(self):
         config = parse_config(cfg(n_rf_tx=4, n_rf_rx=6))
         scenario = Scenario(config, 0.0)
-        for scheme in ("omp-hybrid", "phase-extract"):
+        for scheme in ("asymptotic-hybrid", "omp-hybrid", "phase-extract"):
             tx, rx = scenario.hybrid(scheme)
             assert tx.analog.shape == (16, 4) and tx.n_rf == 4
             assert rx.analog.shape == (16, 6) and rx.n_rf == 6
             assert 0.0 < scenario.rate(scheme, 1.0) <= scenario.rate("digital-uniform", 1.0) + 1e-9
+
+    def test_asymptotic_hybrid_uses_spare_rf_chains(self):
+        # 8 chains for 4 streams: the SVD baseband over the 8 best atoms beats
+        # the 4 best atoms with an identity baseband, and stays below digital
+        narrow = Scenario(parse_config(cfg()), 0.0)
+        wide = Scenario(parse_config(cfg(n_rf_tx=8, n_rf_rx=8)), 0.0)
+        for snr in (0.1, 1.0, 10.0):
+            assert wide.rate("asymptotic-hybrid", snr) >= narrow.rate("asymptotic-hybrid", snr) + 0.5
+            assert wide.rate("asymptotic-hybrid", snr) <= wide.rate("digital-wf", snr)
 
     def test_hybrid_products_built_once_per_scenario(self, monkeypatch):
         config = parse_config(cfg(n_rf_tx=4, n_rf_rx=6))

@@ -57,10 +57,10 @@ def digital_svd(h, ns: int) -> DigitalBeamformer:
     Columns stay orthonormal; Scenario.rate water-fills over the returned
     singular values for the ``digital-wf`` scheme.
     """
-    res: SvdResult = svd(h)
     n, m = np.asarray(h).shape
     if ns > min(n, m):
         raise ValueError(f"ns={ns} exceeds min(N, M)={min(n, m)}")
+    res: SvdResult = svd(h, ns)
     return DigitalBeamformer(
         precoder=res.right[:, :ns].copy(),
         combiner=res.left[:, :ns].copy(),
@@ -140,7 +140,7 @@ def _gain_order(gains: np.ndarray) -> np.ndarray:
 
 def _svd_basebands(h: np.ndarray, f_rf: np.ndarray, w_rf: np.ndarray, ns: int):
     """Top-ns right and left singular vectors of the effective channel ``W_RF^H h F_RF``."""
-    eff = svd(w_rf.conj().T @ h @ f_rf)
+    eff = svd(w_rf.conj().T @ h @ f_rf, ns)
     return eff.right[:, :ns].copy(), eff.left[:, :ns].copy()
 
 

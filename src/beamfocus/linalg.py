@@ -149,7 +149,7 @@ def eig_hermitian(a) -> EigenSpectrum:
     return EigenSpectrum(values=values, vectors=vectors)
 
 
-def svd(a) -> SvdResult:
+def svd(a, rank: int | None = None) -> SvdResult:
     """Thin SVD (LAPACK gesdd) with a canonical basis.
 
     Singular values below SVD_RANK_RTOL of the largest are set to zero.
@@ -158,8 +158,18 @@ def svd(a) -> SvdResult:
     ``_to_canonical_basis`` fixes and its left vectors by the same rotation,
     so degenerate subspaces come back in one basis whatever LAPACK returned.
     The error is about eps * sigma_max in absolute terms.
+
+    ``rank`` says the caller reads only columns ``[:rank]``: the clusters
+    after the one holding column ``rank - 1`` keep LAPACK's basis (phases
+    still fixed), and the columns up to the end of that cluster are the same
+    as without ``rank``. ``None`` makes every column canonical.
     """
     a = _as_complex_matrix(a)
+    k = min(a.shape)
+    if rank is None:
+        rank = k
+    elif not 1 <= rank <= k:
+        raise ValueError(f"rank={rank} outside 1..{k}")
     try:
         left, sigma, right = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -170,7 +180,7 @@ def svd(a) -> SvdResult:
     sigma[sigma <= tol] = 0.0
     _fix_phases(right, left)
     start = 0
-    while start < sigma.size:
+    while start < rank:
         stop = start + 1
         while stop < sigma.size and sigma[start] - sigma[stop] <= tol:
             stop += 1

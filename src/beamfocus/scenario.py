@@ -85,17 +85,19 @@ def _require(mapping, key, kind, raw_text, path=""):
     if key not in mapping:
         raise ConfigError(full, "missing", _line_of(raw_text, full))
     value = mapping[key]
-    if kind is float and isinstance(value, int):
+    # a float field takes an integer too; bool is an int subclass, so test it apart
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(
+            full, f"expected {kind.__name__}, got {type(value).__name__}", _line_of(raw_text, full)
+        )
+    if kind is float:
         try:
             value = float(value)
         except OverflowError:
             raise ConfigError(full, "integer too large for a float", _line_of(raw_text, full)) from None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(
-            full, f"expected {kind.__name__}, got {type(value).__name__}", _line_of(raw_text, full)
-        )
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(full, f"must be finite, got {value}", _line_of(raw_text, full))
+        if not math.isfinite(value):
+            raise ConfigError(full, f"must be finite, got {value}", _line_of(raw_text, full))
     return value
 
 
@@ -248,7 +250,8 @@ def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     try:
-        data = yaml.safe_load(raw)
+        # libyaml when present: same constructor and resolver, so the same objects
+        data = yaml.load(raw, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None

@@ -189,6 +189,19 @@ class TestConfigErrors:
         assert f"config field {line.split(':')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("line, bad", [
+        ("frequency_ghz: 28.0", "frequency_ghz: true"),
+        ("distance_m: 50.0", "distance_m: false"),
+    ])
+    def test_boolean_number_exit_two(self, tmp_path, capsys, line, bad):
+        path = tmp_path / "boolean.yaml"
+        path.write_text(SMALL_YAML.replace(line, bad))
+        code = cli.main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config field {line.split(':')[0]}" in err and "bool" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_output_exit_two(self, small_config, capsys):
         code = cli.main(["rate-sweep", "--config", str(small_config)])
         assert code == 2

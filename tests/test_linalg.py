@@ -133,6 +133,19 @@ def rank_deficient_factorizations(draw):
     return a1, a2, rank
 
 
+def cluster_stops(sigma):
+    """End index of each cluster of ``svd``'s singular values, in order."""
+    tol = SVD_RANK_RTOL * sigma[0]
+    stops, start = [], 0
+    while start < sigma.size:
+        stop = start + 1
+        while stop < sigma.size and sigma[start] - sigma[stop] <= tol:
+            stop += 1
+        stops.append(stop)
+        start = stop
+    return np.array(stops)
+
+
 class TestSvd:
     def test_identity(self):
         res = svd(np.eye(4))
@@ -234,6 +247,72 @@ class TestSvd:
             assert np.abs(res.right.conj().T @ res.right - np.eye(k)).max() <= 1e-12
             assert np.abs(a1.conj().T @ res.left[:, rank:]).max() <= 1e-12
             assert np.abs(a1 @ res.right[:, rank:]).max() <= 1e-12
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(rank_deficient_factorizations(), st.integers(0, 2**32 - 1))
+    def test_rank_keeps_the_columns_it_covers(self, case, seed):
+        a, _, _ = case
+        k = min(a.shape)
+        rank = int(np.random.default_rng(seed).integers(1, k + 1))
+        full, part = svd(a), svd(a, rank)
+        end = cluster_stops(full.singular_values)
+        end = end[np.searchsorted(end, rank)]
+        assert np.array_equal(part.singular_values, full.singular_values)
+        assert np.array_equal(part.left[:, :end], full.left[:, :end])
+        assert np.array_equal(part.right[:, :end], full.right[:, :end])
+        recon = part.left @ np.diag(part.singular_values) @ part.right.conj().T
+        assert np.linalg.norm(recon - a) / np.linalg.norm(a) <= 1e-12
+
+    def test_rank_inside_a_cluster_canonicalizes_it_whole(self):
+        # rank 2 splits the three-fold cluster in columns 1..3
+        rng = np.random.default_rng(18)
+        u, v = random_unitary(rng, 8), random_unitary(rng, 8)
+        sigma = np.array([3.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.25, 0.0])
+        mix = np.eye(8, dtype=complex)
+        mix[1:4, 1:4] = random_unitary(rng, 3)
+        a1 = u @ np.diag(sigma) @ v.conj().T
+        a2 = (u @ mix) @ np.diag(sigma) @ (v @ mix).conj().T
+        r1, r2, full = svd(a1, 2), svd(a2, 2), svd(a1)
+        assert np.abs(r1.right[:, :4] - r2.right[:, :4]).max() <= 1e-12
+        assert np.abs(r1.left[:, :4] - r2.left[:, :4]).max() <= 1e-12
+        assert np.array_equal(r1.right[:, :4], full.right[:, :4])
+        assert np.array_equal(r1.left[:, :4], full.left[:, :4])
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+    def test_rank_out_of_range_rejected(self, shape, monkeypatch):
+        def fail(a, full_matrices=True):
+            raise AssertionError("LAPACK must not run for a bad rank")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        for rank in (0, min(shape) + 1):
+            with pytest.raises(ValueError, match="rank"):
+                svd(np.ones(shape), rank)
+
+    def test_rank_canonicalizes_only_the_clusters_it_reads(self, monkeypatch):
+        # the desk channel has two 83-column null-space clusters and dozens
+        # of noise-level ones past column 16; none of them may be touched
+        calls = []
+        to_canonical = linalg._to_canonical_basis
+
+        def count(x, *others):
+            calls.append(x.shape[1])
+            to_canonical(x, *others)
+
+        monkeypatch.setattr(linalg, "_to_canonical_basis", count)
+        res = svd(desk_channel(), 16)
+        sigma = res.singular_values
+        expected = []
+        start = 0
+        for stop in cluster_stops(sigma):
+            if start >= 16:
+                break
+            if sigma[start] == 0.0:
+                expected += [stop - start, stop - start]
+            elif stop - start > 1:
+                expected.append(stop - start)
+            start = stop
+        # the repeated singular values of the centre are among the first 16
+        assert expected and calls == expected
 
     def test_lapack_failure_reported_as_convergence_error(self, monkeypatch):
         def fail(a, full_matrices=True):

@@ -1,9 +1,11 @@
 """Tests for config parsing/validation and scenario assembly."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from beamfocus import channel
 from beamfocus.beamforming import HybridBeamformer
@@ -18,6 +20,8 @@ from beamfocus.scenario import (
     spectrum_data,
 )
 from beamfocus.spectral import rate
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "frequency_ghz": 28.0,
@@ -120,22 +124,52 @@ class TestParseConfig:
             parse_config(data)
         assert err.value.field_path == field
 
+    @pytest.mark.parametrize("field", ["frequency_ghz", "distance_m", "tx.d_v", "rx.d_h"])
+    def test_boolean_for_float_rejected(self, field):
+        # bool is an int subclass; `true` must not pass as 1.0
+        spacings = {"d_v": 0.01, "d_h": 0.01}
+        data = cfg(spacing_mode="explicit", tx={"n_v": 4, "n_h": 4, **spacings},
+                   rx={"n_v": 4, "n_h": 4, **spacings})
+        if "." in field:
+            side, key = field.split(".")
+            data[side][key] = True
+        else:
+            data[field] = True
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.field_path == field
+        assert "bool" in str(err.value)
+
     def test_explicit_mode_needs_spacings(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(spacing_mode="explicit"))
         assert err.value.field_path in ("tx.d_v", "tx.d_h")
 
 
+ROUND_TRIP_YAML = (
+    "frequency_ghz: 28.0\ndistance_m: 50.0\n"
+    "tx: {n_v: 4, n_h: 4}\nrx: {n_v: 4, n_h: 4}\n"
+    "ns: 4\nns_split: [2, 2]\nn_rf_tx: 4\nn_rf_rx: 4\n"
+    "snr_db: [0]\nschemes: [digital-uniform]\n"
+)
+
+
 class TestLoadConfig:
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "ok.yaml"
-        path.write_text(
-            "frequency_ghz: 28.0\ndistance_m: 50.0\n"
-            "tx: {n_v: 4, n_h: 4}\nrx: {n_v: 4, n_h: 4}\n"
-            "ns: 4\nns_split: [2, 2]\nn_rf_tx: 4\nn_rf_rx: 4\n"
-            "snr_db: [0]\nschemes: [digital-uniform]\n"
-        )
+        path.write_text(ROUND_TRIP_YAML)
         assert load_config(str(path)).ns == 4
+
+    @pytest.mark.parametrize("name", [
+        *sorted(p.name for p in CONFIG_DIR.glob("*.yaml")), "round-trip",
+    ])
+    def test_libyaml_and_python_loaders_agree(self, name):
+        # load_config takes libyaml's loader when present; it must build the
+        # same objects as the pure-Python one
+        text = ROUND_TRIP_YAML if name == "round-trip" else (CONFIG_DIR / name).read_text()
+        fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+        assert fast
 
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.yaml"

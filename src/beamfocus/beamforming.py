@@ -201,17 +201,23 @@ def omp_hybrid(
     if n_rf < target.shape[1]:
         raise ValueError(f"n_rf={n_rf} below stream count {target.shape[1]}")
     selected: list[int] = []
+    # Fortran order, as dictionary.columns returns: each analog[:, :k] reaches
+    # least_squares with the layout, so the rounding, of the atoms built at once
+    analog = np.empty((dictionary.size, n_rf), dtype=np.complex128, order="F")
     residual = target.copy()
     baseband = None
     norms = []
-    for _ in range(n_rf):
-        metric = (np.abs(dictionary.adjoint(residual)) ** 2).sum(axis=1)
+    for k in range(n_rf):
+        y = dictionary.adjoint(residual)
+        metric = (y.real**2 + y.imag**2).sum(axis=1)
         if selected:
             metric[selected] = -1.0
-        selected.append(int(_gain_order(metric)[0]))
-        analog = dictionary.columns(selected)
-        baseband = least_squares(analog, target)
-        raw = target - analog @ baseband
+        q = int(_gain_order(metric)[0])
+        selected.append(q)
+        analog[:, k : k + 1] = dictionary.columns([q])
+        basis = analog[:, : k + 1]
+        baseband = least_squares(basis, target)
+        raw = target - basis @ baseband
         raw_sq = float(np.linalg.norm(raw)) ** 2
         norms.append(math.sqrt(raw_sq))
         residual = raw / raw_sq if raw_sq > 1e-300 else np.zeros_like(raw)

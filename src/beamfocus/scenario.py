@@ -373,12 +373,12 @@ class Scenario:
             # precoder under the uniform formula
             return spectral.rate(self.h, root * scaled, dig.combiner, snr, ns)
 
-        def products():
+        key = ("products", scheme)
+        if key not in self._cache:
             # built once per scenario and shared across the SNR grid
             tx, rx = self.hybrid(scheme)
-            return root * tx.product(), rx.product()
-
-        precoder, combiner = self._memo(("products", scheme), products)
+            self._cache[key] = (root * tx.product(), rx.product())
+        precoder, combiner = self._cache[key]
         return spectral.rate(self.h, precoder, combiner, snr, ns)
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from beamfocus.beamforming import (
     PHASE_FLOOR_RTOL,
     DictionaryExhaustedError,
+    TwistedDft,
+    _gain_order,
     asymptotic_hybrid,
     dictionary_rx,
     dictionary_tx,
@@ -307,6 +309,25 @@ def dense_omp_atoms(target, dic, n_rf):
     return selected
 
 
+def omp_rebuilding(target, dictionary, n_rf, side):
+    """OMP that rebuilds every picked atom on each iteration, as an oracle for ``omp_hybrid``."""
+    selected, residual, norms = [], target.copy(), []
+    for _ in range(n_rf):
+        metric = (np.abs(dictionary.adjoint(residual)) ** 2).sum(axis=1)
+        if selected:
+            metric[selected] = -1.0
+        selected.append(int(_gain_order(metric)[0]))
+        analog = dictionary.columns(selected)
+        baseband = least_squares(analog, target)
+        raw = target - analog @ baseband
+        raw_sq = float(np.linalg.norm(raw)) ** 2
+        norms.append(math.sqrt(raw_sq))
+        residual = raw / raw_sq if raw_sq > 1e-300 else np.zeros_like(raw)
+    if side is Side.TX:
+        baseband = baseband / np.linalg.norm(analog @ baseband)
+    return analog, baseband, tuple(norms)
+
+
 def dense_pad_atoms(opt, effective, count):
     """dft_matrix(dim) columns padding the phase stage of ``opt``, ranked by ``||effective F||``."""
     dim = opt.shape[0]
@@ -376,6 +397,55 @@ class TestFactoredDictionaryProperties:
         f_pe, w_pe = phase_extraction_hybrid(h, dig, n_rf)
         assert np.array_equal(f_pe.analog[:, ns:], dft_matrix(tx.count)[:, tx_pads])
         assert np.array_equal(w_pe.analog[:, ns:], dft_matrix(rx.count)[:, rx_pads])
+
+
+class TestOmpOracle:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        n_v=st.integers(1, 6),
+        n_h=st.integers(1, 6),
+        ns_pick=st.integers(1, 4),
+        rf_pick=st.integers(0, 36),
+        exact=st.booleans(),
+        side=st.sampled_from(Side),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_rebuilding_oracle_bitwise(self, n_v, n_h, ns_pick, rf_pick, exact, side, seed):
+        rng = np.random.default_rng(seed)
+        dic = TwistedDft(
+            twist=np.exp(2j * np.pi * rng.random(n_v * n_h)),
+            f_v=dft_matrix(n_v),
+            f_h=dft_matrix(n_h),
+        )
+        ns = min(ns_pick, dic.size)
+        n_rf = ns + rf_pick % (dic.size - ns + 1)
+        if exact:
+            # a target inside the span of a few atoms: the residual reaches zero
+            target = dic.columns(rng.permutation(dic.size)[:ns]) @ (
+                rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
+            )
+        else:
+            target = rng.standard_normal((dic.size, ns)) + 1j * rng.standard_normal((dic.size, ns))
+        bf = omp_hybrid(target, dic, n_rf, side)
+        analog, baseband, norms = omp_rebuilding(target, dic, n_rf, side)
+        assert np.array_equal(bf.analog, analog)
+        assert np.array_equal(bf.baseband, baseband)
+        assert bf.residual_norms == norms
+
+    def test_each_atom_built_once(self, monkeypatch):
+        built = []
+        columns = TwistedDft.columns
+
+        def counting_columns(self, idx):
+            built.extend(np.atleast_1d(idx).tolist())
+            return columns(self, idx)
+
+        monkeypatch.setattr(TwistedDft, "columns", counting_columns)
+        _, tx, _, params, h = desk_channel(side=4)
+        target = digital_svd(h, 4).precoder
+        bf = omp_hybrid(target, dictionary_tx(tx, params), n_rf=8)
+        assert len(built) == 8 and sorted(built) == sorted(set(built))
+        assert bf.analog.shape == (16, 8)
 
 
 class TestAsymptoticHybridProperties:

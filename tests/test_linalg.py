@@ -314,6 +314,16 @@ class TestSvd:
         # the repeated singular values of the centre are among the first 16
         assert expected and calls == expected
 
+    def test_full_canonical_basis_within_rank_tolerance_on_desk(self):
+        # rank=None also rotates clusters of noise-level sigma whose values
+        # differ by up to SVD_RANK_RTOL * sigma_max, so U S V^H moves off h
+        h = desk_channel()
+        res = svd(h)
+        gap = h - (res.left * res.singular_values) @ res.right.conj().T
+        bound = SVD_RANK_RTOL * res.singular_values[0]
+        assert np.linalg.norm(gap, 2) <= bound + 1e-12 * res.singular_values[0]
+        assert np.linalg.norm(gap) <= np.sqrt(min(h.shape)) * bound
+
     def test_lapack_failure_reported_as_convergence_error(self, monkeypatch):
         def fail(a, full_matrices=True):
             raise np.linalg.LinAlgError("SVD did not converge")

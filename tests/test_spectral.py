@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beamfocus import linalg, spectral
 from beamfocus.channel import ChannelParams, fresnel_factors, gram, layout_pair
 from beamfocus.geometry import ArraySpec, Side, optimal_spacing
 from beamfocus.linalg import EigenSpectrum, eig_hermitian
@@ -22,6 +25,32 @@ from beamfocus.spectral import (
 )
 
 LAMBDA_28GHZ = 299_792_458.0 / 28e9
+
+
+def rate_by_solve(h, f, w, snr, ns):
+    """The rate through a linear solve with the combiner Gram, as an oracle for ``rate``."""
+    r_w = w.conj().T @ w
+    a = w.conj().T @ h @ f
+    x = a.conj().T @ np.linalg.solve(r_w, a)
+    m = np.eye(ns, dtype=np.complex128) + (snr / ns) * 0.5 * (x + x.conj().T)
+    return max(float(np.linalg.slogdet(m)[1]) / math.log(2.0), 0.0)
+
+
+def water_filling_by_search(eigs, p_total, gain_over_noise):
+    """Powers and level found by trying active counts from the largest down, as an oracle."""
+    lam = np.asarray(eigs, dtype=float)
+    positive = lam > 0
+    floors = np.full(lam.shape, np.inf)
+    floors[positive] = 1.0 / (gain_over_noise * lam[positive])
+    powers = np.zeros(lam.shape)
+    level = 0.0
+    for k in range(int(positive.sum()), 0, -1):
+        level = (p_total + floors[:k].sum()) / k
+        trial = level - floors[:k]
+        if trial[-1] >= 0.0:
+            powers[:k] = trial
+            break
+    return powers, level
 
 
 def linear_gain_matrix(n_rx, m_tx, delta):
@@ -143,6 +172,48 @@ class TestWaterFilling:
                     assert alloc.water_level <= floor + 1e-9
 
 
+    @pytest.mark.parametrize(
+        "eigs, p_total, gain",
+        [
+            ([1.0, math.nan], 1.0, 1.0),
+            ([math.nan, 1.0], 1.0, 1.0),
+            ([math.inf, 1.0], 1.0, 1.0),
+            ([1.0, 0.5], math.nan, 1.0),
+            ([1.0, 0.5], math.inf, 1.0),
+            ([1.0, 0.5], 1.0, math.nan),
+            ([1.0, 0.5], 1.0, math.inf),
+        ],
+    )
+    def test_non_finite_input_rejected(self, eigs, p_total, gain):
+        with pytest.raises(ValueError, match="finite"):
+            water_filling(eigs, p_total, gain)
+
+    def test_underflowing_gain_rejected(self):
+        with pytest.raises(ValueError, match="underflows"), np.errstate(divide="ignore"):
+            water_filling([1e-200, 1e-201], 1.0, 1e-200)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        top=st.lists(
+            st.one_of(st.sampled_from([0.5, 1.0, 3.0, 7.0]), st.floats(1e-3, 1e3)),
+            min_size=1,
+            max_size=20,
+        ),
+        tail=st.lists(st.floats(1e-12, 1e-6), max_size=4),
+        zeros=st.integers(0, 3),
+        p_total=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 1e3)),
+        gain=st.one_of(st.sampled_from([1.0, 4.0]), st.floats(1e-3, 1e3)),
+    )
+    def test_matches_search_oracle_bitwise(self, top, tail, zeros, p_total, gain):
+        # ties, a tail of tiny eigenvalues that gets cut off, and exact zeros;
+        # 9+ active streams take numpy's pairwise sum, unlike the running sum
+        lam = np.array(sorted(top, reverse=True) + sorted(tail, reverse=True) + [0.0] * zeros)
+        alloc = water_filling(lam, p_total, gain)
+        powers, level = water_filling_by_search(lam, p_total, gain)
+        assert np.array_equal(alloc.powers, powers)
+        assert alloc.water_level == level
+
+
 class TestRate:
     def test_scalar_identity_channel(self):
         one = np.eye(1, dtype=complex)
@@ -188,6 +259,68 @@ class TestRate:
         for snr in (0.5, 1.0, 4.0):
             expected = float(np.log2(1.0 + snr * res.singular_values[:ns] ** 2 / ns).sum())
             assert abs(rate(h, f, w, snr, ns) - expected) <= 1e-9
+
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
+    def test_bad_snr_rejected(self, snr):
+        h = np.eye(3, dtype=complex)
+        with pytest.raises(ValueError, match="snr"):
+            rate(h, h, h, snr, 3)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        ns_pick=st.integers(1, 8),
+        log_cond=st.floats(0.0, 10.0),
+        mixed=st.booleans(),
+        log_snr=st.floats(-3.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_solve_oracle(self, n, m, ns_pick, log_cond, mixed, log_snr, seed):
+        # combiner W = Q S M^H with a combiner-Gram condition number up to 1e10;
+        # M mixes the columns, or leaves them graded when it is the identity
+        rng = np.random.default_rng(seed)
+        ns = 1 + (ns_pick - 1) % min(n, m)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        h, f = cn(n, m), cn(m, ns)
+        q = np.linalg.qr(cn(n, ns))[0]
+        mix = np.linalg.qr(cn(ns, ns))[0] if mixed else np.eye(ns)
+        scale = np.sqrt(np.logspace(0.0, -log_cond, ns))[rng.permutation(ns)]
+        w = (q * scale) @ mix.conj().T
+        cond = 10.0**log_cond if ns > 1 else 1.0
+        snr = 10.0**log_snr
+        got, want = rate(h, f, w, snr, ns), rate_by_solve(h, f, w, snr, ns)
+        # both lose about cond * eps once the Gram is ill-conditioned
+        assert abs(got - want) <= (1e-12 + 1e-14 * cond) * want
+        # the rate depends only on the span of W, so the orthonormal Q is exact
+        exact = rate(h, f, q, snr, ns)
+        assert abs(got - exact) <= (1e-12 + 1e-14 * cond) * exact
+        if cond <= 1e3:
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_one_eigensolve_and_no_solve_per_call(self, monkeypatch):
+        calls = {"eig": 0, "solve": 0}
+        eig, solve = linalg.eig_hermitian, np.linalg.solve
+
+        def counting_eig(a):
+            calls["eig"] += 1
+            return eig(a)
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eig_hermitian", counting_eig)
+        monkeypatch.setattr(spectral, "eig_hermitian", counting_eig)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        rng = np.random.default_rng(34)
+        h = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        rate(h, h[:5, :3], h[:, :3], 2.0, 3)
+        assert calls == {"eig": 1, "solve": 0}
 
 
 class TestRateUpperBound:

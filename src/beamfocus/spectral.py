@@ -99,16 +99,18 @@ def cluster_report(
 def water_filling(eigs, p_total: float, gain_over_noise: float) -> PowerAllocation:
     """Power allocation maximizing sum log(1 + g * lambda_i * p_i), sum p_i = p_total.
 
-    eigs must be finite, non-negative and non-increasing. Streams whose
+    eigs must be finite, non-negative and non-increasing, each step up at
+    most 1e-12 of the largest value (rounding in a tie). Streams whose
     inverse gain sits above the water level get zero power. The active count
     k is the largest whose level ``(p_total + sum(floors[:k])) / k`` clears
-    the k-th floor; the running sums that pick it may round differently from
-    the level's own sum only where stream k would get zero power anyway.
+    the largest of the first k floors (the k-th, on a sorted spectrum); the
+    running sums that pick it may round differently from the level's own
+    sum only where stream k would get zero power anyway.
     """
     lam = np.asarray(eigs, dtype=float)
     if lam.size == 0 or not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite and non-empty")
-    if (lam < 0).any() or (lam[1:] - lam[:-1] > 1e-12 * max(lam[0], 1.0)).any():
+    if (lam < 0).any() or (lam[1:] - lam[:-1] > 1e-12 * lam.max()).any():
         raise ValueError("eigenvalues must be non-negative and non-increasing")
     if not (math.isfinite(p_total) and math.isfinite(gain_over_noise)):
         raise ValueError("p_total and gain_over_noise must be finite")
@@ -122,7 +124,9 @@ def water_filling(eigs, p_total: float, gain_over_noise: float) -> PowerAllocati
     if math.isinf(floors[0]):
         raise ValueError("gain_over_noise * largest eigenvalue underflows to zero")
     levels = (p_total + np.cumsum(floors)) / np.arange(1, n_pos + 1)
-    k = int(np.flatnonzero(levels - floors >= 0.0)[-1]) + 1
+    # the running max equals floors on a sorted spectrum; on a tie that rises
+    # within the tolerance it keeps every active power non-negative
+    k = int(np.flatnonzero(levels - np.maximum.accumulate(floors) >= 0.0)[-1]) + 1
     level = (p_total + floors[:k].sum()) / k
     powers = np.zeros(lam.shape)
     powers[:k] = level - floors[:k]

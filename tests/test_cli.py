@@ -41,6 +41,18 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk_scale.yaml"
+
+
+def rows_at_blas_threads(command, config, out, threads):
+    """CSV rows of one CLI run in a subprocess with OPENBLAS_NUM_THREADS set."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=str(Path(beamfocus.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-m", "beamfocus.cli", command, "--config",
+                    str(config), "--out", str(out)], env=env, check=True)
+    return read_rows(out)[1]
+
+
 class TestRateSweep:
     def test_rows_and_ordering(self, small_config, tmp_path):
         out = tmp_path / "rates.csv"
@@ -75,15 +87,9 @@ class TestRateSweep:
     def test_blas_threads_do_not_change_desk_rates(self, tmp_path):
         # the desk SVD has exactly degenerate singular values, so this also
         # checks that phase-extract does not depend on the basis LAPACK picks
-        desk = Path(__file__).resolve().parents[1] / "configs" / "desk_scale.yaml"
         rates = []
         for threads in ("1", "2"):
-            out = tmp_path / f"desk-{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=str(Path(beamfocus.__file__).resolve().parents[1]))
-            subprocess.run([sys.executable, "-m", "beamfocus.cli", "rate-sweep", "--config",
-                            str(desk), "--out", str(out)], env=env, check=True)
-            _, rows = read_rows(out)
+            rows = rows_at_blas_threads("rate-sweep", DESK, tmp_path / f"desk-{threads}.csv", threads)
             rates.append({tuple(r[:3]): float(r[3]) for r in rows})
         assert rates[0].keys() == rates[1].keys()
         for key, value in rates[0].items():
@@ -234,6 +240,18 @@ class TestSpectrum:
         assert summary["count_near_zero"] == int((omega <= 0.1).sum())
         assert summary["predicted_rank"] == 4
         assert summary["transition_count"] <= summary["transition_bound_v"] * 2
+
+    def test_blas_threads_do_not_change_desk_spectrum(self, tmp_path):
+        # BLAS sums the Gram in a thread-dependent order, so eigenvalues move
+        # by rounding (printed digits of the small ones change); the cluster
+        # counts and the other summary rows must not
+        runs = [rows_at_blas_threads("spectrum", DESK, tmp_path / f"spec-{t}.csv", t) for t in ("1", "2")]
+        summaries = [[r for r in rows if r[0] == "summary"] for rows in runs]
+        assert summaries[0] == summaries[1]
+        assert len(summaries[0]) == 10
+        one, two = (np.array([float(r[2]) for r in rows if r[0] == "eigenvalue"]) for rows in runs)
+        assert one.size == two.size == 256
+        assert np.abs(one - two).max() <= 4 * 256 * np.finfo(float).eps * one[0]
 
     def test_half_wavelength_spacing_is_rank_deficient(self, tmp_path):
         path = tmp_path / "half.yaml"

@@ -94,6 +94,31 @@ class TestEigHermitian:
         with pytest.raises(ConvergenceError):
             eig_hermitian(np.eye(3))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_real_symmetric_input_stays_real(self, n):
+        rng = np.random.default_rng(17 + n)
+        x = rng.standard_normal((n, n))
+        a = 0.5 * (x + x.T)
+        spec = eig_hermitian(a)
+        assert spec.vectors.dtype == np.float64
+        assert np.array_equal(spec.values, np.linalg.eigh(a)[0][::-1])
+        lead = spec.vectors[np.abs(spec.vectors).argmax(axis=0), np.arange(n)]
+        assert np.all(lead > 0)
+        assert np.abs(a @ spec.vectors - spec.vectors * spec.values).max() <= 1e-12 * np.abs(a).max() * n
+
+    def test_complex_input_stays_complex(self):
+        spec = eig_hermitian(np.eye(3, dtype=complex))
+        assert spec.vectors.dtype == np.complex128
+
+    def test_real_input_keeps_every_check(self):
+        # the square and symmetry checks on real input are tested above
+        with pytest.raises(ValueError, match="finite"):
+            eig_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="non-empty"):
+            eig_hermitian(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="2-D"):
+            eig_hermitian(np.ones(3))
+
 
 def random_unitary(rng, n):
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -6,14 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamfocus import channel
+from beamfocus import channel, scenario as scenario_module
 from beamfocus.beamforming import HybridBeamformer
-from beamfocus.geometry import Side
+from beamfocus.geometry import ArraySpec, LayoutKind, Side, build_layout
 from beamfocus.linalg import eig_hermitian
 from beamfocus.scenario import (
+    LAYOUT_NAMES,
     ConfigError,
     Scenario,
+    _centred_tx_gram,
     axis_spacings,
     load_config,
     parse_config,
@@ -41,6 +45,23 @@ def cfg(**overrides):
     data = {k: (dict(v) if isinstance(v, dict) else v) for k, v in BASE.items()}
     data.update(overrides)
     return data
+
+
+def complex_gram_spectrum(scenario):
+    """Eigenvalues of the plain complex transmit Gram of the Fresnel core, largest first."""
+    h_tilde = channel.fresnel_factors(scenario.tx_layout, scenario.rx_layout, scenario.params).h_tilde
+    return np.linalg.eigvalsh(channel.gram(h_tilde, Side.TX))[::-1]
+
+
+def spectrum_tolerance(values, tx_count):
+    """4 M eps lambda_0: what two backward-stable eigensolves of the same Gram may differ by."""
+    return 4 * tx_count * np.finfo(float).eps * values[0]
+
+
+WAVELENGTH = 299_792_458.0 / 28e9
+counts = st.integers(1, 12)
+spacings = st.floats(0.5, 20.0)
+angles = st.floats(-1.2, 1.2)
 
 
 class TestParseConfig:
@@ -280,16 +301,88 @@ class TestScenario:
 class TestSpectrumData:
     def test_reads_the_core_without_the_exact_channel(self, monkeypatch):
         config = parse_config(cfg())
-        scenario = Scenario(config, 0.0)
-        h_tilde = channel.fresnel_factors(scenario.tx_layout, scenario.rx_layout, scenario.params).h_tilde
-        expected = eig_hermitian(channel.gram(h_tilde, Side.TX)).values
+        expected = complex_gram_spectrum(Scenario(config, 0.0))
 
         def unused(*args):
             raise AssertionError("spectrum_data built the exact channel")
 
         monkeypatch.setattr(channel, "exact_channel", unused)
         values, _, _ = spectrum_data(config)
-        assert np.array_equal(values, expected)
+        # the real centred Gram rounds differently from the complex one
+        assert np.abs(values - expected).max() <= spectrum_tolerance(expected, 16)
+
+    def test_one_real_eigensolve(self, monkeypatch):
+        # a silent return to the complex Gram would pass every value check
+        seen = []
+
+        def recording_eig(a):
+            seen.append(np.asarray(a).dtype)
+            return eig_hermitian(a)
+
+        monkeypatch.setattr(scenario_module, "eig_hermitian", recording_eig)
+        spectrum_data(parse_config(cfg(rotation_deg=[20.0])))
+        assert seen == [np.float64]
+
+    def test_guard_rejects_a_gram_that_is_not_real(self, monkeypatch):
+        # the Gram without the centring has an O(1) imaginary part, as a
+        # broken symmetry assumption would leave; that is a bug, so it is
+        # not a ValueError (exit 3)
+        def uncentred(tx, rx, params):
+            return channel.gram(channel.fresnel_factors(tx, rx, params).h_tilde, Side.TX)
+
+        monkeypatch.setattr(scenario_module, "_centred_tx_gram", uncentred)
+        with pytest.raises(RuntimeError, match="not real"):
+            spectrum_data(parse_config(cfg()))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        tx=st.tuples(counts, counts, spacings, spacings, angles, angles),
+        rx=st.tuples(counts, counts, spacings, spacings, angles, angles),
+        kind=st.sampled_from(list(LayoutKind)),
+        distance=st.floats(10.0, 100.0),
+    )
+    def test_centred_gram_is_real_with_the_same_spectrum(self, tx, rx, kind, distance):
+        def layout(draw, side):
+            n_v, n_h, d_v, d_h, theta, phi = draw
+            spec = ArraySpec(n_v=n_v, n_h=n_h, d_v=d_v * WAVELENGTH, d_h=d_h * WAVELENGTH,
+                             theta=theta, phi=phi, layout_kind=kind)
+            return build_layout(spec, side, distance)
+
+        tx_layout, rx_layout = layout(tx, Side.TX), layout(rx, Side.RX)
+        params = channel.ChannelParams(wavelength=WAVELENGTH, distance=distance)
+        g = _centred_tx_gram(tx_layout, rx_layout, params)
+        assert np.abs(g.imag).max() <= 1e-12 * np.abs(g.real).max()
+        h_tilde = channel.fresnel_factors(tx_layout, rx_layout, params).h_tilde
+        oracle = np.linalg.eigvalsh(channel.gram(h_tilde, Side.TX))[::-1]
+        values = eig_hermitian(g.real).values
+        assert np.abs(values - oracle).max() <= spectrum_tolerance(oracle, tx_layout.count)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        tx=st.tuples(st.integers(2, 12), st.integers(2, 12), spacings, spacings),
+        rx=st.tuples(st.integers(2, 12), st.integers(2, 12), spacings, spacings),
+        layout=st.sampled_from(sorted(LAYOUT_NAMES)),
+        distance=st.floats(10.0, 100.0),
+        rotation=angles,
+    )
+    def test_spectrum_matches_the_complex_gram_oracle(self, tx, rx, layout, distance, rotation):
+        # a config needs two elements per axis for its 2 x 2 streams; the
+        # property above covers single-element axes and theta != phi
+        def side(draw):
+            n_v, n_h, d_v, d_h = draw
+            return {"n_v": n_v, "n_h": n_h, "d_v": d_v * WAVELENGTH, "d_h": d_h * WAVELENGTH}
+
+        config = parse_config(cfg(
+            distance_m=distance, spacing_mode="explicit", layout=layout,
+            tx=side(tx), rx=side(rx), rotation_deg=[float(np.degrees(rotation))],
+        ))
+        values, _, summary = spectrum_data(config)
+        scenario = Scenario(config, config.rotation_deg[0])
+        oracle = complex_gram_spectrum(scenario)
+        assert np.abs(values - oracle).max() <= spectrum_tolerance(oracle, scenario.tx_layout.count)
+        omega = oracle / summary["normalizer"]
+        assert summary["count_near_one"] == int((omega >= 1.0 - config.cluster_eps).sum())
+        assert summary["count_near_zero"] == int((omega <= config.cluster_eps).sum())
 
     def test_large_aperture_still_warns(self):
         config = parse_config(cfg(

@@ -192,6 +192,43 @@ class TestWaterFilling:
         with pytest.raises(ValueError, match="underflows"), np.errstate(divide="ignore"):
             water_filling([1e-200, 1e-201], 1.0, 1e-200)
 
+    def test_small_rising_spectrum_rejected(self):
+        # the monotonicity tolerance is relative to the largest value, so a
+        # rise far above rounding is caught below 1 too
+        with pytest.raises(ValueError, match="non-increasing"):
+            water_filling([1e-14, 5e-13], 1.0, 1.0)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        eigs=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(1e-300, 1e300),
+                st.sampled_from([1e-14, 5e-13, 1.0, 1.0 + 1e-13, 1.0 - 1e-13]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        presort=st.booleans(),
+        p_total=st.one_of(st.sampled_from([1e-14, 1.0]), st.floats(1e-300, 1e300)),
+        gain=st.floats(1e-300, 1e300),
+    )
+    def test_accepted_input_gives_a_valid_allocation(self, eigs, presort, p_total, gain):
+        # unsorted lists, near-ties within the tolerance, and spans of the
+        # whole float range: whatever the checks let through is a valid allocation
+        if presort:
+            eigs = sorted(eigs, reverse=True)
+        try:
+            # a stream whose floor 1/(gain*lambda) overflows gets no power; numpy
+            # warns on the way (inf floors and levels), which is beside the point here
+            with np.errstate(all="ignore"):
+                alloc = water_filling(eigs, p_total, gain)
+        except ValueError:
+            return
+        assert np.all(alloc.powers >= 0.0)
+        # each power is level - floor, so rounding is relative to the level
+        assert abs(alloc.powers.sum() - p_total) <= 1e-12 * (p_total + alloc.water_level)
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         top=st.lists(

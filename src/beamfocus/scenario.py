@@ -34,6 +34,7 @@ LAYOUT_NAMES = {
 class ConfigError(ValueError):
     def __init__(self, field_path: str, message: str, line: int | None = None):
         self.field_path = field_path
+        self.message = message
         self.line = line
         where = f"{field_path}" + (f" (line {line})" if line else "")
         super().__init__(f"config field {where}: {message}")
@@ -70,153 +71,121 @@ class ScenarioConfig:
         return SPEED_OF_LIGHT / (self.frequency_ghz * 1e9)
 
 
-def _line_of(raw_text: str | None, key: str) -> int | None:
-    if not raw_text:
-        return None
-    token = key.split(".")[-1] + ":"
-    for lineno, line in enumerate(raw_text.splitlines(), start=1):
-        if line.strip().startswith(token):
-            return lineno
-    return None
+def _number(value, path: str, kind=float):
+    """The one numeric check: an int (or, for a float field, a float) that is finite as a float.
 
-
-def _require(mapping, key, kind, raw_text, path=""):
-    full = f"{path}{key}"
-    if key not in mapping:
-        raise ConfigError(full, "missing", _line_of(raw_text, full))
-    value = mapping[key]
-    # a float field takes an integer too; bool is an int subclass, so test it apart
-    accepted = (int, float) if kind is float else kind
+    bool is an int subclass, so it is rejected apart; a float field's value
+    comes back as a float.
+    """
+    accepted = (int, float) if kind is float else int
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(
-            full, f"expected {kind.__name__}, got {type(value).__name__}", _line_of(raw_text, full)
-        )
-    if kind is float:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(full, "integer too large for a float", _line_of(raw_text, full)) from None
-        if not math.isfinite(value):
-            raise ConfigError(full, f"must be finite, got {value}", _line_of(raw_text, full))
+        raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    try:
+        as_float = float(value)
+    except OverflowError:
+        raise ConfigError(path, "integer too large for a float") from None
+    if not math.isfinite(as_float):
+        raise ConfigError(path, f"must be finite, got {value}")
+    return as_float if kind is float else value
+
+
+def _numbers(values, path: str, kind=float) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(path, f"expected a list, got {type(values).__name__}")
+    return tuple(_number(v, path, kind) for v in values)
+
+
+def _positive(mapping: dict, path: str, kind=float):
+    """The required number under the last key of ``path``, checked by _number and > 0."""
+    key = path.rpartition(".")[2]
+    if key not in mapping:
+        raise ConfigError(path, "missing")
+    value = _number(mapping[key], path, kind)
+    if value <= 0:
+        raise ConfigError(path, f"must be positive, got {value}")
     return value
 
 
-def _is_finite_number(value) -> bool:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _array_config(mapping, path, raw_text, need_spacing):
+def _array_config(data: dict, side: str, need_spacing: bool) -> ArrayConfig:
+    mapping = data.get(side)
     if not isinstance(mapping, dict):
-        raise ConfigError(path.rstrip("."), "expected a mapping", _line_of(raw_text, path.rstrip(".")))
-    n_v = _require(mapping, "n_v", int, raw_text, path)
-    n_h = _require(mapping, "n_h", int, raw_text, path)
-    if n_v < 1 or n_h < 1:
-        raise ConfigError(f"{path}n_v", "element counts must be >= 1", _line_of(raw_text, f"{path}n_v"))
-    d_v = d_h = None
-    if need_spacing:
-        d_v = _require(mapping, "d_v", float, raw_text, path)
-        d_h = _require(mapping, "d_h", float, raw_text, path)
-        if d_v <= 0 or d_h <= 0:
-            raise ConfigError(f"{path}d_v", "spacings must be positive", _line_of(raw_text, f"{path}d_v"))
+        raise ConfigError(side, "missing" if mapping is None else "expected a mapping")
+    n_v, n_h = (_positive(mapping, f"{side}.{key}", int) for key in ("n_v", "n_h"))
+    spacings = (_positive(mapping, f"{side}.{key}") for key in ("d_v", "d_h"))
+    d_v, d_h = spacings if need_spacing else (None, None)
     return ArrayConfig(n_v=n_v, n_h=n_h, d_v=d_v, d_h=d_h)
 
 
-def parse_config(data: dict, raw_text: str | None = None) -> ScenarioConfig:
-    """Validate a parsed config mapping; errors name the offending field."""
+def parse_config(data: dict) -> ScenarioConfig:
+    """Validate a parsed config mapping; each ConfigError names the field at fault."""
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config document must be a mapping")
-    freq = _require(data, "frequency_ghz", float, raw_text)
-    dist = _require(data, "distance_m", float, raw_text)
-    if freq <= 0:
-        raise ConfigError("frequency_ghz", "must be positive", _line_of(raw_text, "frequency_ghz"))
-    if dist <= 0:
-        raise ConfigError("distance_m", "must be positive", _line_of(raw_text, "distance_m"))
+    freq = _positive(data, "frequency_ghz")
+    dist = _positive(data, "distance_m")
 
     spacing_mode = data.get("spacing_mode", "optimal")
     if spacing_mode not in SPACING_MODES:
-        raise ConfigError("spacing_mode", f"must be one of {SPACING_MODES}", _line_of(raw_text, "spacing_mode"))
-    tx = _array_config(_require(data, "tx", dict, raw_text), "tx.", raw_text, spacing_mode == "explicit")
-    rx = _array_config(_require(data, "rx", dict, raw_text), "rx.", raw_text, spacing_mode == "explicit")
+        raise ConfigError("spacing_mode", f"must be one of {SPACING_MODES}")
+    tx = _array_config(data, "tx", spacing_mode == "explicit")
+    rx = _array_config(data, "rx", spacing_mode == "explicit")
 
-    ns = _require(data, "ns", int, raw_text)
-    if ns < 1:
-        raise ConfigError("ns", "must be >= 1", _line_of(raw_text, "ns"))
+    ns = _positive(data, "ns", int)
     if "ns_split" in data:
-        split = data["ns_split"]
-        if (
-            not isinstance(split, (list, tuple))
-            or len(split) != 2
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in split)
-        ):
-            raise ConfigError("ns_split", "expected a pair of integers", _line_of(raw_text, "ns_split"))
-        ns_split = (split[0], split[1])
+        ns_split = _numbers(data["ns_split"], "ns_split", int)
+        if len(ns_split) != 2:
+            raise ConfigError("ns_split", "expected a pair of integers")
     else:
         root = math.isqrt(ns)
         if root * root != ns or root % 2 != 0:
-            raise ConfigError(
-                "ns_split",
-                f"required: ns={ns} has no even balanced split",
-                _line_of(raw_text, "ns"),
-            )
+            raise ConfigError("ns_split", f"required: ns={ns} has no even balanced split")
         ns_split = (root, root)
     if ns_split[0] * ns_split[1] != ns:
-        raise ConfigError("ns_split", f"product must equal ns={ns}", _line_of(raw_text, "ns_split"))
+        raise ConfigError("ns_split", f"product must equal ns={ns}")
     for i, s in enumerate(ns_split):
         if s % 2 != 0 or s < 2:
-            raise ConfigError("ns_split", f"entry {i} must be even and >= 2, got {s}", _line_of(raw_text, "ns_split"))
+            raise ConfigError("ns_split", f"entry {i} must be even and >= 2, got {s}")
 
-    n_rf_tx = _require(data, "n_rf_tx", int, raw_text)
-    n_rf_rx = _require(data, "n_rf_rx", int, raw_text)
-    n_min = min(tx.n_v * tx.n_h, rx.n_v * rx.n_h)
-    if not ns <= min(n_rf_tx, n_rf_rx) <= n_min:
-        raise ConfigError(
-            "n_rf_tx",
-            f"need ns <= min(n_rf_tx, n_rf_rx) <= min(N, M) = {n_min}",
-            _line_of(raw_text, "n_rf_tx"),
-        )
+    # each side's hybrid picks its RF chains among that side's antennas
+    n_rf = {}
+    for side, array in (("tx", tx), ("rx", rx)):
+        field, count = f"n_rf_{side}", array.n_v * array.n_h
+        n_rf[side] = _positive(data, field, int)
+        if not ns <= n_rf[side] <= count:
+            raise ConfigError(
+                field, f"need ns={ns} <= {field} <= {count}, the {side.upper()} antenna count"
+            )
 
-    snr_db = data.get("snr_db")
-    if not isinstance(snr_db, (list, tuple)) or not snr_db or not all(map(_is_finite_number, snr_db)):
-        raise ConfigError("snr_db", "expected a non-empty list of finite numbers", _line_of(raw_text, "snr_db"))
+    snr_db = _numbers(data.get("snr_db"), "snr_db")
+    if not snr_db:
+        raise ConfigError("snr_db", "expected a non-empty list")
 
     schemes = data.get("schemes")
     if not isinstance(schemes, (list, tuple)) or not schemes:
-        raise ConfigError("schemes", "expected a non-empty list", _line_of(raw_text, "schemes"))
+        raise ConfigError("schemes", "expected a non-empty list")
     for s in schemes:
         if s not in SCHEMES:
-            raise ConfigError("schemes", f"unknown scheme {s!r}, valid: {SCHEMES}", _line_of(raw_text, "schemes"))
+            raise ConfigError("schemes", f"unknown scheme {s!r}, valid: {SCHEMES}")
 
-    rotation = data.get("rotation_deg", [])
-    if rotation is None:
-        rotation = []
-    if not isinstance(rotation, (list, tuple)) or not all(map(_is_finite_number, rotation)):
-        raise ConfigError("rotation_deg", "expected a list of finite numbers", _line_of(raw_text, "rotation_deg"))
-    rotation = tuple(float(r) for r in rotation) or (0.0,)
+    rotation = data.get("rotation_deg")
+    rotation = (() if rotation is None else _numbers(rotation, "rotation_deg")) or (0.0,)
 
     layout = data.get("layout", "parallelogram")
-    if layout not in LAYOUT_NAMES:
-        raise ConfigError("layout", f"must be one of {tuple(LAYOUT_NAMES)}", _line_of(raw_text, "layout"))
+    if layout not in tuple(LAYOUT_NAMES):
+        raise ConfigError("layout", f"must be one of {tuple(LAYOUT_NAMES)}")
     if LAYOUT_NAMES[layout] is geometry.LayoutKind.PARALLELOGRAM_OPTIMAL:
         for r in rotation:
             try:
                 geometry.plane_cosine(math.radians(r), math.radians(r))
             except geometry.DegeneratePlaneError as exc:
-                raise ConfigError(
-                    "rotation_deg", f"{r:g} deg: {exc}", _line_of(raw_text, "rotation_deg")
-                ) from exc
+                raise ConfigError("rotation_deg", f"{r:g} deg: {exc}") from exc
 
     output_path = data.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path", "expected a string", _line_of(raw_text, "output_path"))
+        raise ConfigError("output_path", "expected a string")
 
-    cluster_eps = data.get("cluster_eps", 0.1)
-    if not isinstance(cluster_eps, (int, float)) or not 0.0 < cluster_eps < 0.5:
-        raise ConfigError("cluster_eps", "must lie in (0, 0.5)", _line_of(raw_text, "cluster_eps"))
+    cluster_eps = _number(data.get("cluster_eps", 0.1), "cluster_eps")
+    if not 0.0 < cluster_eps < 0.5:
+        raise ConfigError("cluster_eps", "must lie in (0, 0.5)")
 
     per_axis = ((rx.n_v, tx.n_v, ns_split[0]), (rx.n_h, tx.n_h, ns_split[1]))
     for axis, (n_i, m_i, ns_i) in zip("vh", per_axis):
@@ -224,7 +193,6 @@ def parse_config(data: dict, raw_text: str | None = None) -> ScenarioConfig:
             raise ConfigError(
                 "ns_split",
                 f"axis {axis}: per-axis streams {ns_i} exceed min element count {min(n_i, m_i)}",
-                _line_of(raw_text, "ns_split"),
             )
 
     return ScenarioConfig(
@@ -234,29 +202,46 @@ def parse_config(data: dict, raw_text: str | None = None) -> ScenarioConfig:
         rx=rx,
         ns=ns,
         ns_split=ns_split,
-        n_rf_tx=n_rf_tx,
-        n_rf_rx=n_rf_rx,
-        snr_db=tuple(float(s) for s in snr_db),
+        n_rf_tx=n_rf["tx"],
+        n_rf_rx=n_rf["rx"],
+        snr_db=snr_db,
         schemes=tuple(schemes),
         spacing_mode=spacing_mode,
         rotation_deg=rotation,
         layout=layout,
         output_path=output_path,
-        cluster_eps=float(cluster_eps),
+        cluster_eps=cluster_eps,
     )
 
 
 def load_config(path: str) -> ScenarioConfig:
+    """Read and validate a YAML config; a ConfigError carries the failing key's line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
+    # libyaml when present: same constructor and resolver, so the same objects
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        # libyaml when present: same constructor and resolver, so the same objects
-        data = yaml.load(raw, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        data = yaml.load(raw, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise ConfigError("<document>", f"not valid YAML: {exc}", line) from exc
-    return parse_config(data, raw)
+    try:
+        return parse_config(data)
+    except ConfigError as exc:
+        # error path only: walk the node tree to the deepest key of the field
+        # path that the document holds, taking the last of repeated keys as
+        # the constructor does; a missing top-level key gets no line
+        node, line = yaml.compose(raw, Loader=loader), None
+        for key in exc.field_path.split("."):
+            if not isinstance(node, yaml.MappingNode):
+                break
+            pairs = [(k, v) for k, v in node.value if k.value == key]
+            if not pairs:
+                break
+            key_node, node = pairs[-1]
+            line = key_node.start_mark.line + 1
+        raise ConfigError(exc.field_path, exc.message, line) from None
 
 
 def axis_spacings(config: ScenarioConfig, scale: float = 1.0):

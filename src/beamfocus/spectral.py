@@ -116,10 +116,11 @@ def water_filling(eigs, p_total: float, gain_over_noise: float) -> PowerAllocati
         raise ValueError("p_total and gain_over_noise must be finite")
     if p_total <= 0 or gain_over_noise <= 0:
         raise ValueError("p_total and gain_over_noise must be positive")
-    n_pos = np.count_nonzero(lam)
+    # positive eigenvalues lead, since the spectrum is non-increasing; a value
+    # the tolerance lets rise after a zero is rounding and counts as zero too
+    n_pos = lam.size - np.count_nonzero(np.minimum.accumulate(lam) == 0.0)
     if n_pos == 0:
         raise AllZeroEigenvaluesError("cannot allocate power over an all-zero spectrum")
-    # positive eigenvalues lead, since the spectrum is non-increasing
     floors = 1.0 / (gain_over_noise * lam[:n_pos])
     if math.isinf(floors[0]):
         raise ValueError("gain_over_noise * largest eigenvalue underflows to zero")
@@ -134,14 +135,18 @@ def water_filling(eigs, p_total: float, gain_over_noise: float) -> PowerAllocati
 
 
 def rate(h, f, w, snr: float, ns: int) -> float:
-    """Spectral efficiency log2 det(I + snr/ns * (W*W)^-1 W*H F F* H* W) in b/s/Hz.
+    """Spectral efficiency log2 det(I + snr/ns * F*H* P_W H F) in b/s/Hz.
 
-    The combiner is whitened with the eigenpairs (V, Lambda) of its Gram
-    W*W, which also give the conditioning check: with
-    C = Lambda^-1/2 V* W* H F, the rate is log2 det(I + snr/ns * C*C),
-    clamped at zero. The relative error grows like cond(W*W) * eps: rounding
-    level for the combiners the schemes build (cond below 10), about 1e-7 near
-    cond 1e9.
+    P_W = W (W*W)^+ W* projects onto the range of the combiner, so a
+    rank-deficient W (an OMP combiner whose atoms tie at the cut, say) is
+    scored on its range; only a zero W raises SingularCombinerError. W is
+    whitened with the eigenpairs (V, Lambda) of its Gram W*W, keeping those
+    above lambda_max / COMBINER_COND_LIMIT (all of them on a well-conditioned
+    W): with C = Lambda^-1/2 V* W* H F, the rate is log2 det(I + snr/ns * C*C),
+    taken as det(I + snr/ns * C C*) when pairs were dropped, clamped at zero.
+    The relative error grows like cond(W*W) * eps over the kept pairs:
+    rounding level for the combiners the schemes build (cond below 10), about
+    1e-7 near cond 1e9.
     """
     h = np.asarray(h, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
@@ -154,13 +159,18 @@ def rate(h, f, w, snr: float, ns: int) -> float:
         raise ValueError(f"snr must be finite and non-negative, got {snr}")
     w_h = w.conj().T
     spec_w = eig_hermitian(w_h @ w)
-    lam = spec_w.values
-    lmin = float(lam[-1])
-    if lmin <= 0 or float(lam[0]) / lmin > COMBINER_COND_LIMIT:
-        raise SingularCombinerError("combiner Gram is singular or overly ill-conditioned")
-    c = (spec_w.vectors.conj().T @ w_h @ h @ f) / np.sqrt(lam)[:, None]
-    m = (snr / ns) * (c.conj().T @ c)
-    m.flat[:: ns + 1] += 1.0
+    lam, vectors = spec_w.values, spec_w.vectors
+    lmax, lmin = float(lam[0]), float(lam[-1])
+    if lmax <= 0:
+        raise SingularCombinerError("combiner is zero")
+    if lmin <= 0 or lmax / lmin > COMBINER_COND_LIMIT:
+        keep = int(np.count_nonzero(lam > lmax / COMBINER_COND_LIMIT))
+        lam, vectors = lam[:keep], vectors[:, :keep]
+    c = (vectors.conj().T @ w_h @ h @ f) / np.sqrt(lam)[:, None]
+    # det(I + a C*C) = det(I + a CC*); on fewer rows than ns the short side
+    # spares the determinant the cancellation of a rank-deficient C*C
+    m = (snr / ns) * (c.conj().T @ c if c.shape[0] == ns else c @ c.conj().T)
+    m.flat[:: m.shape[0] + 1] += 1.0
     sign, logdet = np.linalg.slogdet(m)
     return max(float(logdet) / math.log(2.0), 0.0)
 

@@ -108,6 +108,23 @@ class TestRateSweep:
             for got, want in zip(row[3:], gold[3:]):
                 assert abs(got - float(want)) <= 1e-9 * abs(float(want)), gold
 
+    @pytest.mark.parametrize("arrays", ["16", "15"])
+    def test_rank_deficient_omp_combiner_gets_its_rate(self, tmp_path, arrays):
+        # at 0 deg with n_rf = ns = 4 two OMP atom energies tie at the cut, so
+        # the combiner has rank 3; it is scored on its range, not exit 3
+        text = DESK.read_text().replace("{n_v: 16, n_h: 16}", f"{{n_v: {arrays}, n_h: {arrays}}}")
+        for old, new in [("ns: 16", "ns: 4"), ("ns_split: [4, 4]", "ns_split: [2, 2]"),
+                         ("n_rf_tx: 16", "n_rf_tx: 4"), ("n_rf_rx: 16", "n_rf_rx: 4")]:
+            text = text.replace(old, new)
+        path, out = tmp_path / "rank.yaml", tmp_path / "rank.csv"
+        path.write_text(text)
+        assert cli.main(["rate-sweep", "--config", str(path), "--out", str(out)]) == 0
+        rates = {(r[0], float(r[1])): float(r[3]) for r in read_rows(out)[1]}
+        snrs = {snr for _, snr in rates}
+        assert len(snrs) == 7
+        for snr in snrs:
+            assert 0.0 < rates["omp-hybrid", snr] <= rates["digital-wf", snr]
+
     def test_timing_column_opt_in(self, small_config, tmp_path):
         out = tmp_path / "timed.csv"
         assert cli.main(
@@ -206,6 +223,16 @@ class TestConfigErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert f"config field {line.split(':')[0]}" in err and "bool" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_rf_count_above_own_antennas_exit_two(self, tmp_path, capsys):
+        # 100 chains on 16 TX antennas once passed parsing and failed as a numeric error
+        path = tmp_path / "rf.yaml"
+        text = (DESK.parent / "small_smoke.yaml").read_text()
+        path.write_text(text.replace("n_rf_tx: 4", "n_rf_tx: 100"))
+        code = cli.main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "config field n_rf_tx (line 8)" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_output_exit_two(self, small_config, capsys):

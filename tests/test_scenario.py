@@ -115,6 +115,13 @@ class TestParseConfig:
             parse_config(cfg(schemes=["digital-uniform", "zero-forcing"]))
         assert err.value.field_path == "schemes"
 
+    @pytest.mark.parametrize("field", ["layout", "spacing_mode"])
+    def test_list_for_a_name_rejected(self, field):
+        # a list is unhashable; the layout lookup once raised TypeError on it
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg(**{field: ["parallelogram"]}))
+        assert err.value.field_path == field
+
     def test_per_axis_stream_overflow(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(ns=36, ns_split=[6, 6], n_rf_tx=36, n_rf_rx=36,
@@ -212,6 +219,178 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
         assert err.value.field_path == "<document>"
+
+
+# a valid explicit-spacing config as YAML scalar texts, so that every kind of
+# checked field is present: top-level numbers, nested array fields, list entries
+SPACED = {"n_v": "4", "n_h": "4", "d_v": "0.01", "d_h": "0.01"}
+VALID_TEXTS = {
+    "frequency_ghz": "28.0",
+    "distance_m": "50.0",
+    "spacing_mode": "explicit",
+    "tx": dict(SPACED),
+    "rx": dict(SPACED),
+    "ns": "4",
+    "ns_split": ["2", "2"],
+    "n_rf_tx": "4",
+    "n_rf_rx": "4",
+    "snr_db": ["-5", "5"],
+    "schemes": ["digital-uniform"],
+    "rotation_deg": ["0", "15"],
+    "cluster_eps": "0.1",
+}
+NUMERIC_FIELDS = (
+    "frequency_ghz", "distance_m", "ns", "n_rf_tx", "n_rf_rx", "cluster_eps",
+    *(f"{side}.{key}" for side in ("tx", "rx") for key in SPACED),
+    *((field, i) for field in ("ns_split", "snr_db", "rotation_deg") for i in (0, 1)),
+)
+HUGE_INT = "1" + "0" * 400
+BAD_TEXTS = ("0", "-1", "true", "false", ".nan", "abc", HUGE_INT)
+
+
+def emit_yaml(texts, style, order, padded):
+    """YAML text of ``texts`` and the 1-based line of every key, counted while writing.
+
+    ``block`` nests everything in block style, ``flow`` writes nested mappings
+    and lists in flow style (as the shipped configs do), ``flow-document`` puts
+    the whole document in one flow mapping, one top-level key per line.
+    """
+    lines, key_lines = [], {}
+    offset = 1 if style == "flow-document" else 0
+    for key in order:
+        value = texts[key]
+        key_lines[key] = len(lines) + 1 + offset
+        if isinstance(value, dict):
+            if style == "block":
+                lines.append(f"{key}:")
+                for sub, text in value.items():
+                    key_lines[f"{key}.{sub}"] = len(lines) + 1
+                    lines.append(f"  {sub}: {text}")
+            else:
+                key_lines.update({f"{key}.{sub}": key_lines[key] for sub in value})
+                lines.append(f"{key}: {{" + ", ".join(f"{s}: {t}" for s, t in value.items()) + "}")
+        elif isinstance(value, list):
+            if style == "block":
+                lines.append(f"{key}:")
+                lines.extend(f"  - {text}" for text in value)
+            else:
+                lines.append(f"{key}: [{', '.join(value)}]")
+        else:
+            lines.append(f"{key}: {value}")
+        if padded and style != "flow-document":
+            lines.append("# a comment line")
+    if style == "flow-document":
+        return "{\n" + ",\n".join(lines) + "\n}\n", key_lines
+    return "\n".join(lines) + "\n", key_lines
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    return load_config(str(path))
+
+
+def load_error(tmp_path, text):
+    with pytest.raises(ConfigError) as err:
+        load_text(tmp_path, text)
+    return err.value
+
+
+class TestConfigErrorLines:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        style=st.sampled_from(["block", "flow", "flow-document"]),
+        order=st.permutations(list(VALID_TEXTS)),
+        padded=st.booleans(),
+        target=st.sampled_from(NUMERIC_FIELDS),
+        bad=st.sampled_from(BAD_TEXTS),
+    )
+    def test_corrupted_field_named_at_its_key_line(self, tmp_path_factory, style, order, padded,
+                                                   target, bad):
+        texts = {k: (dict(v) if isinstance(v, dict) else list(v) if isinstance(v, list) else v)
+                 for k, v in VALID_TEXTS.items()}
+        if isinstance(target, tuple):
+            field, index = target
+            if field in ("snr_db", "rotation_deg") and bad in ("0", "-1"):
+                bad = ".nan"  # zero and negative entries are valid there
+            texts[field][index] = bad
+        else:
+            field = target
+            if "." in field:
+                side, key = field.split(".")
+                texts[side][key] = bad
+            else:
+                texts[field] = bad
+        valid_text, _ = emit_yaml(VALID_TEXTS, style, order, padded)
+        text, key_lines = emit_yaml(texts, style, order, padded)
+        tmp_path = tmp_path_factory.mktemp("config")
+        assert load_text(tmp_path, valid_text).ns == 4
+        err = load_error(tmp_path, text)
+        assert err.field_path == field
+        assert err.line == key_lines[field]
+        assert str(err).startswith(f"config field {field} (line {key_lines[field]}): ")
+
+    def test_nested_block_key_gets_its_own_line(self, tmp_path):
+        # matching the bare key text once gave line 4, the first "n_v:" (tx's)
+        text = ROUND_TRIP_YAML.replace(
+            "tx: {n_v: 4, n_h: 4}\nrx: {n_v: 4, n_h: 4}\n",
+            "tx:\n  n_v: 4\n  n_h: 4\nrx:\n  n_v: 0\n  n_h: 4\n",
+        )
+        err = load_error(tmp_path, text)
+        assert (err.field_path, err.line) == ("rx.n_v", 7)
+
+    def test_flow_style_key_gets_a_line(self, tmp_path):
+        text = (CONFIG_DIR / "small_smoke.yaml").read_text()
+        err = load_error(tmp_path, text.replace("tx: {n_v: 4, n_h: 4}", "tx: {n_v: 4, n_h: 0}"))
+        assert (err.field_path, err.line) == ("tx.n_h", 4)
+
+    @pytest.mark.parametrize("field", ["tx.d_h", "rx.n_h"])
+    def test_second_array_field_named(self, tmp_path, field):
+        side, key = field.split(".")
+        texts = dict(VALID_TEXTS, **{side: dict(SPACED, **{key: "-1"})})
+        err = load_error(tmp_path, emit_yaml(texts, "flow", list(texts), False)[0])
+        assert err.field_path == field
+
+    @pytest.mark.parametrize("field, value", [("n_rf_rx", 2), ("n_rf_tx", 17), ("n_rf_rx", 17)])
+    def test_each_rf_count_bounded_on_its_own_side(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg(**{field: value}))
+        assert err.value.field_path == field
+
+    def test_rf_count_above_own_antennas_rejected(self):
+        # the other side's larger array once let n_rf_tx through to the hybrids
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg(n_rf_tx=20, rx={"n_v": 8, "n_h": 8}))
+        assert err.value.field_path == "n_rf_tx"
+        assert parse_config(cfg(n_rf_rx=20, rx={"n_v": 8, "n_h": 8})).n_rf_rx == 20
+
+    def test_missing_key_points_at_its_parent(self, tmp_path):
+        err = load_error(tmp_path, ROUND_TRIP_YAML.replace("tx: {n_v: 4, n_h: 4}", "tx: {n_v: 4}"))
+        assert (err.field_path, err.line) == ("tx.n_h", 3)
+        err = load_error(tmp_path, ROUND_TRIP_YAML.replace("distance_m: 50.0\n", ""))
+        assert (err.field_path, err.line) == ("distance_m", None)
+        assert "(line" not in str(err)
+
+    def test_repeated_key_takes_the_last(self, tmp_path):
+        # the constructor keeps the last value, so the error is about that one
+        err = load_error(tmp_path, ROUND_TRIP_YAML + "ns: 0\n")
+        assert (err.field_path, err.line) == ("ns", 11)
+
+    def test_inferred_split_error_has_no_line(self, tmp_path):
+        err = load_error(tmp_path, ROUND_TRIP_YAML.replace("ns_split: [2, 2]\n", "")
+                         .replace("ns: 4", "ns: 2").replace("n_rf_tx: 4", "n_rf_tx: 2")
+                         .replace("n_rf_rx: 4", "n_rf_rx: 2"))
+        assert (err.field_path, err.line) == ("ns_split", None)
+        assert "ns=2" in str(err)
+
+    def test_valid_config_never_composes(self, monkeypatch):
+        # the node tree is built only on the error path
+        def refuse(*args, **kwargs):
+            raise AssertionError("yaml.compose called on a valid config")
+
+        monkeypatch.setattr(yaml, "compose", refuse)
+        for path in sorted(CONFIG_DIR.glob("*.yaml")):
+            assert load_config(str(path)).ns >= 1
 
 
 class TestScenario:

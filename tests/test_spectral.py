@@ -1,6 +1,7 @@
 """Tests for clustering diagnostics, water-filling, and rate formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ class TestWaterFilling:
         with pytest.raises(ValueError, match="underflows"), np.errstate(divide="ignore"):
             water_filling([1e-200, 1e-201], 1.0, 1e-200)
 
+    def test_positive_after_a_zero_counts_as_zero(self):
+        # the tolerance lets 1e-13 follow the zero; it must not become a 1/0 floor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc = water_filling([1.0, 0.0, 1e-13], 1.0, 1.0)
+        assert alloc.powers.tolist() == [1.0, 0.0, 0.0]
+        assert alloc.water_level == 2.0
+
     def test_small_rising_spectrum_rejected(self):
         # the monotonicity tolerance is relative to the largest value, so a
         # rise far above rounding is caught below 1 too
@@ -265,14 +274,53 @@ class TestRate:
         mix = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
         assert abs(rate(h, f, w @ (mix * 0.2), 2.0, 3) - base) <= 1e-10
 
-    def test_singular_combiner_rejected(self):
+    def test_rank_one_combiner_scored_on_its_range(self):
+        # two equal columns: W spans e0 only, so P_W H F keeps the first row of F
         h = np.eye(4, dtype=complex)
         f = np.eye(4, dtype=complex)[:, :2]
         w = np.zeros((4, 2), dtype=complex)
         w[:, 0] = [1, 0, 0, 0]
         w[:, 1] = [1, 0, 0, 0]
+        assert abs(rate(h, f, w, 1.0, 2) - math.log2(1.5)) <= 1e-15
+
+    def test_zero_combiner_rejected(self):
+        h = np.eye(4, dtype=complex)
         with pytest.raises(SingularCombinerError):
-            rate(h, f, w, 1.0, 2)
+            rate(h, h[:, :2], np.zeros((4, 2), dtype=complex), 1.0, 2)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 8),
+        m=st.integers(2, 8),
+        ns_pick=st.integers(2, 8),
+        rank_pick=st.integers(1, 7),
+        log_cond=st.floats(0.0, 6.0),
+        log_snr=st.floats(-3.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_deficient_combiner_matches_projector_formula(
+        self, n, m, ns_pick, rank_pick, log_cond, log_snr, seed
+    ):
+        # W = Q S R^H has rank r < ns: Q (n x r) orthonormal, S graded up to a
+        # Gram condition of 1e6 on its range, R (ns x r) orthonormal columns
+        rng = np.random.default_rng(seed)
+        ns = 2 + (ns_pick - 2) % (min(n, m) - 1)
+        r = 1 + (rank_pick - 1) % (ns - 1)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        h, f = cn(n, m), cn(m, ns)
+        q = np.linalg.qr(cn(n, r))[0]
+        mix = np.linalg.qr(cn(ns, r))[0]
+        scale = np.sqrt(np.logspace(0.0, -log_cond, r))[rng.permutation(r)]
+        w = (q * scale) @ mix.conj().T
+        snr = 10.0**log_snr
+        # P_W = Q Q*, and det(I + a F*H* Q Q* H F) = det(I + a Q* H F F* H* Q)
+        qhf = q.conj().T @ h @ f
+        want = float(np.linalg.slogdet(np.eye(r) + snr / ns * (qhf @ qhf.conj().T))[1]) / math.log(2.0)
+        cond = 10.0**log_cond if r > 1 else 1.0
+        assert abs(rate(h, f, w, snr, ns) - want) <= (1e-12 + 1e-14 * cond) * want
 
     def test_zero_snr_gives_zero_rate(self):
         h = np.eye(3, dtype=complex)

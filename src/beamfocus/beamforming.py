@@ -1,11 +1,11 @@
 """Fully-digital SVD beamformers, DFT-dictionary hybrids, OMP, and the
 phase-extraction baseline.
 
-Power convention: digital precoders keep orthonormal columns (trace ns;
-the evaluation layer water-fills over the singular values); hybrid
-transmit products are normalized to unit trace and scaled back to trace
-ns by the evaluation layer. Combiners carry no power constraint since the
-rate formula whitens them.
+Power convention: the builders carry no transmit power. Digital precoders
+keep orthonormal columns, and each hybrid builder returns the analog and
+baseband stages it built, unscaled. ``Scenario`` sets every precoder to
+trace ns. Combiners carry no power constraint since the rate formula
+whitens them.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ class HybridBeamformer:
 
     analog: np.ndarray
     baseband: np.ndarray
-    side: Side
-    n_rf: int
     residual_norms: tuple = field(default=(), compare=False)
 
     def product(self) -> np.ndarray:
@@ -144,30 +142,22 @@ def _svd_basebands(h: np.ndarray, f_rf: np.ndarray, w_rf: np.ndarray, ns: int):
     return eff.right[:, :ns].copy(), eff.left[:, :ns].copy()
 
 
-def _hybrid_pair(f_rf, f_bb, w_rf, w_bb) -> tuple[HybridBeamformer, HybridBeamformer]:
-    """Transmit and receive hybrids, the transmit product scaled to unit trace."""
-    tx = HybridBeamformer(f_rf, f_bb / np.linalg.norm(f_rf @ f_bb), Side.TX, f_rf.shape[1])
-    return tx, HybridBeamformer(w_rf, w_bb, Side.RX, w_rf.shape[1])
-
-
 def asymptotic_hybrid(
     tx_dict: TwistedDft,
     rx_dict: TwistedDft,
     h: np.ndarray,
     ns: int,
-    n_rf_tx: int | None = None,
-    n_rf_rx: int | None = None,
+    n_rf_tx: int,
+    n_rf_rx: int,
 ) -> tuple[HybridBeamformer, HybridBeamformer]:
     """Closed-form hybrid pair from the dictionary columns of largest gain.
 
-    Each side takes its ``n_rf_tx``/``n_rf_rx`` (default ns) columns with the
+    Each side takes its ``n_rf_tx``/``n_rf_rx`` columns with the
     largest effective channel gain, the column norms of ``h @ V`` and
     ``h^H @ U``. With ns columns per side the baseband is the identity (any
     unitary one gives the same rate); with more, it is the top-ns SVD of the
     effective channel, as in phase extraction.
     """
-    n_rf_tx = ns if n_rf_tx is None else n_rf_tx
-    n_rf_rx = ns if n_rf_rx is None else n_rf_rx
     if not ns <= min(n_rf_tx, n_rf_rx) or n_rf_tx > tx_dict.size or n_rf_rx > rx_dict.size:
         raise ValueError(f"need ns={ns} <= n_rf={n_rf_tx}/{n_rf_rx} <= dictionary column counts")
     f_rf = tx_dict.columns(_gain_order(np.linalg.norm(tx_dict.adjoint(h.conj().T), axis=1))[:n_rf_tx])
@@ -176,15 +166,10 @@ def asymptotic_hybrid(
         f_bb, w_bb = _svd_basebands(h, f_rf, w_rf, ns)
     else:
         f_bb = w_bb = np.eye(ns, dtype=np.complex128)
-    return _hybrid_pair(f_rf, f_bb, w_rf, w_bb)
+    return HybridBeamformer(f_rf, f_bb), HybridBeamformer(w_rf, w_bb)
 
 
-def omp_hybrid(
-    target: np.ndarray,
-    dictionary: TwistedDft,
-    n_rf: int,
-    side: Side = Side.TX,
-) -> HybridBeamformer:
+def omp_hybrid(target: np.ndarray, dictionary: TwistedDft, n_rf: int) -> HybridBeamformer:
     """Greedy sparse reconstruction of a beamformer over a unitary dictionary.
 
     Runs exactly n_rf iterations: pick the dictionary column with the
@@ -221,40 +206,32 @@ def omp_hybrid(
         raw_sq = float(np.linalg.norm(raw)) ** 2
         norms.append(math.sqrt(raw_sq))
         residual = raw / raw_sq if raw_sq > 1e-300 else np.zeros_like(raw)
-    if side is Side.TX:
-        baseband = baseband / np.linalg.norm(analog @ baseband)
-    return HybridBeamformer(
-        analog=analog,
-        baseband=baseband,
-        side=side,
-        n_rf=n_rf,
-        residual_norms=tuple(norms),
-    )
+    return HybridBeamformer(analog=analog, baseband=baseband, residual_norms=tuple(norms))
 
 
 def phase_extraction_hybrid(
     h: np.ndarray,
     digital: DigitalBeamformer,
-    n_rf: int,
-    n_rf_rx: int | None = None,
+    n_rf_tx: int,
+    n_rf_rx: int,
 ) -> tuple[HybridBeamformer, HybridBeamformer]:
     """Baseline: analog stages carry the phases of the digital beamformers.
 
-    ``n_rf`` RF chains transmit and ``n_rf_rx`` (default ``n_rf``) receive.
+    ``n_rf_tx`` RF chains transmit and ``n_rf_rx`` receive.
     Entries below PHASE_FLOOR_RTOL of their column's largest magnitude get
     phase 0. Extra RF chains beyond ns are filled with columns of the 1-D
     DFT matrix of the side's antenna count (``dft_matrix(dim)``, not the 2-D
     DFT of the dictionaries), ranked by their gains ``||h F||`` or
     ``||h^H F||`` read off an FFT of h, skipping columns that repeat an
-    analog column. Only the ``n_rf`` best columns are built, never the
-    full matrix. Basebands come from the SVD of the effective channel.
+    analog column. Only the best ``n_rf_tx``/``n_rf_rx`` columns are built,
+    never the full matrix. Basebands come from the SVD of the effective
+    channel.
     """
     h = np.asarray(h, dtype=np.complex128)
     n, m = h.shape
     ns = digital.precoder.shape[1]
-    n_rf_rx = n_rf if n_rf_rx is None else n_rf_rx
-    if min(n_rf, n_rf_rx) < ns:
-        raise ValueError(f"n_rf={min(n_rf, n_rf_rx)} below stream count {ns}")
+    if min(n_rf_tx, n_rf_rx) < ns:
+        raise ValueError(f"n_rf={min(n_rf_tx, n_rf_rx)} below stream count {ns}")
 
     def analog_stage(opt: np.ndarray, dim: int, count: int, side: Side) -> np.ndarray:
         mag = np.abs(opt)
@@ -273,7 +250,7 @@ def phase_extraction_hybrid(
             stage = np.hstack([stage, pads])
         return stage
 
-    f_rf = analog_stage(digital.precoder, m, n_rf, Side.TX)
+    f_rf = analog_stage(digital.precoder, m, n_rf_tx, Side.TX)
     w_rf = analog_stage(digital.combiner, n, n_rf_rx, Side.RX)
     f_bb, w_bb = _svd_basebands(h, f_rf, w_rf, ns)
-    return _hybrid_pair(f_rf, f_bb, w_rf, w_bb)
+    return HybridBeamformer(f_rf, f_bb), HybridBeamformer(w_rf, w_bb)

@@ -75,7 +75,6 @@ class AntennaLayout:
 
     coords: np.ndarray
     side: Side
-    link_distance: float
     n_v: int
     n_h: int
 
@@ -180,13 +179,7 @@ def build_layout(spec: ArraySpec, side: Side, distance: float) -> AntennaLayout:
 
     if side is Side.RX:
         coords = coords + np.array([[0.0], [0.0], [distance]])
-    return AntennaLayout(
-        coords=coords,
-        side=side,
-        link_distance=distance,
-        n_v=spec.n_v,
-        n_h=spec.n_h,
-    )
+    return AntennaLayout(coords=coords, side=side, n_v=spec.n_v, n_h=spec.n_h)
 
 
 def aperture(layout: AntennaLayout) -> float:

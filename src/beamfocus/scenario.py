@@ -6,6 +6,7 @@ exact channel, and lazily built beamformers shared across the SNR grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -264,12 +265,16 @@ def axis_spacings(config: ScenarioConfig, scale: float = 1.0):
 
 
 class Scenario:
-    """One rotation point of a config with lazily cached heavy artifacts."""
+    """One rotation point of a config: the exact channel and every scheme's beamformers.
+
+    The heavy artifacts are built on first use and shared across the SNR
+    grid. This is the one place that sets transmit power: every precoder
+    that reaches ``spectral.rate`` has trace ns.
+    """
 
     def __init__(self, config: ScenarioConfig, rotation_deg: float, spacing_scale: float = 1.0):
         self.config = config
         self.rotation_deg = rotation_deg
-        self.spacing_scale = spacing_scale
         theta = math.radians(rotation_deg)
         kind = LAYOUT_NAMES[config.layout]
         (d_tv, d_th), (d_rv, d_rh) = axis_spacings(config, spacing_scale)
@@ -284,86 +289,67 @@ class Scenario:
         self.params = channel.ChannelParams(wavelength=config.wavelength, distance=config.distance_m)
         self.tx_layout = geometry.build_layout(self.tx_spec, geometry.Side.TX, config.distance_m)
         self.rx_layout = geometry.build_layout(self.rx_spec, geometry.Side.RX, config.distance_m)
-        self._cache: dict = {}
+        self._beams: dict = {}
 
-    def _memo(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @functools.cached_property
     def h(self) -> np.ndarray:
-        return self._memo("h", lambda: channel.exact_channel(self.tx_layout, self.rx_layout, self.params))
+        return channel.exact_channel(self.tx_layout, self.rx_layout, self.params)
 
-    @property
+    @functools.cached_property
     def digital(self) -> beamforming.DigitalBeamformer:
-        return self._memo("digital", lambda: beamforming.digital_svd(self.h, self.config.ns))
+        return beamforming.digital_svd(self.h, self.config.ns)
 
-    @property
+    @functools.cached_property
     def tx_dictionary(self) -> beamforming.TwistedDft:
-        return self._memo(
-            "tx_dict",
-            lambda: beamforming.dictionary_tx(self.tx_layout, self.params),
-        )
+        return beamforming.dictionary_tx(self.tx_layout, self.params)
 
-    @property
+    @functools.cached_property
     def rx_dictionary(self) -> beamforming.TwistedDft:
-        return self._memo(
-            "rx_dict",
-            lambda: beamforming.dictionary_rx(self.rx_layout, self.params),
-        )
+        return beamforming.dictionary_rx(self.rx_layout, self.params)
 
     def hybrid(self, scheme: str):
-        ns = self.config.ns
+        """The (transmit, receive) stages of a hybrid scheme, as its builder returns them."""
+        config = self.config
         if scheme == "asymptotic-hybrid":
-            return self._memo(
-                "asymptotic",
-                lambda: beamforming.asymptotic_hybrid(
-                    self.tx_dictionary, self.rx_dictionary, self.h, ns,
-                    self.config.n_rf_tx, self.config.n_rf_rx,
-                ),
+            return beamforming.asymptotic_hybrid(
+                self.tx_dictionary, self.rx_dictionary, self.h, config.ns,
+                config.n_rf_tx, config.n_rf_rx,
             )
         if scheme == "omp-hybrid":
-            def build():
-                tx = beamforming.omp_hybrid(
-                    self.digital.precoder, self.tx_dictionary, self.config.n_rf_tx, geometry.Side.TX
-                )
-                rx = beamforming.omp_hybrid(
-                    self.digital.combiner, self.rx_dictionary, self.config.n_rf_rx, geometry.Side.RX
-                )
-                return tx, rx
-
-            return self._memo("omp", build)
+            return (
+                beamforming.omp_hybrid(self.digital.precoder, self.tx_dictionary, config.n_rf_tx),
+                beamforming.omp_hybrid(self.digital.combiner, self.rx_dictionary, config.n_rf_rx),
+            )
         if scheme == "phase-extract":
-            return self._memo(
-                "phase-extract",
-                lambda: beamforming.phase_extraction_hybrid(
-                    self.h, self.digital, self.config.n_rf_tx, self.config.n_rf_rx
-                ),
+            return beamforming.phase_extraction_hybrid(
+                self.h, self.digital, config.n_rf_tx, config.n_rf_rx
             )
         raise ValueError(f"not a hybrid scheme: {scheme}")
+
+    def beams(self, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+        """Trace-ns precoder and combiner of any scheme but digital-wf, built once per scenario."""
+        if scheme not in self._beams:
+            if scheme == "digital-uniform":
+                self._beams[scheme] = self.digital.precoder, self.digital.combiner
+            else:
+                tx, rx = self.hybrid(scheme)
+                # ||F_RF F_BB||_F^2 = ns; scaling the baseband before the
+                # product keeps the rounding of the committed CSVs
+                unit = tx.analog @ (tx.baseband / np.linalg.norm(tx.product()))
+                self._beams[scheme] = math.sqrt(self.config.ns) * unit, rx.product()
+        return self._beams[scheme]
 
     def rate(self, scheme: str, snr: float) -> float:
         """Spectral efficiency of one scheme at one linear SNR."""
         ns = self.config.ns
-        root = math.sqrt(ns)
-        if scheme == "digital-uniform":
-            dig = self.digital
-            return spectral.rate(self.h, dig.precoder, dig.combiner, snr, ns)
         if scheme == "digital-wf":
             dig = self.digital
             alloc = spectral.water_filling(dig.singular_values**2, 1.0, snr)
-            scaled = dig.precoder * np.sqrt(alloc.powers)[None, :]
-            # trace-1 precoder with the plain snr prefactor == sqrt(ns)-scaled
-            # precoder under the uniform formula
-            return spectral.rate(self.h, root * scaled, dig.combiner, snr, ns)
-
-        key = ("products", scheme)
-        if key not in self._cache:
-            # built once per scenario and shared across the SNR grid
-            tx, rx = self.hybrid(scheme)
-            self._cache[key] = (root * tx.product(), rx.product())
-        precoder, combiner = self._cache[key]
+            # the unit-trace allocation scaled to trace ns, like every other precoder
+            precoder = math.sqrt(ns) * (dig.precoder * np.sqrt(alloc.powers)[None, :])
+            combiner = dig.combiner
+        else:
+            precoder, combiner = self.beams(scheme)
         return spectral.rate(self.h, precoder, combiner, snr, ns)
 
 
@@ -410,12 +396,12 @@ def spectrum_data(config: ScenarioConfig):
     eig = eig_hermitian(g.real)
     normalizer = scenario.tx_layout.count * scenario.rx_layout.count / config.ns
     lam, dist, eps = config.wavelength, config.distance_m, config.cluster_eps
-    (d_tv, d_th), (d_rv, d_rh) = axis_spacings(config)
+    ts, rs = scenario.tx_spec, scenario.rx_spec
 
     deltas, reports = {}, {}
     for name, (n_i, m_i, d_t, d_r) in {
-        "v": (config.rx.n_v, config.tx.n_v, d_tv, d_rv),
-        "h": (config.rx.n_h, config.tx.n_h, d_th, d_rh),
+        "v": (rs.n_v, ts.n_v, ts.d_v, rs.d_v),
+        "h": (rs.n_h, ts.n_h, ts.d_h, rs.d_h),
     }.items():
         n_max, n_min = max(n_i, m_i), min(n_i, m_i)
         deltas[name] = d_t * d_r * n_max / (lam * dist)

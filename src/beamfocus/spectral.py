@@ -142,11 +142,11 @@ def rate(h, f, w, snr: float, ns: int) -> float:
     scored on its range; only a zero W raises SingularCombinerError. W is
     whitened with the eigenpairs (V, Lambda) of its Gram W*W, keeping those
     above lambda_max / COMBINER_COND_LIMIT (all of them on a well-conditioned
-    W): with C = Lambda^-1/2 V* W* H F, the rate is log2 det(I + snr/ns * C*C),
-    taken as det(I + snr/ns * C C*) when pairs were dropped, clamped at zero.
-    The relative error grows like cond(W*W) * eps over the kept pairs:
-    rounding level for the combiners the schemes build (cond below 10), about
-    1e-7 near cond 1e9.
+    W): with C = Lambda^-1/2 V* W* H F on the r kept rows, the rate is
+    log2 det(I_r + snr/ns * C C*), clamped at zero. The r x r side spares the
+    determinant the cancellation of a rank-deficient C*C. The relative error
+    grows like cond(W*W) * eps over the kept pairs: rounding level for the
+    combiners the schemes build (cond below 10), about 1e-7 near cond 1e9.
     """
     h = np.asarray(h, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
@@ -159,17 +159,13 @@ def rate(h, f, w, snr: float, ns: int) -> float:
         raise ValueError(f"snr must be finite and non-negative, got {snr}")
     w_h = w.conj().T
     spec_w = eig_hermitian(w_h @ w)
-    lam, vectors = spec_w.values, spec_w.vectors
-    lmax, lmin = float(lam[0]), float(lam[-1])
+    lmax = float(spec_w.values[0])
     if lmax <= 0:
         raise SingularCombinerError("combiner is zero")
-    if lmin <= 0 or lmax / lmin > COMBINER_COND_LIMIT:
-        keep = int(np.count_nonzero(lam > lmax / COMBINER_COND_LIMIT))
-        lam, vectors = lam[:keep], vectors[:, :keep]
+    keep = int(np.count_nonzero(spec_w.values > lmax / COMBINER_COND_LIMIT))
+    lam, vectors = spec_w.values[:keep], spec_w.vectors[:, :keep]
     c = (vectors.conj().T @ w_h @ h @ f) / np.sqrt(lam)[:, None]
-    # det(I + a C*C) = det(I + a CC*); on fewer rows than ns the short side
-    # spares the determinant the cancellation of a rank-deficient C*C
-    m = (snr / ns) * (c.conj().T @ c if c.shape[0] == ns else c @ c.conj().T)
+    m = (snr / ns) * (c @ c.conj().T)
     m.flat[:: m.shape[0] + 1] += 1.0
     sign, logdet = np.linalg.slogdet(m)
     return max(float(logdet) / math.log(2.0), 0.0)

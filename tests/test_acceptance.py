@@ -313,7 +313,7 @@ def test_criterion_11_omp_exact_recovery():
         coeff = rng.standard_normal((sparsity, sparsity)) + 1j * rng.standard_normal((sparsity, sparsity))
         target = dic.columns(support) @ coeff
         n_rf = sparsity + int(rng.integers(0, 3))
-        bf = omp_hybrid(target, dic, n_rf, side=Side.RX)
+        bf = omp_hybrid(target, dic, n_rf)
         worst_residual = max(worst_residual, bf.residual_norms[-1])
         assert np.all(np.diff(np.array(bf.residual_norms)) <= 1e-12)
     elapsed = time.perf_counter() - start

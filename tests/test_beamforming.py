@@ -38,7 +38,9 @@ def desk_channel(side=8, ns_axis=2, dist=50.0, lam=LAMBDA_28GHZ, spacing=None):
 
 
 def hybrid_rate(h, tx_bf, rx_bf, snr, ns):
-    return rate(h, math.sqrt(ns) * tx_bf.product(), rx_bf.product(), snr, ns)
+    # the builders return bare stages; the rate takes the product at trace ns
+    product = tx_bf.product()
+    return rate(h, math.sqrt(ns) * product / np.linalg.norm(product), rx_bf.product(), snr, ns)
 
 
 class TestDigitalSvd:
@@ -115,7 +117,7 @@ class TestAsymptoticHybrid:
         _, tx, rx, params, h = desk_channel(side=2, ns_axis=2)
         tx_dict = dictionary_tx(tx, params)
         rx_dict = dictionary_rx(rx, params)
-        tx_bf, rx_bf = asymptotic_hybrid(tx_dict, rx_dict, h, 4)
+        tx_bf, rx_bf = asymptotic_hybrid(tx_dict, rx_dict, h, 4, 4, 4)
         dig = digital_svd(h, 4)
         digital = rate(h, dig.precoder, dig.combiner, 1.0, 4)
         hybrid = hybrid_rate(h, tx_bf, rx_bf, 1.0, 4)
@@ -127,7 +129,7 @@ class TestAsymptoticHybrid:
         _, tx, rx, params, h = desk_channel(side=16, ns_axis=2)
         tx_dict = dictionary_tx(tx, params)
         rx_dict = dictionary_rx(rx, params)
-        tx_bf, rx_bf = asymptotic_hybrid(tx_dict, rx_dict, h, 4)
+        tx_bf, rx_bf = asymptotic_hybrid(tx_dict, rx_dict, h, 4, 4, 4)
         dig = digital_svd(h, 4)
         digital = rate(h, dig.precoder, dig.combiner, 1.0, 4)
         hybrid = hybrid_rate(h, tx_bf, rx_bf, 1.0, 4)
@@ -137,12 +139,16 @@ class TestAsymptoticHybrid:
     def test_constant_modulus_and_power(self):
         _, tx, rx, params, h = desk_channel(side=4, ns_axis=2)
         tx_bf, rx_bf = asymptotic_hybrid(
-            dictionary_tx(tx, params), dictionary_rx(rx, params), h, 4
+            dictionary_tx(tx, params), dictionary_rx(rx, params), h, 4, 4, 4
         )
         mods = np.abs(tx_bf.analog)
         assert (mods.max() - mods.min()) / mods.max() <= 1e-12
-        product = tx_bf.product()
-        assert abs(np.linalg.norm(product) ** 2 - 1.0) <= 1e-9
+        # n_rf = ns: the baseband is the identity, unscaled, so the product is
+        # the orthonormal atoms themselves, at trace ns
+        for bf in (tx_bf, rx_bf):
+            assert np.array_equal(bf.baseband, np.eye(4))
+            assert np.array_equal(bf.product(), bf.analog)
+            assert abs(np.linalg.norm(bf.product()) ** 2 - 4.0) <= 1e-12
 
 
 class TestOmpHybrid:
@@ -160,7 +166,7 @@ class TestOmpHybrid:
         _, tx, _, params, _ = desk_channel(side=4, ns_axis=2)
         dic = dictionary_tx(tx, params)
         target = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-        bf = omp_hybrid(target, dic, 16, side=Side.RX)
+        bf = omp_hybrid(target, dic, 16)
         assert bf.residual_norms[-1] <= 1e-9
 
     def test_residual_monotone_and_selection_unique(self):
@@ -193,10 +199,13 @@ class TestOmpHybrid:
             omp_hybrid(dic.columns([0]), dic, 5)
 
     def test_power_convention(self):
+        # no power scale: the product is the target's projection onto the atoms
         _, tx, _, params, h = desk_channel(side=4, ns_axis=2)
         dig = digital_svd(h, 4)
         bf = omp_hybrid(dig.precoder, dictionary_tx(tx, params), 4)
-        assert abs(np.linalg.norm(bf.product()) ** 2 - 1.0) <= 1e-9
+        misfit = dig.precoder - bf.product()
+        assert np.abs(bf.analog.conj().T @ misfit).max() <= 1e-12
+        assert abs(np.linalg.norm(misfit) - bf.residual_norms[-1]) <= 1e-12
 
 
 class TestPhaseExtraction:
@@ -204,7 +213,7 @@ class TestPhaseExtraction:
         lam = 0.0107
         _, tx, rx, params, h = desk_channel(side=8, spacing=lam / 2, lam=lam)
         dig = digital_svd(h, 1)
-        tx_bf, rx_bf = phase_extraction_hybrid(h, dig, 1)
+        tx_bf, rx_bf = phase_extraction_hybrid(h, dig, 1, 1)
         digital = rate(h, dig.precoder, dig.combiner, 1.0, 1)
         hybrid = hybrid_rate(h, tx_bf, rx_bf, 1.0, 1)
         assert hybrid >= 0.95 * digital
@@ -213,7 +222,7 @@ class TestPhaseExtraction:
     def test_never_beats_digital(self):
         _, tx, rx, params, h = desk_channel(side=8, ns_axis=2)
         dig = digital_svd(h, 4)
-        tx_bf, rx_bf = phase_extraction_hybrid(h, dig, 4)
+        tx_bf, rx_bf = phase_extraction_hybrid(h, dig, 4, 4)
         for snr in (0.1, 1.0, 10.0):
             digital = rate(h, dig.precoder, dig.combiner, snr, 4)
             assert hybrid_rate(h, tx_bf, rx_bf, snr, 4) <= digital + 1e-9
@@ -221,11 +230,13 @@ class TestPhaseExtraction:
     def test_padding_keeps_constant_modulus(self):
         _, tx, rx, params, h = desk_channel(side=4, ns_axis=2)
         dig = digital_svd(h, 4)
-        tx_bf, rx_bf = phase_extraction_hybrid(h, dig, 6)
+        tx_bf, rx_bf = phase_extraction_hybrid(h, dig, 6, 6)
         assert tx_bf.analog.shape == (16, 6)
         mods = np.abs(tx_bf.analog)
         assert (mods.max() - mods.min()) / mods.max() <= 1e-9
-        assert abs(np.linalg.norm(tx_bf.product()) ** 2 - 1.0) <= 1e-9
+        # the SVD basebands come back unscaled, with orthonormal columns
+        for bf in (tx_bf, rx_bf):
+            assert np.abs(bf.baseband.conj().T @ bf.baseband - np.eye(4)).max() <= 1e-12
 
     def test_pads_are_1d_dft_columns(self):
         # n_rf > ns, as in the fine-grid and panel scenarios: the pads are
@@ -258,7 +269,7 @@ class TestPhaseExtraction:
         for noise in (0.0, 1e-15j, -1e-15):
             precoder = dig.precoder.copy()
             precoder[3, 0] = noise
-            bf, _ = phase_extraction_hybrid(h, dataclasses.replace(dig, precoder=precoder), 4)
+            bf, _ = phase_extraction_hybrid(h, dataclasses.replace(dig, precoder=precoder), 4, 4)
             variants.append(bf.analog)
         assert abs(variants[0][3, 0] - 0.25) <= 1e-15
         assert all(np.array_equal(variants[0], v) for v in variants[1:])
@@ -267,7 +278,7 @@ class TestPhaseExtraction:
         _, _, _, _, h = desk_channel(side=4, ns_axis=2)
         dig = digital_svd(h, 4)
         with pytest.raises(ValueError):
-            phase_extraction_hybrid(h, dig, 2)
+            phase_extraction_hybrid(h, dig, 2, 2)
 
 
 @st.composite
@@ -309,7 +320,7 @@ def dense_omp_atoms(target, dic, n_rf):
     return selected
 
 
-def omp_rebuilding(target, dictionary, n_rf, side):
+def omp_rebuilding(target, dictionary, n_rf):
     """OMP that rebuilds every picked atom on each iteration, as an oracle for ``omp_hybrid``."""
     selected, residual, norms = [], target.copy(), []
     for _ in range(n_rf):
@@ -323,8 +334,6 @@ def omp_rebuilding(target, dictionary, n_rf, side):
         raw_sq = float(np.linalg.norm(raw)) ** 2
         norms.append(math.sqrt(raw_sq))
         residual = raw / raw_sq if raw_sq > 1e-300 else np.zeros_like(raw)
-    if side is Side.TX:
-        baseband = baseband / np.linalg.norm(analog @ baseband)
     return analog, baseband, tuple(norms)
 
 
@@ -374,27 +383,24 @@ class TestFactoredDictionaryProperties:
         ns = int(rng.integers(1, n_min + 1))
         n_rf = int(rng.integers(ns, n_min + 1))
 
-        f_bf, w_bf = asymptotic_hybrid(v, u, h, ns)
+        f_bf, w_bf = asymptotic_hybrid(v, u, h, ns, ns, ns)
         tx_atoms = dense_order(np.linalg.norm(h @ v_dense, axis=0))[:ns]
         rx_atoms = dense_order(np.linalg.norm(h.conj().T @ u_dense, axis=0))[:ns]
         assert np.array_equal(f_bf.analog, v_dense[:, tx_atoms])
         assert np.array_equal(w_bf.analog, u_dense[:, rx_atoms])
 
         dig = digital_svd(h, ns)
-        for target, dic, dense, side in (
-            (dig.precoder, v, v_dense, Side.TX),
-            (dig.combiner, u, u_dense, Side.RX),
-        ):
-            bf = omp_hybrid(target, dic, n_rf, side)
+        for target, dic, dense in ((dig.precoder, v, v_dense), (dig.combiner, u, u_dense)):
+            bf = omp_hybrid(target, dic, n_rf)
             assert np.array_equal(bf.analog, dense[:, dense_omp_atoms(target, dense, n_rf)])
 
         tx_pads = dense_pad_atoms(dig.precoder, h, n_rf - ns)
         rx_pads = dense_pad_atoms(dig.combiner, h.conj().T, n_rf - ns)
         if min(len(tx_pads), len(rx_pads)) < n_rf - ns:
             with pytest.raises(ValueError, match="cannot pad"):
-                phase_extraction_hybrid(h, dig, n_rf)
+                phase_extraction_hybrid(h, dig, n_rf, n_rf)
             return
-        f_pe, w_pe = phase_extraction_hybrid(h, dig, n_rf)
+        f_pe, w_pe = phase_extraction_hybrid(h, dig, n_rf, n_rf)
         assert np.array_equal(f_pe.analog[:, ns:], dft_matrix(tx.count)[:, tx_pads])
         assert np.array_equal(w_pe.analog[:, ns:], dft_matrix(rx.count)[:, rx_pads])
 
@@ -407,10 +413,9 @@ class TestOmpOracle:
         ns_pick=st.integers(1, 4),
         rf_pick=st.integers(0, 36),
         exact=st.booleans(),
-        side=st.sampled_from(Side),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_rebuilding_oracle_bitwise(self, n_v, n_h, ns_pick, rf_pick, exact, side, seed):
+    def test_matches_rebuilding_oracle_bitwise(self, n_v, n_h, ns_pick, rf_pick, exact, seed):
         rng = np.random.default_rng(seed)
         dic = TwistedDft(
             twist=np.exp(2j * np.pi * rng.random(n_v * n_h)),
@@ -426,8 +431,8 @@ class TestOmpOracle:
             )
         else:
             target = rng.standard_normal((dic.size, ns)) + 1j * rng.standard_normal((dic.size, ns))
-        bf = omp_hybrid(target, dic, n_rf, side)
-        analog, baseband, norms = omp_rebuilding(target, dic, n_rf, side)
+        bf = omp_hybrid(target, dic, n_rf)
+        analog, baseband, norms = omp_rebuilding(target, dic, n_rf)
         assert np.array_equal(bf.analog, analog)
         assert np.array_equal(bf.baseband, baseband)
         assert bf.residual_norms == norms
@@ -462,10 +467,9 @@ class TestAsymptoticHybridProperties:
         ns = int(rng.integers(1, min(tx.count, rx.count) + 1))
         n_rf_tx, n_rf_rx = int(rng.integers(ns, tx.count + 1)), int(rng.integers(ns, rx.count + 1))
         f_bf, w_bf = asymptotic_hybrid(v, u, h, ns, n_rf_tx, n_rf_rx)
-        assert (f_bf.n_rf, w_bf.n_rf) == (n_rf_tx, n_rf_rx)
-        assert np.abs(np.linalg.norm(f_bf.product()) - 1.0) <= 1e-12
+        assert (f_bf.analog.shape[1], w_bf.analog.shape[1]) == (n_rf_tx, n_rf_rx)
         dig = digital_svd(h, ns)
         digital = rate(h, dig.precoder, dig.combiner, 1.0, ns)
-        base = hybrid_rate(h, *asymptotic_hybrid(v, u, h, ns), 1.0, ns)
+        base = hybrid_rate(h, *asymptotic_hybrid(v, u, h, ns, ns, ns), 1.0, ns)
         spare = hybrid_rate(h, f_bf, w_bf, 1.0, ns)
         assert base - 1e-9 * digital <= spare <= digital + 1e-9 * digital

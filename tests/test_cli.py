@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import beamfocus
 from beamfocus import channel, cli, validation
@@ -41,7 +42,19 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
-DESK = Path(__file__).resolve().parents[1] / "configs" / "desk_scale.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+DESK = ROOT / "configs" / "desk_scale.yaml"
+SMOKE = ROOT / "configs" / "small_smoke.yaml"
+
+
+def assert_matches_golden(rows, name, count):
+    """Sweep rows against a committed CSV under tests/data, rates to 1e-9 relative."""
+    _, golden = read_rows(ROOT / "tests" / "data" / name)
+    assert len(rows) == len(golden) == count
+    for row, gold in zip(rows, golden):
+        assert (row[0], row[1], row[2]) == (gold[0], float(gold[1]), float(gold[2]))
+        for got, want in zip(row[3:], gold[3:]):
+            assert abs(got - float(want)) <= 1e-9 * abs(float(want)), gold
 
 
 def rows_at_blas_threads(command, config, out, threads):
@@ -98,15 +111,18 @@ class TestRateSweep:
     def test_desk_rates_match_golden_csv(self):
         # every scheme, hybrids included, against the committed desk sweep:
         # a change in the picked atoms or the SVD basis shows here
-        root = Path(__file__).resolve().parents[1]
-        config = load_config(str(root / "configs" / "desk_scale.yaml"))
+        _, rows = cli.run_rate_sweep(load_config(str(DESK)))
+        assert_matches_golden(rows, "desk_rate_sweep.csv", 35)
+
+    def test_spare_rf_rates_match_golden_csv(self):
+        # n_rf above ns on both sides, unequal: the asymptotic SVD baseband,
+        # the phase-extract pads and OMP's spare atoms, which the desk golden
+        # (n_rf = ns) never reaches
+        text = SMOKE.read_text().replace("n_rf_tx: 4", "n_rf_tx: 8").replace("n_rf_rx: 4", "n_rf_rx: 6")
+        config = parse_config(yaml.safe_load(text))
+        assert (config.n_rf_tx, config.n_rf_rx, config.rotation_deg) == (8, 6, (0.0, 20.0))
         _, rows = cli.run_rate_sweep(config)
-        _, golden = read_rows(root / "tests" / "data" / "desk_rate_sweep.csv")
-        assert len(rows) == len(golden) == 35
-        for row, gold in zip(rows, golden):
-            assert (row[0], row[1], row[2]) == (gold[0], float(gold[1]), float(gold[2]))
-            for got, want in zip(row[3:], gold[3:]):
-                assert abs(got - float(want)) <= 1e-9 * abs(float(want)), gold
+        assert_matches_golden(rows, "spare_rf_rate_sweep.csv", 30)
 
     @pytest.mark.parametrize("arrays", ["16", "15"])
     def test_rank_deficient_omp_combiner_gets_its_rate(self, tmp_path, arrays):

@@ -9,12 +9,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfocus import channel, scenario as scenario_module
-from beamfocus.beamforming import HybridBeamformer
+from beamfocus import beamforming, channel, cli, scenario as scenario_module, spectral
 from beamfocus.geometry import ArraySpec, LayoutKind, Side, build_layout
 from beamfocus.linalg import eig_hermitian
 from beamfocus.scenario import (
     LAYOUT_NAMES,
+    SCHEMES,
     ConfigError,
     Scenario,
     _centred_tx_gram,
@@ -23,7 +23,6 @@ from beamfocus.scenario import (
     parse_config,
     spectrum_data,
 )
-from beamfocus.spectral import rate
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -418,8 +417,8 @@ class TestScenario:
         scenario = Scenario(config, 0.0)
         for scheme in ("asymptotic-hybrid", "omp-hybrid", "phase-extract"):
             tx, rx = scenario.hybrid(scheme)
-            assert tx.analog.shape == (16, 4) and tx.n_rf == 4
-            assert rx.analog.shape == (16, 6) and rx.n_rf == 6
+            assert tx.analog.shape == (16, 4)
+            assert rx.analog.shape == (16, 6)
             assert 0.0 < scenario.rate(scheme, 1.0) <= scenario.rate("digital-uniform", 1.0) + 1e-9
 
     def test_asymptotic_hybrid_uses_spare_rf_chains(self):
@@ -431,19 +430,32 @@ class TestScenario:
             assert wide.rate("asymptotic-hybrid", snr) >= narrow.rate("asymptotic-hybrid", snr) + 0.5
             assert wide.rate("asymptotic-hybrid", snr) <= wide.rate("digital-wf", snr)
 
-    def test_hybrid_products_built_once_per_scenario(self, monkeypatch):
-        config = parse_config(cfg(n_rf_tx=4, n_rf_rx=6))
-        scenario = Scenario(config, 0.0)
-        calls = []
-        product = HybridBeamformer.product
-        monkeypatch.setattr(HybridBeamformer, "product", lambda bf: calls.append(1) or product(bf))
-        for scheme in ("asymptotic-hybrid", "omp-hybrid", "phase-extract"):
-            tx, rx = scenario.hybrid(scheme)
-            for snr in (0.1, 1.0, 10.0):
-                # bitwise equal to the products built on every call
-                expected = rate(scenario.h, 2.0 * product(tx), product(rx), snr, 4)
-                assert scenario.rate(scheme, snr) == expected
-        assert len(calls) == 3 * 2
+    def test_sweep_builds_each_stage_once_per_scenario(self, monkeypatch):
+        # 31 SNRs at each of two rotations: the channel, the digital SVD and
+        # every hybrid builder run once per scenario (OMP once per side)
+        calls = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(channel, "exact_channel")
+        for name in ("digital_svd", "asymptotic_hybrid", "omp_hybrid", "phase_extraction_hybrid"):
+            counting(beamforming, name)
+        config = parse_config(cfg(
+            n_rf_tx=8, n_rf_rx=6, snr_db=list(range(-10, 21)), rotation_deg=[0, 20], schemes=SCHEMES,
+        ))
+        _, rows = cli.run_rate_sweep(config)
+        assert len(rows) == 5 * 31 * 2
+        assert calls == {
+            "exact_channel": 2, "digital_svd": 2, "asymptotic_hybrid": 2,
+            "omp_hybrid": 4, "phase_extraction_hybrid": 2,
+        }
 
     def test_water_fill_beats_uniform_at_low_snr(self):
         config = parse_config(cfg())
@@ -475,6 +487,30 @@ class TestScenario:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        rotation=st.floats(0.0, 60.0),
+        n_rf_tx=st.integers(4, 16),
+        n_rf_rx=st.integers(4, 16),
+        snr_db=st.floats(-20.0, 30.0),
+    )
+    def test_every_rated_precoder_has_trace_ns(self, rotation, n_rf_tx, n_rf_rx, snr_db):
+        # the one transmit power rule, read off the precoders that reach the rate formula
+        scenario = Scenario(parse_config(cfg(n_rf_tx=n_rf_tx, n_rf_rx=n_rf_rx)), rotation)
+        seen = []
+        original = spectral.rate
+
+        def recording(h, f, w, snr, ns):
+            seen.append(np.linalg.norm(f) ** 2)
+            return original(h, f, w, snr, ns)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "rate", recording)
+            for scheme in SCHEMES:
+                scenario.rate(scheme, 10 ** (snr_db / 10))
+        assert len(seen) == len(SCHEMES)
+        assert np.abs(np.array(seen) - 4.0).max() <= 1e-12
 
 
 class TestSpectrumData:

@@ -265,14 +265,35 @@ class TestRate:
         one = np.eye(1, dtype=complex)
         assert abs(rate(one, one, one, 1.0, 1) - 1.0) <= 1e-12
 
-    def test_unitary_combiner_mixing_invariance(self):
-        rng = np.random.default_rng(32)
-        h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        f = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))[0]
-        w = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))[0]
-        base = rate(h, f, w, 2.0, 3)
-        mix = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-        assert abs(rate(h, f, w @ (mix * 0.2), 2.0, 3) - base) <= 1e-10
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        ns_pick=st.integers(1, 8),
+        log_cond=st.floats(0.0, 3.0),
+        log_snr=st.floats(-3.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unitary_combiner_mixing_invariance(self, n, m, ns_pick, log_cond, log_snr, seed):
+        # rate(h, F U, W M) == rate(h, F, W) for unitary U and invertible M:
+        # the rate depends on F F* and on the span of W only
+        rng = np.random.default_rng(seed)
+        ns = 1 + (ns_pick - 1) % min(n, m)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        h, f = cn(n, m), cn(m, ns)
+        w = np.linalg.qr(cn(n, ns))[0]
+        u = np.linalg.qr(cn(ns, ns))[0]
+        # M = P S R* with singular values spread over cond(M) = 10**log_cond
+        spread = np.logspace(0.0, -log_cond, ns)[rng.permutation(ns)]
+        mix = (np.linalg.qr(cn(ns, ns))[0] * spread) @ np.linalg.qr(cn(ns, ns))[0].conj().T
+        snr = 10.0**log_snr
+        base = rate(h, f, w, snr, ns)
+        # whitening W M loses about cond(M*M) * eps
+        cond = 10.0 ** (2 * log_cond) if ns > 1 else 1.0
+        assert abs(rate(h, f @ u, w @ mix, snr, ns) - base) <= (1e-12 + 1e-14 * cond) * base
 
     def test_rank_one_combiner_scored_on_its_range(self):
         # two equal columns: W spans e0 only, so P_W H F keeps the first row of F

@@ -13,12 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from beamfocus import channel, validation
+from beamfocus import validation
 from beamfocus.beamforming import dictionary_tx, omp_hybrid
-from beamfocus.channel import ChannelParams, fresnel_factors, gram, layout_pair, taylor_channel
+from beamfocus.channel import ChannelParams, fresnel_factors, gram, layout_pair
 from beamfocus.geometry import ArraySpec, Side, optimal_spacing
 from beamfocus.linalg import eig_hermitian
-from beamfocus.scenario import ArrayConfig, Scenario, ScenarioConfig
+from beamfocus.scenario import Scenario
 from beamfocus.spectral import dft_diag_quality, rate_upper_bound, transition_band, water_filling
 
 LAMBDA = 0.010707
@@ -29,79 +29,46 @@ def report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def desk_config(**overrides):
-    base = dict(
-        frequency_ghz=28.0,
-        distance_m=50.0,
-        tx=ArrayConfig(n_v=16, n_h=16),
-        rx=ArrayConfig(n_v=16, n_h=16),
-        ns=16,
-        ns_split=(4, 4),
-        n_rf_tx=16,
-        n_rf_rx=16,
-        snr_db=(-10.0, 0.0, 10.0),
-        schemes=("digital-uniform", "digital-wf", "asymptotic-hybrid", "omp-hybrid", "phase-extract"),
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
 @pytest.fixture(scope="module")
 def desk_scenario():
-    return Scenario(desk_config(), 0.0)
+    return Scenario(validation.desk_config(), 0.0)
 
 
 def test_criterion_01_channel_normalization():
     start = time.perf_counter()
     rng = np.random.default_rng(100)
-    worst = 0.0
+    links = []
     for _ in range(100):
-        spec_t = ArraySpec(
-            n_v=int(rng.integers(1, 5)), n_h=int(rng.integers(1, 5)),
-            d_v=float(rng.uniform(0.02, 0.4)), d_h=float(rng.uniform(0.02, 0.4)),
-            theta=float(rng.uniform(-0.7, 0.7)), phi=float(rng.uniform(-0.7, 0.7)),
-        )
-        spec_r = ArraySpec(
-            n_v=int(rng.integers(1, 5)), n_h=int(rng.integers(1, 5)),
-            d_v=float(rng.uniform(0.02, 0.4)), d_h=float(rng.uniform(0.02, 0.4)),
-            theta=float(rng.uniform(-0.7, 0.7)), phi=float(rng.uniform(-0.7, 0.7)),
+        spec_t, spec_r = (
+            ArraySpec(
+                n_v=int(rng.integers(1, 5)), n_h=int(rng.integers(1, 5)),
+                d_v=float(rng.uniform(0.02, 0.4)), d_h=float(rng.uniform(0.02, 0.4)),
+                theta=float(rng.uniform(-0.7, 0.7)), phi=float(rng.uniform(-0.7, 0.7)),
+            )
+            for _ in range(2)
         )
         dist = float(rng.uniform(5.0, 120.0))
         lam = float(rng.uniform(0.004, 0.02))
-        tx, rx = layout_pair(spec_t, spec_r, dist)
-        h = channel.exact_channel(tx, rx, ChannelParams(wavelength=lam, distance=dist))
-        worst = max(worst, abs(np.linalg.norm(h) ** 2 - h.size) / h.size)
+        links.append((spec_t, spec_r, ChannelParams(wavelength=lam, distance=dist)))
+    check = validation.check_channel_normalization(links=links)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 5.0
-    report(1, ok, f"worst |H|_F^2 deviation {worst:.2e} over 100 geometries ({elapsed:.2f} s)")
-    assert worst <= 1e-9
+    ok = check.passed and elapsed < 5.0
+    report(1, ok, f"{check.detail} over 100 geometries ({elapsed:.2f} s)")
+    assert check.passed
     assert elapsed < 5.0
 
 
 def test_criterion_02_fresnel_identity():
     start = time.perf_counter()
-    sol = optimal_spacing(16, 16, 4, LAMBDA, 50.0)
-    spec = ArraySpec(n_v=16, n_h=16, d_v=sol.d_t, d_h=sol.d_t, theta=0.3, phi=-0.2)
-    params = ChannelParams(wavelength=LAMBDA, distance=50.0)
-    tx, rx = layout_pair(spec, spec, 50.0)
-    cs = fresnel_factors(tx, rx, params)
-    gap = float(np.abs(cs.recompose() - taylor_channel(tx, rx, params)).max())
-
-    sol8 = optimal_spacing(8, 8, 2, LAMBDA, 50.0)
-    spec8 = ArraySpec(n_v=8, n_h=8, d_v=sol8.d_t, d_h=sol8.d_t)
-    gaps = []
-    for dist in (25.0, 50.0, 100.0):
-        p = ChannelParams(wavelength=LAMBDA, distance=dist)
-        t8, r8 = layout_pair(spec8, spec8, dist)
-        h8 = channel.exact_channel(t8, r8, p)
-        w_exact = eig_hermitian(gram(h8, Side.TX)).values
-        w_tilde = eig_hermitian(gram(fresnel_factors(t8, r8, p).h_tilde, Side.TX)).values
-        gaps.append(float(np.abs(w_exact - w_tilde).max()) / h8.size)
+    recomposition = validation.check_fresnel_recomposition(
+        link=validation.square_link(side=16, ns_axis=4, wavelength=LAMBDA, theta=0.3, phi=-0.2)
+    )
+    monotone = validation.check_fresnel_gap_monotone(link=validation.square_link(wavelength=LAMBDA))
     elapsed = time.perf_counter() - start
-    ok = gap <= 1e-10 and gaps[0] > gaps[1] > gaps[2] and elapsed < 10.0
-    report(2, ok, f"recomposition gap {gap:.2e}, spectrum gaps {[f'{g:.2e}' for g in gaps]} ({elapsed:.2f} s)")
-    assert gap <= 1e-10
-    assert gaps[0] > gaps[1] > gaps[2]
+    ok = recomposition.passed and monotone.passed and elapsed < 10.0
+    report(2, ok, f"recomposition {recomposition.detail}, spectrum {monotone.detail} ({elapsed:.2f} s)")
+    assert recomposition.passed
+    assert monotone.passed
     assert elapsed < 10.0
 
 
@@ -169,34 +136,14 @@ def test_criterion_04_rate_bound(desk_scenario):
     assert elapsed < 30.0
 
 
-@pytest.fixture(scope="module")
-def desk_hybrid_rates(desk_scenario):
-    rates = {}
-    for snr_db in (-10.0, 0.0, 10.0):
-        snr = 10 ** (snr_db / 10.0)
-        rates[snr_db] = {
-            scheme: desk_scenario.rate(scheme, snr)
-            for scheme in ("digital-uniform", "omp-hybrid", "phase-extract", "asymptotic-hybrid")
-        }
-    return rates
-
-
-def test_criterion_05_hybrid_ordering(desk_hybrid_rates):
+def test_criterion_05_hybrid_ordering(desk_scenario):
     start = time.perf_counter()
-    ok = True
-    lines = []
-    for snr_db, r in desk_hybrid_rates.items():
-        ok &= r["omp-hybrid"] >= r["phase-extract"] - 1e-9
-        for scheme in ("omp-hybrid", "phase-extract", "asymptotic-hybrid"):
-            ok &= r[scheme] <= r["digital-uniform"] + 1e-9
-        lines.append(f"{snr_db:+.0f}dB omp {r['omp-hybrid']:.1f} pe {r['phase-extract']:.1f} "
-                     f"dig {r['digital-uniform']:.1f}")
+    check = validation.check_hybrid_dominance(
+        scenario=desk_scenario, snrs=tuple(10 ** (snr_db / 10.0) for snr_db in (-10.0, 0.0, 10.0))
+    )
     elapsed = time.perf_counter() - start
-    report(5, ok, "; ".join(lines) + f" ({elapsed:.2f} s)")
-    for snr_db, r in desk_hybrid_rates.items():
-        assert r["omp-hybrid"] >= r["phase-extract"] - 1e-9
-        for scheme in ("omp-hybrid", "phase-extract", "asymptotic-hybrid"):
-            assert r[scheme] <= r["digital-uniform"] + 1e-9
+    report(5, check.passed, f"-10/0/+10 dB: {check.detail} ({elapsed:.2f} s)")
+    assert check.passed
     assert elapsed < 120.0
 
 
@@ -206,16 +153,15 @@ def test_criterion_05_hybrid_ordering(desk_hybrid_rates):
     "~0.885 of the digital benchmark on 16x16 grids at 0 dB; the 0.9 target is "
     "reached only from ~20x20 grids upward (measured 0.904 at 20x20, 0.918 at 24x24)",
 )
-def test_criterion_05_omp_fraction_of_digital(desk_hybrid_rates):
-    r = desk_hybrid_rates[0.0]
-    ratio = r["omp-hybrid"] / r["digital-uniform"]
+def test_criterion_05_omp_fraction_of_digital(desk_scenario):
+    ratio = desk_scenario.rate("omp-hybrid", 1.0) / desk_scenario.rate("digital-uniform", 1.0)
     report("5-omp-ratio", ratio >= 0.9, f"omp/digital at 0 dB = {ratio:.4f} (target >= 0.9)")
     assert ratio >= 0.9
 
 
 def test_criterion_06_spacing_dominance(desk_scenario):
     start = time.perf_counter()
-    half = Scenario(desk_config(spacing_mode="half-wavelength"), 0.0)
+    half = Scenario(validation.desk_config(spacing_mode="half-wavelength"), 0.0)
     r_opt = desk_scenario.rate("digital-uniform", 1.0)
     r_half = half.rate("digital-uniform", 1.0)
     elapsed = time.perf_counter() - start
@@ -228,7 +174,7 @@ def test_criterion_06_spacing_dominance(desk_scenario):
 
 def test_criterion_07_rotation_invariance():
     start = time.perf_counter()
-    config = desk_config()
+    config = validation.desk_config()
     rates = {}
     fresnel_err = {}
     for deg in (0.0, 10.0, 20.0, 30.0, 40.0):
@@ -251,7 +197,7 @@ def test_criterion_07_rotation_invariance():
 
 def test_criterion_08_aperture_knee():
     start = time.perf_counter()
-    config = desk_config()
+    config = validation.desk_config()
     rates = {}
     for scale in (0.25, 0.5, 0.75, 1.0, 1.5):
         rates[scale] = Scenario(config, 0.0, spacing_scale=scale).rate("digital-uniform", 1.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamfocus import validation
 from beamfocus.beamforming import dictionary_rx, dictionary_tx
 from beamfocus.channel import (
     ChannelParams,
@@ -17,20 +18,11 @@ from beamfocus.channel import (
     layout_pair,
     prolate_matrix,
     quadratic_phase,
-    taylor_channel,
 )
-from beamfocus.geometry import ArraySpec, LayoutKind, Side, build_layout, optimal_spacing
+from beamfocus.geometry import ArraySpec, LayoutKind, Side, optimal_spacing
 from beamfocus.linalg import dft_matrix, kron
 
 LAMBDA_28GHZ = 299_792_458.0 / 28e9
-
-
-def desk_pair(side=8, ns_axis=2, dist=50.0, lam=LAMBDA_28GHZ, theta=0.0, phi=0.0):
-    sol = optimal_spacing(side, side, ns_axis, lam, dist)
-    spec = ArraySpec(n_v=side, n_h=side, d_v=sol.d_t, d_h=sol.d_t, theta=theta, phi=phi)
-    params = ChannelParams(wavelength=lam, distance=dist)
-    tx, rx = layout_pair(spec, spec, dist)
-    return spec, tx, rx, params
 
 
 class TestExactChannel:
@@ -52,15 +44,14 @@ class TestExactChannel:
 
     def test_frobenius_norm_is_element_count(self):
         rng = np.random.default_rng(21)
+        links = []
         for _ in range(10):
             spec_t = ArraySpec(n_v=2, n_h=1, d_v=float(rng.uniform(0.05, 0.3)), d_h=0.1,
                                theta=float(rng.uniform(-0.5, 0.5)), phi=float(rng.uniform(-0.5, 0.5)))
             spec_r = ArraySpec(n_v=1, n_h=2, d_v=0.1, d_h=float(rng.uniform(0.05, 0.3)))
             dist = float(rng.uniform(5.0, 80.0))
-            tx, rx = layout_pair(spec_t, spec_r, dist)
-            h = exact_channel(tx, rx, ChannelParams(wavelength=0.0107, distance=dist))
-            assert abs(np.linalg.norm(h) ** 2 - h.size) <= 1e-12 * h.size
-            assert np.abs(np.abs(h) - 1.0).max() <= 1e-12
+            links.append((spec_t, spec_r, ChannelParams(wavelength=0.0107, distance=dist)))
+        assert validation.check_channel_normalization(links=links).passed
 
     def test_matches_pairwise_distance_formula(self):
         spec_t = ArraySpec(n_v=3, n_h=5, d_v=0.07, d_h=0.11, theta=0.3, phi=-0.4)
@@ -83,13 +74,12 @@ class TestFresnelFactors:
         assert abs(cs.recompose()[0, 0] - exact_channel(tx, rx, params)[0, 0]) <= 1e-9
 
     def test_recomposition_matches_taylor_expansion(self):
-        _, tx, rx, params = desk_pair(side=4, ns_axis=2, theta=0.3, phi=-0.2)
-        cs = fresnel_factors(tx, rx, params)
-        assert np.abs(cs.recompose() - taylor_channel(tx, rx, params)).max() <= 1e-10
+        link = validation.square_link(side=4, theta=0.3, phi=-0.2)
+        assert validation.check_fresnel_recomposition(link=link).passed
 
     def test_unit_modulus_factors(self):
-        _, tx, rx, params = desk_pair(side=4)
-        cs = fresnel_factors(tx, rx, params)
+        spec, _, params = validation.square_link(side=4)
+        cs = fresnel_factors(*layout_pair(spec, spec, params.distance), params)
         for arr in (cs.h_tilde, cs.d_t, cs.d_r):
             assert np.abs(np.abs(arr) - 1.0).max() <= 1e-12
 
@@ -135,9 +125,7 @@ def link_geometries(draw):
     dist = draw(st.floats(10.0, 100.0))
     spec_t = draw(array_specs(theta, phi, kind))
     spec_r = draw(array_specs(theta, phi, kind))
-    tx = build_layout(spec_t, Side.TX, dist)
-    rx = build_layout(spec_r, Side.RX, dist)
-    return tx, rx, ChannelParams(wavelength=LAMBDA_28GHZ, distance=dist)
+    return spec_t, spec_r, ChannelParams(wavelength=LAMBDA_28GHZ, distance=dist)
 
 
 class TestQuadraticPhaseProperties:
@@ -145,18 +133,16 @@ class TestQuadraticPhaseProperties:
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(link_geometries())
-    def test_factors_recompose_taylor_channel(self, geometry):
-        tx, rx, params = geometry
-        cs = fresnel_factors(tx, rx, params)
-        assert np.abs(cs.recompose() - taylor_channel(tx, rx, params)).max() <= 1e-10
+    def test_factors_recompose_taylor_channel(self, link):
+        assert validation.check_fresnel_recomposition(link=link).passed
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(link_geometries())
-    def test_dictionaries_are_unitary_twisted_dfts(self, geometry):
-        tx, rx, params = geometry
+    def test_dictionaries_are_unitary_twisted_dfts(self, link):
+        assert validation.check_dictionary_unitarity(link=link).passed
+        spec_t, spec_r, params = link
+        tx, rx = layout_pair(spec_t, spec_r, params.distance)
         for layout, dic in ((tx, dictionary_tx(tx, params).dense()), (rx, dictionary_rx(rx, params).dense())):
-            eye = np.eye(layout.count)
-            assert np.abs(dic.conj().T @ dic - eye).max() <= 1e-10
             f2h = kron(dft_matrix(layout.n_v), dft_matrix(layout.n_h)).conj().T
             # every column carries the same twist, conj of the side's diagonal
             twist = dic / f2h
@@ -173,10 +159,7 @@ class TestKronFactorChannel:
         assert np.allclose(h_linh, [[1.0]])
 
     def test_kron_equals_core(self):
-        spec, tx, rx, params = desk_pair(side=4)
-        cs = fresnel_factors(tx, rx, params)
-        h_linv, h_linh = kron_factor_channel(spec, spec, params)
-        assert np.abs(kron(h_linv, h_linh) - cs.h_tilde).max() <= 1e-12
+        assert validation.check_kron_factorization(link=validation.square_link(side=4)).passed
 
     def test_vertical_only_array(self):
         lam = LAMBDA_28GHZ
@@ -221,10 +204,7 @@ class TestKronFactorProperties:
     def test_kron_equals_core_at_any_tilt(self, link):
         # the parallelogram keeps the xy grid at every tilt, so the spec's
         # spacing x index formula must reproduce the realized layout's core
-        spec_t, spec_r, params = link
-        tx, rx = layout_pair(spec_t, spec_r, params.distance)
-        h_tilde = fresnel_factors(tx, rx, params).h_tilde
-        assert np.abs(kron(*kron_factor_channel(spec_t, spec_r, params)) - h_tilde).max() <= 1e-12
+        assert validation.check_kron_factorization(link=link).passed
 
 
 class TestGram:
@@ -241,25 +221,10 @@ class TestGram:
         assert g_rx.shape == (6, 6)
 
     def test_parallel_gram_kron_identity(self):
-        spec, tx, rx, params = desk_pair(side=4)
-        cs = fresnel_factors(tx, rx, params)
-        h_linv, h_linh = kron_factor_channel(spec, spec, params)
-        lhs = gram(cs.h_tilde, Side.TX)
-        rhs = kron(gram(h_linv, Side.TX), gram(h_linh, Side.TX))
-        assert np.abs(lhs - rhs).max() <= 1e-9
+        assert validation.check_gram_kron(link=validation.square_link(side=4)).passed
 
     def test_doubly_block_toeplitz_scan(self):
-        spec, tx, rx, params = desk_pair(side=4, theta=0.0)
-        g = gram(fresnel_factors(tx, rx, params).h_tilde, Side.TX)
-        n_h = spec.n_h
-        seen = {}
-        for i in range(g.shape[0]):
-            for k in range(g.shape[1]):
-                lag = (i // n_h - k // n_h, i % n_h - k % n_h)
-                if lag in seen:
-                    assert abs(g[i, k] - seen[lag]) <= 1e-10
-                else:
-                    seen[lag] = g[i, k]
+        assert validation.check_doubly_block_toeplitz(link=validation.square_link(side=4)).passed
 
 
 class TestProlateMatrix:
@@ -298,15 +263,7 @@ class TestProlateMatrix:
         assert abs(b[dim - 1, 0] - fd) <= 1e-9 if d0 > 0 else abs(b[0, dim - 1] - fd) <= 1e-9
 
     def test_gain_matrix_is_scaled_prolate(self):
-        spec, _, _, params = desk_pair(side=8, ns_axis=2)
-        h_linv, _ = kron_factor_channel(spec, spec, params)
-        g = gram(h_linv, Side.TX)
-        n = spec.n_v
-        delta = spec.d_v * spec.d_v * n / (params.wavelength * params.distance)
-        b = prolate_matrix(n / delta, n - 1, n)
-        lag = np.arange(n)[:, None] - np.arange(n)[None, :]
-        phase = np.exp(-1j * np.pi * delta * lag * (n - 1) / n)
-        assert np.abs(g - phase * (n / delta) * b).max() <= 1e-10
+        assert validation.check_prolate_scaling(link=validation.square_link(side=8, ns_axis=2)).passed
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

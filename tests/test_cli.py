@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line harness and its CSV contracts."""
 
+import dataclasses
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,7 @@ import pytest
 import yaml
 
 import beamfocus
-from beamfocus import channel, cli, validation
-from beamfocus.geometry import ArraySpec, optimal_spacing
+from beamfocus import beamforming, channel, cli, spectral, validation
 from beamfocus.scenario import load_config, parse_config
 
 SMALL_YAML = """\
@@ -353,25 +354,67 @@ class TestApertureSweep:
         assert not out.exists()
 
 
+def _taper(a):
+    """Scale a's columns by 1 to 1.001: no longer unitary, orthonormal or Toeplitz-Gram."""
+    return a * np.linspace(1.0, 1.001, a.shape[1])
+
+
+# one corruption per check, keyed by the name it reports, in ALL_CHECKS order: the
+# library function to break and how its result changes, then the case to pass ({}: default)
+CORRUPTIONS = {
+    "channel-normalization": (channel, "exact_channel", lambda h: 1.001 * h, {}),
+    "fresnel-recomposition": (
+        channel, "fresnel_factors", lambda cs: dataclasses.replace(cs, d_t=-cs.d_t), {}
+    ),
+    "fresnel-gap-monotone": ({"distances": (100.0, 50.0, 25.0)},),
+    "kron-factorization": (channel, "kron_factor_channel", lambda f: (2.0 * f[0], f[1]), {}),
+    "gram-kron-identity": (channel, "kron_factor_channel", lambda f: (2.0 * f[0], f[1]), {}),
+    "doubly-block-toeplitz": (
+        channel, "fresnel_factors", lambda cs: dataclasses.replace(cs, h_tilde=_taper(cs.h_tilde)), {}
+    ),
+    "prolate-scaling": (channel, "prolate_matrix", lambda b: 1.001 * b, {}),
+    "dft-unitarity": (validation, "dft_matrix", lambda f: 1.001 * f, {}),
+    # a twist off the unit circle
+    "dictionary-unitarity": (beamforming, "quadratic_phase", lambda d: 1.001 * d, {}),
+    # KKT-consistent but for the sign: the level sits below the dry channel's floor
+    "water-filling-kkt": (
+        spectral, "water_filling", lambda _: spectral.PowerAllocation(np.array([2.5, -0.5]), 2.75),
+        {"spectra": [(np.array([4.0, 0.01]), 2.0, 1.0)]},
+    ),
+    "rate-eigsum-identity": (spectral, "rate", lambda r: r + 1e-6, {}),
+    "combiner-scale-invariance": ({"unitary": 2.0 * np.eye(4)},),
+    "hybrid-dominance": (
+        {"scenario": types.SimpleNamespace(rate=lambda scheme, snr: 2.0 if scheme == "omp-hybrid" else 1.0)},
+    ),
+    "eigen-reconstruction": (
+        validation, "eig_hermitian", lambda e: dataclasses.replace(e, vectors=_taper(e.vectors)), {}
+    ),
+}
+CHECK_NAMES = tuple(CORRUPTIONS)
+
+
 class TestValidate:
     def test_fresh_build_passes(self, capsys):
         assert cli.main(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") >= 10
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in CHECK_NAMES]
+        assert lines[-1].startswith("14/14 invariants passed")
 
-    def test_mutated_phase_factor_fails_recomposition(self):
-        lam = 299_792_458.0 / 28e9
-        sol = optimal_spacing(8, 8, 2, lam, 50.0)
-        spec = ArraySpec(n_v=8, n_h=8, d_v=sol.d_t, d_h=sol.d_t)
-        params = channel.ChannelParams(wavelength=lam, distance=50.0)
-        tx, rx = channel.layout_pair(spec, spec, 50.0)
-        cs = channel.fresnel_factors(tx, rx, params)
-        clean = validation.check_fresnel_recomposition(cs)
-        assert clean.passed
-        mutated = channel.ChannelSet(h_tilde=cs.h_tilde, d_t=-cs.d_t, d_r=cs.d_r)
-        broken = validation.check_fresnel_recomposition(mutated)
-        assert not broken.passed
+    def test_every_check_is_in_all_checks(self):
+        defined = {fn for name, fn in vars(validation).items() if name.startswith("check_")}
+        assert defined == set(validation.ALL_CHECKS)
+        assert len(validation.ALL_CHECKS) == len(CHECK_NAMES) == 14
+
+    @pytest.mark.parametrize("check, name", zip(validation.ALL_CHECKS, CHECK_NAMES), ids=CHECK_NAMES)
+    def test_corrupted_input_fails(self, check, name, monkeypatch):
+        *patch, case = CORRUPTIONS[name]
+        if patch:
+            owner, attr, change = patch
+            original = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *args: change(original(*args)))
+        result = check(**case)
+        assert result.name == name
+        assert result.passed is False
 
     def test_failure_exit_code_via_injected_result(self, monkeypatch, capsys):
         fake = [validation.CheckResult(name="synthetic", passed=False, detail="forced")]

@@ -20,6 +20,7 @@ from beamfocus.linalg import (
     least_squares,
     svd,
 )
+from beamfocus.validation import check_dft_unitarity, check_eigen_reconstruction
 
 
 def random_hermitian(rng, n):
@@ -61,12 +62,7 @@ class TestEigHermitian:
             assert abs(spec.values.sum() - np.trace(a).real) <= 1e-8 * abs(np.trace(a).real) + 1e-12
 
     def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(4)
-        a = random_hermitian(rng, 24)
-        spec = eig_hermitian(a)
-        recon = spec.vectors @ np.diag(spec.values) @ spec.vectors.conj().T
-        assert np.linalg.norm(recon - a) / np.linalg.norm(a) <= 1e-8
-        assert np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(24)).max() <= 1e-9
+        assert check_eigen_reconstruction(seed=4, size=24).passed
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(5)
@@ -424,8 +420,7 @@ class TestDftMatrix:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 16, 256])
     def test_unitary(self, k):
-        f = dft_matrix(k)
-        assert np.abs(f.conj().T @ f - np.eye(k)).max() <= 1e-12
+        assert check_dft_unitarity(sizes=(k,)).passed
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

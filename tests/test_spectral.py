@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfocus import linalg, spectral
+from beamfocus import linalg, spectral, validation
 from beamfocus.channel import ChannelParams, fresnel_factors, gram, layout_pair
 from beamfocus.geometry import ArraySpec, Side, optimal_spacing
 from beamfocus.linalg import EigenSpectrum, eig_hermitian
@@ -152,25 +152,14 @@ class TestWaterFilling:
 
     def test_kkt_on_random_spectra(self):
         rng = np.random.default_rng(31)
+        spectra = []
         for _ in range(100):
             n = int(rng.integers(1, 10))
             lam = np.sort(rng.uniform(0.0, 5.0, n))[::-1]
             if lam.max() == 0:
                 lam[0] = 1.0
-            p_total = float(rng.uniform(0.05, 8.0))
-            g = float(rng.uniform(0.1, 10.0))
-            alloc = water_filling(lam, p_total, g)
-            assert abs(alloc.powers.sum() - p_total) <= 1e-9
-            assert np.all(alloc.powers >= 0.0)
-            for lam_i, p_i in zip(lam, alloc.powers):
-                if lam_i == 0:
-                    assert p_i == 0.0
-                    continue
-                floor = 1.0 / (g * lam_i)
-                if p_i > 0:
-                    assert abs(alloc.water_level - floor - p_i) <= 1e-9
-                else:
-                    assert alloc.water_level <= floor + 1e-9
+            spectra.append((lam, float(rng.uniform(0.05, 8.0)), float(rng.uniform(0.1, 10.0))))
+        assert validation.check_water_filling_kkt(spectra=spectra).passed
 
 
     @pytest.mark.parametrize(
@@ -275,8 +264,6 @@ class TestRate:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_unitary_combiner_mixing_invariance(self, n, m, ns_pick, log_cond, log_snr, seed):
-        # rate(h, F U, W M) == rate(h, F, W) for unitary U and invertible M:
-        # the rate depends on F F* and on the span of W only
         rng = np.random.default_rng(seed)
         ns = 1 + (ns_pick - 1) % min(n, m)
 
@@ -289,11 +276,9 @@ class TestRate:
         # M = P S R* with singular values spread over cond(M) = 10**log_cond
         spread = np.logspace(0.0, -log_cond, ns)[rng.permutation(ns)]
         mix = (np.linalg.qr(cn(ns, ns))[0] * spread) @ np.linalg.qr(cn(ns, ns))[0].conj().T
-        snr = 10.0**log_snr
-        base = rate(h, f, w, snr, ns)
-        # whitening W M loses about cond(M*M) * eps
-        cond = 10.0 ** (2 * log_cond) if ns > 1 else 1.0
-        assert abs(rate(h, f @ u, w @ mix, snr, ns) - base) <= (1e-12 + 1e-14 * cond) * base
+        assert validation.check_combiner_scale_invariance(
+            h=h, precoder=f, combiner=w, unitary=u, mix=mix, snr=10.0**log_snr
+        ).passed
 
     def test_rank_one_combiner_scored_on_its_range(self):
         # two equal columns: W spans e0 only, so P_W H F keeps the first row of F
@@ -354,17 +339,9 @@ class TestRate:
             rate(h, h[:, :2], h, 1.0, 3)
 
     def test_top_singular_vectors_give_eigsum_rate(self):
-        from beamfocus.linalg import svd
-
         rng = np.random.default_rng(33)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        res = svd(h)
-        ns = 3
-        f = res.right[:, :ns]
-        w = res.left[:, :ns]
-        for snr in (0.5, 1.0, 4.0):
-            expected = float(np.log2(1.0 + snr * res.singular_values[:ns] ** 2 / ns).sum())
-            assert abs(rate(h, f, w, snr, ns) - expected) <= 1e-9
+        assert validation.check_rate_eigsum_identity(h=h, ns=3, snrs=(0.5, 1.0, 4.0)).passed
 
 
     @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])

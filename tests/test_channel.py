@@ -221,7 +221,7 @@ class TestGram:
         assert g_rx.shape == (6, 6)
 
     def test_parallel_gram_kron_identity(self):
-        assert validation.check_gram_kron(link=validation.square_link(side=4)).passed
+        assert validation.check_gram_kron_identity(link=validation.square_link(side=4)).passed
 
     def test_doubly_block_toeplitz_scan(self):
         assert validation.check_doubly_block_toeplitz(link=validation.square_link(side=4)).passed

@@ -359,60 +359,95 @@ def _taper(a):
     return a * np.linspace(1.0, 1.001, a.shape[1])
 
 
-# one corruption per check, keyed by the name it reports, in ALL_CHECKS order: the
-# library function to break and how its result changes, then the case to pass ({}: default)
+def _poison(a):
+    """a with its last entry NaN."""
+    return np.append(a.ravel()[:-1], np.nan).reshape(a.shape)
+
+
+def _field(name, change):
+    """A corruption that passes a dataclass result's field ``name`` through ``change``."""
+    return lambda result, *_: dataclasses.replace(result, **{name: change(getattr(result, name))})
+
+
+# one corruption per check, keyed by the name it reports, in run_all order: the case to pass
+# ({}: default), then the library function to break and how its result changes (given its arguments)
 CORRUPTIONS = {
-    "channel-normalization": (channel, "exact_channel", lambda h: 1.001 * h, {}),
-    "fresnel-recomposition": (
-        channel, "fresnel_factors", lambda cs: dataclasses.replace(cs, d_t=-cs.d_t), {}
+    "channel-normalization": ({}, channel, "exact_channel", lambda h, *_: 1.001 * h),
+    "fresnel-recomposition": ({}, channel, "fresnel_factors", _field("d_t", np.negative)),
+    # a core that grows with distance, so its gap to the exact spectrum does too
+    "fresnel-gap-monotone": (
+        {}, channel, "fresnel_factors",
+        lambda cs, tx, rx, params: dataclasses.replace(cs, h_tilde=cs.h_tilde * params.distance),
     ),
-    "fresnel-gap-monotone": ({"distances": (100.0, 50.0, 25.0)},),
-    "kron-factorization": (channel, "kron_factor_channel", lambda f: (2.0 * f[0], f[1]), {}),
-    "gram-kron-identity": (channel, "kron_factor_channel", lambda f: (2.0 * f[0], f[1]), {}),
-    "doubly-block-toeplitz": (
-        channel, "fresnel_factors", lambda cs: dataclasses.replace(cs, h_tilde=_taper(cs.h_tilde)), {}
-    ),
-    "prolate-scaling": (channel, "prolate_matrix", lambda b: 1.001 * b, {}),
-    "dft-unitarity": (validation, "dft_matrix", lambda f: 1.001 * f, {}),
+    "kron-factorization": ({}, channel, "kron_factor_channel", lambda f, *_: (2.0 * f[0], f[1])),
+    "gram-kron-identity": ({}, channel, "kron_factor_channel", lambda f, *_: (2.0 * f[0], f[1])),
+    "doubly-block-toeplitz": ({}, channel, "fresnel_factors", _field("h_tilde", _taper)),
+    "prolate-scaling": ({}, channel, "prolate_matrix", lambda b, *_: 1.001 * b),
+    "dft-unitarity": ({}, validation, "dft_matrix", lambda f, *_: 1.001 * f),
     # a twist off the unit circle
-    "dictionary-unitarity": (beamforming, "quadratic_phase", lambda d: 1.001 * d, {}),
+    "dictionary-unitarity": ({}, beamforming, "quadratic_phase", lambda d, *_: 1.001 * d),
     # KKT-consistent but for the sign: the level sits below the dry channel's floor
     "water-filling-kkt": (
-        spectral, "water_filling", lambda _: spectral.PowerAllocation(np.array([2.5, -0.5]), 2.75),
         {"spectra": [(np.array([4.0, 0.01]), 2.0, 1.0)]},
+        spectral, "water_filling", lambda *_: spectral.PowerAllocation(np.array([2.5, -0.5]), 2.75),
     ),
-    "rate-eigsum-identity": (spectral, "rate", lambda r: r + 1e-6, {}),
+    "rate-eigsum-identity": ({}, spectral, "rate", lambda r, *_: r + 1e-6),
     "combiner-scale-invariance": ({"unitary": 2.0 * np.eye(4)},),
     "hybrid-dominance": (
         {"scenario": types.SimpleNamespace(rate=lambda scheme, snr: 2.0 if scheme == "omp-hybrid" else 1.0)},
     ),
-    "eigen-reconstruction": (
-        validation, "eig_hermitian", lambda e: dataclasses.replace(e, vectors=_taper(e.vectors)), {}
-    ),
+    "eigen-reconstruction": ({}, validation, "eig_hermitian", _field("vectors", _taper)),
 }
-CHECK_NAMES = tuple(CORRUPTIONS)
+
+# one NaN in what each check that takes a worst case judges
+NAN_CORRUPTIONS = {
+    "channel-normalization": ({}, channel, "exact_channel", lambda h, *_: _poison(h)),
+    "doubly-block-toeplitz": ({}, channel, "fresnel_factors", _field("h_tilde", _poison)),
+    "dft-unitarity": ({}, validation, "dft_matrix", lambda f, *_: _poison(f)),
+    # in the RX dictionary only, after a TX one that passes
+    "dictionary-unitarity": (
+        {}, beamforming, "dictionary_rx",
+        lambda dic, *_: types.SimpleNamespace(dense=lambda: _poison(dic.dense())),
+    ),
+    # on the dry channel, where a NaN read as zero power would meet the KKT conditions
+    "water-filling-kkt": (
+        {"spectra": [(np.array([4.0, 0.01]), 2.0, 1.0)]}, spectral, "water_filling", _field("powers", _poison)
+    ),
+    "rate-eigsum-identity": ({}, spectral, "rate", lambda *_: np.nan),
+}
+
+
+def _check(name):
+    return getattr(validation, "check_" + name.replace("-", "_"))
 
 
 class TestValidate:
     def test_fresh_build_passes(self, capsys):
         assert cli.main(["validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in CHECK_NAMES]
+        assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in CORRUPTIONS]
         assert lines[-1].startswith("14/14 invariants passed")
 
-    def test_every_check_is_in_all_checks(self):
-        defined = {fn for name, fn in vars(validation).items() if name.startswith("check_")}
-        assert defined == set(validation.ALL_CHECKS)
-        assert len(validation.ALL_CHECKS) == len(CHECK_NAMES) == 14
+    def test_run_all_runs_every_check_once(self, monkeypatch):
+        defined = [name for name in vars(validation) if name.startswith("check_")]
+        expected = [_check(name).__name__ for name in CORRUPTIONS]
+        called = []
+        for name in defined:
+            monkeypatch.setattr(validation, name, lambda name=name, **_: called.append(name))
+        validation.run_all()
+        assert called == defined == expected
 
-    @pytest.mark.parametrize("check, name", zip(validation.ALL_CHECKS, CHECK_NAMES), ids=CHECK_NAMES)
-    def test_corrupted_input_fails(self, check, name, monkeypatch):
-        *patch, case = CORRUPTIONS[name]
+    @pytest.mark.parametrize("table, name", [
+        pytest.param(table, name, id=name + tag)
+        for table, tag in ((CORRUPTIONS, ""), (NAN_CORRUPTIONS, "-nan")) for name in table
+    ])
+    def test_corrupted_input_fails(self, table, name, monkeypatch):
+        case, *patch = table[name]
         if patch:
             owner, attr, change = patch
             original = getattr(owner, attr)
-            monkeypatch.setattr(owner, attr, lambda *args: change(original(*args)))
-        result = check(**case)
+            monkeypatch.setattr(owner, attr, lambda *args: change(original(*args), *args))
+        result = _check(name)(**case)
         assert result.name == name
         assert result.passed is False
 

@@ -62,7 +62,7 @@ class TestEigHermitian:
             assert abs(spec.values.sum() - np.trace(a).real) <= 1e-8 * abs(np.trace(a).real) + 1e-12
 
     def test_reconstruction_and_orthonormality(self):
-        assert check_eigen_reconstruction(seed=4, size=24).passed
+        assert check_eigen_reconstruction(seed=4).passed
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(5)

@@ -39,15 +39,12 @@ from .linalg import (
     active_backend,
     dft_matrix,
     eig_hermitian,
-    kron,
     least_squares,
     svd,
 )
 from .scenario import Scenario, ScenarioConfig, load_config
 from .spectral import (
-    ClusterReport,
     PowerAllocation,
-    cluster_report,
     dft_diag_quality,
     rate,
     rate_upper_bound,

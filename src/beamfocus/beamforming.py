@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelParams, quadratic_phase
 from .geometry import AntennaLayout, Side
-from .linalg import SVD_RANK_RTOL, SvdResult, dft_matrix, kron, least_squares, svd
+from .linalg import SVD_RANK_RTOL, SvdResult, dft_matrix, least_squares, svd
 
 # digital beamformer entries this far below their column's largest are
 # rounding noise (exact zeros by the array symmetry), so they get phase 0
@@ -100,7 +100,7 @@ class TwistedDft:
 
     def dense(self) -> np.ndarray:
         """The full N x N matrix, for checks on small arrays only."""
-        return self.twist[:, None] * kron(self.f_v, self.f_h).conj().T
+        return self.twist[:, None] * np.kron(self.f_v, self.f_h).conj().T
 
 
 def _twisted_dft(layout: AntennaLayout, params: ChannelParams, side: Side) -> TwistedDft:

@@ -93,9 +93,28 @@ class SpacingSolution:
     achieved_streams: int
 
 
-def stream_floor(x: float) -> int:
-    """Floor with a nudge for arguments designed to land on integer edges."""
-    return int(math.floor(x + FLOOR_NUDGE))
+def spacing_ratio(
+    d_t: float, d_r: float, n_i: int, m_i: int, wavelength: float, distance: float
+) -> float:
+    """delta = d_t d_r max(n_i, m_i) / (lambda D), one axis's spacing ratio."""
+    return d_t * d_r * max(n_i, m_i) / (wavelength * distance)
+
+
+def axis_streams(delta: float, n_i: int, m_i: int) -> int:
+    """Streams one axis supports at spacing ratio delta: 2 floor(delta min(n_i, m_i) / 2)."""
+    return 2 * int(math.floor(delta * min(n_i, m_i) / 2.0 + FLOOR_NUDGE))
+
+
+def check_axis_streams(ns_i: int, n_i: int, m_i: int) -> None:
+    """Reject a per-axis stream count that is odd, below 2 or above min(n_i, m_i)."""
+    if ns_i % 2 != 0 or ns_i < 2:
+        raise OddStreamCountError(
+            f"per-axis stream count must be even and >= 2, got {ns_i}"
+        )
+    if ns_i > min(n_i, m_i):
+        raise StreamExceedsArrayError(
+            f"ns_i={ns_i} exceeds min(n_i, m_i)={min(n_i, m_i)}"
+        )
 
 
 def optimal_spacing(
@@ -107,27 +126,20 @@ def optimal_spacing(
 ) -> SpacingSolution:
     """Spacing pair whose product supports exactly ns_i streams on one axis.
 
-    The attainable per-axis stream count is 2*floor(d_t d_r N M / (2 lambda D)),
-    always even; the returned product sits at the lower edge of the floor
-    interval so exactly ns_i streams are realized. Only the product is fixed,
-    and both sides get its square root.
+    The attainable per-axis stream count is ``axis_streams``, always even;
+    the returned product sits at the lower edge of its floor interval so
+    exactly ns_i streams are realized. Only the product is fixed, and both
+    sides get its square root.
     """
-    if ns_i % 2 != 0 or ns_i < 2:
-        raise OddStreamCountError(
-            f"per-axis stream count must be even and >= 2, got {ns_i}"
-        )
-    if ns_i > min(n_i, m_i):
-        raise StreamExceedsArrayError(
-            f"ns_i={ns_i} exceeds min(n_i, m_i)={min(n_i, m_i)}"
-        )
+    check_axis_streams(ns_i, n_i, m_i)
     if wavelength <= 0 or distance <= 0:
         raise ValueError("wavelength and distance must be positive")
     product = ns_i * wavelength * distance / (n_i * m_i)
     d_t = d_r = math.sqrt(product)
-    n_max = max(n_i, m_i)
-    delta = d_t * d_r * n_max / (wavelength * distance)
-    achieved = 2 * stream_floor(d_t * d_r * n_i * m_i / (2 * wavelength * distance))
-    return SpacingSolution(d_t=d_t, d_r=d_r, delta=delta, achieved_streams=achieved)
+    delta = spacing_ratio(d_t, d_r, n_i, m_i, wavelength, distance)
+    return SpacingSolution(
+        d_t=d_t, d_r=d_r, delta=delta, achieved_streams=axis_streams(delta, n_i, m_i)
+    )
 
 
 def _rotation_xy(theta: float, phi: float) -> np.ndarray:

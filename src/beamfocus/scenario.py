@@ -142,9 +142,12 @@ def parse_config(data: dict) -> ScenarioConfig:
         ns_split = (root, root)
     if ns_split[0] * ns_split[1] != ns:
         raise ConfigError("ns_split", f"product must equal ns={ns}")
-    for i, s in enumerate(ns_split):
-        if s % 2 != 0 or s < 2:
-            raise ConfigError("ns_split", f"entry {i} must be even and >= 2, got {s}")
+    per_axis = ((ns_split[0], rx.n_v, tx.n_v), (ns_split[1], rx.n_h, tx.n_h))
+    for axis, (ns_i, n_i, m_i) in zip("vh", per_axis):
+        try:
+            geometry.check_axis_streams(ns_i, n_i, m_i)
+        except (geometry.OddStreamCountError, geometry.StreamExceedsArrayError) as exc:
+            raise ConfigError("ns_split", f"axis {axis}: {exc}") from exc
 
     # each side's hybrid picks its RF chains among that side's antennas
     n_rf = {}
@@ -187,14 +190,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     cluster_eps = _number(data.get("cluster_eps", 0.1), "cluster_eps")
     if not 0.0 < cluster_eps < 0.5:
         raise ConfigError("cluster_eps", "must lie in (0, 0.5)")
-
-    per_axis = ((rx.n_v, tx.n_v, ns_split[0]), (rx.n_h, tx.n_h, ns_split[1]))
-    for axis, (n_i, m_i, ns_i) in zip("vh", per_axis):
-        if ns_i > min(n_i, m_i):
-            raise ConfigError(
-                "ns_split",
-                f"axis {axis}: per-axis streams {ns_i} exceed min element count {min(n_i, m_i)}",
-            )
 
     return ScenarioConfig(
         frequency_ghz=freq,
@@ -380,7 +375,7 @@ def _centred_tx_gram(
 
 
 def spectrum_data(config: ScenarioConfig):
-    """Eigenvalues of the transmit gain matrix plus per-axis cluster reports.
+    """Eigenvalues of the transmit gain matrix, their cluster counts and the per-axis predictions.
 
     The eigensolve runs on the real part of ``_centred_tx_gram``, which has
     the same spectrum as the plain Gram at the cost of a real solver.
@@ -395,30 +390,27 @@ def spectrum_data(config: ScenarioConfig):
         )
     eig = eig_hermitian(g.real)
     normalizer = scenario.tx_layout.count * scenario.rx_layout.count / config.ns
-    lam, dist, eps = config.wavelength, config.distance_m, config.cluster_eps
+    omega = eig.values / normalizer
+    eps = config.cluster_eps
     ts, rs = scenario.tx_spec, scenario.rx_spec
+    axes = []  # (delta, predicted streams, transition bound) of the v, then the h axis
+    for n_i, m_i, d_t, d_r in ((rs.n_v, ts.n_v, ts.d_v, rs.d_v), (rs.n_h, ts.n_h, ts.d_h, rs.d_h)):
+        delta = geometry.spacing_ratio(d_t, d_r, n_i, m_i, config.wavelength, config.distance_m)
+        bound = 2.0 * spectral.transition_band(max(n_i, m_i), m_i, delta, eps)
+        axes.append((delta, geometry.axis_streams(delta, n_i, m_i), bound))
+    (delta_v, streams_v, bound_v), (delta_h, streams_h, bound_h) = axes
 
-    deltas, reports = {}, {}
-    for name, (n_i, m_i, d_t, d_r) in {
-        "v": (rs.n_v, ts.n_v, ts.d_v, rs.d_v),
-        "h": (rs.n_h, ts.n_h, ts.d_h, rs.d_h),
-    }.items():
-        n_max, n_min = max(n_i, m_i), min(n_i, m_i)
-        deltas[name] = d_t * d_r * n_max / (lam * dist)
-        reports[name] = spectral.cluster_report(eig, normalizer, eps, deltas[name], n_min, n_max, m_i)
-
-    # the counts classify the whole 2-D spectrum, so both axis reports agree on them
-    rep_v, rep_h = reports["v"], reports["h"]
+    near_one, near_zero = int((omega >= 1.0 - eps).sum()), int((omega <= eps).sum())
     summary = {
         "eps": eps,
         "normalizer": normalizer,
-        "count_near_one": rep_v.count_near_one,
-        "count_near_zero": rep_v.count_near_zero,
-        "transition_count": rep_v.transition_count,
-        "predicted_rank": rep_v.predicted_rank * rep_h.predicted_rank,
-        "delta_v": deltas["v"],
-        "delta_h": deltas["h"],
-        "transition_bound_v": rep_v.transition_bound,
-        "transition_bound_h": rep_h.transition_bound,
+        "count_near_one": near_one,
+        "count_near_zero": near_zero,
+        "transition_count": omega.size - near_one - near_zero,
+        "predicted_rank": streams_v * streams_h,
+        "delta_v": delta_v,
+        "delta_h": delta_h,
+        "transition_bound_v": bound_v,
+        "transition_bound_h": bound_h,
     }
-    return eig.values, eig.values / normalizer, summary
+    return eig.values, omega, summary

@@ -1,4 +1,4 @@
-"""Eigenvalue clustering diagnostics, water-filling, and rate formulas."""
+"""Transition-band bound, water-filling, and rate formulas."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import stream_floor
-from .linalg import EigenSpectrum, dft_matrix, eig_hermitian, kron
+from .linalg import dft_matrix, eig_hermitian
 
 COMBINER_COND_LIMIT = 1e12
 
@@ -27,18 +26,6 @@ class SingularCombinerError(ValueError):
 
 class DimensionMismatchError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Counts of normalized eigenvalues near one, near zero, and in between."""
-
-    eps: float
-    count_near_one: int
-    count_near_zero: int
-    transition_count: int
-    predicted_rank: int
-    transition_bound: float
 
 
 @dataclass(frozen=True)
@@ -64,36 +51,6 @@ def transition_band(n_i: int, m_i: int, delta: float, eps: float) -> float:
     inner = math.pi / 32.0 * eps * (ratio**2 - 1.0)
     second = 2.0 * max(0.0, -math.log(inner) / math.log(ratio))
     return first + second
-
-
-def cluster_report(
-    spectrum: EigenSpectrum,
-    normalizer: float,
-    eps: float,
-    delta: float,
-    n_min: int,
-    n_max: int,
-    m_dim: int,
-) -> ClusterReport:
-    """Classify a gain spectrum against the two-cluster prediction for one axis."""
-    if not 0.0 < eps < 0.5:
-        raise BadEpsilonError(f"eps must lie in (0, 0.5), got {eps}")
-    if normalizer <= 0:
-        raise ValueError(f"normalizer must be positive, got {normalizer}")
-    omega = spectrum.values / normalizer
-    near_one = int((omega >= 1.0 - eps).sum())
-    near_zero = int((omega <= eps).sum())
-    transition = omega.size - near_one - near_zero
-    predicted = 2 * stream_floor(delta * n_min / 2.0)
-    bound = 2.0 * transition_band(n_max, m_dim, delta, eps)
-    return ClusterReport(
-        eps=eps,
-        count_near_one=near_one,
-        count_near_zero=near_zero,
-        transition_count=transition,
-        predicted_rank=predicted,
-        transition_bound=bound,
-    )
 
 
 def water_filling(eigs, p_total: float, gain_over_noise: float) -> PowerAllocation:
@@ -188,7 +145,7 @@ def dft_diag_quality(g, nv: int, nh: int) -> float:
     dim = nv * nh
     if g.shape != (dim, dim):
         raise DimensionMismatchError(f"expected {dim}x{dim} matrix, got {g.shape}")
-    f2 = kron(dft_matrix(nv), dft_matrix(nh))
+    f2 = np.kron(dft_matrix(nv), dft_matrix(nh))
     q = f2.conj().T @ g @ f2
     total = float(np.linalg.norm(q))
     if total == 0.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beamforming, channel, geometry, spectral
-from .linalg import dft_matrix, eig_hermitian, kron
+from .linalg import dft_matrix, eig_hermitian
 from .scenario import ArrayConfig, Scenario, ScenarioConfig
 
 LAMBDA_28GHZ = 299_792_458.0 / 28e9
@@ -141,14 +141,14 @@ def _core_and_axis_factors(link):
 def check_kron_factorization(link=None) -> CheckResult:
     """A parallelogram pair's core equals the Kronecker product of its axis factors."""
     h_tilde, h_linv, h_linh = _core_and_axis_factors(link)
-    gap = float(np.abs(kron(h_linv, h_linh) - h_tilde).max())
+    gap = float(np.abs(np.kron(h_linv, h_linh) - h_tilde).max())
     return _result("kron-factorization", gap <= 1e-12, f"max entry gap {gap:.3e}")
 
 
 def check_gram_kron_identity(link=None) -> CheckResult:
     """Gain matrix of a parallelogram pair factors as the Kronecker of axis Grams."""
     h_tilde, h_linv, h_linh = _core_and_axis_factors(link)
-    g_kron = kron(channel.gram(h_linv, geometry.Side.TX), channel.gram(h_linh, geometry.Side.TX))
+    g_kron = np.kron(channel.gram(h_linv, geometry.Side.TX), channel.gram(h_linh, geometry.Side.TX))
     gap = float(np.abs(channel.gram(h_tilde, geometry.Side.TX) - g_kron).max())
     return _result("gram-kron-identity", gap <= 1e-9, f"max entry gap {gap:.3e}")
 
@@ -173,7 +173,9 @@ def check_prolate_scaling(link=None) -> CheckResult:
     h_linv, _ = channel.kron_factor_channel(spec_t, spec_r, params)
     g = channel.gram(h_linv, geometry.Side.TX)
     n = spec_t.n_v
-    delta = spec_t.d_v * spec_r.d_v * n / (params.wavelength * params.distance)
+    delta = geometry.spacing_ratio(
+        spec_t.d_v, spec_r.d_v, spec_r.n_v, n, params.wavelength, params.distance
+    )
     alpha = n / delta
     b = channel.prolate_matrix(alpha, n - 1, n)
     lag = np.arange(n)[:, None] - np.arange(n)[None, :]

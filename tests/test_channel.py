@@ -20,7 +20,7 @@ from beamfocus.channel import (
     quadratic_phase,
 )
 from beamfocus.geometry import ArraySpec, LayoutKind, Side, optimal_spacing
-from beamfocus.linalg import dft_matrix, kron
+from beamfocus.linalg import dft_matrix
 
 LAMBDA_28GHZ = 299_792_458.0 / 28e9
 
@@ -143,7 +143,7 @@ class TestQuadraticPhaseProperties:
         spec_t, spec_r, params = link
         tx, rx = layout_pair(spec_t, spec_r, params.distance)
         for layout, dic in ((tx, dictionary_tx(tx, params).dense()), (rx, dictionary_rx(rx, params).dense())):
-            f2h = kron(dft_matrix(layout.n_v), dft_matrix(layout.n_h)).conj().T
+            f2h = np.kron(dft_matrix(layout.n_v), dft_matrix(layout.n_h)).conj().T
             # every column carries the same twist, conj of the side's diagonal
             twist = dic / f2h
             expected = np.conj(quadratic_phase(layout, params))[:, None]
@@ -176,7 +176,7 @@ class TestKronFactorChannel:
         params = ChannelParams(wavelength=0.01, distance=10.0)
         flat = ArraySpec(n_v=2, n_h=3, d_v=0.1, d_h=0.1, layout_kind=LayoutKind.ROTATED_UPA)
         tilted = ArraySpec(n_v=2, n_h=3, d_v=0.1, d_h=0.1, phi=0.1, layout_kind=LayoutKind.ROTATED_UPA)
-        assert kron(*kron_factor_channel(flat, flat, params)).shape == (6, 6)
+        assert np.kron(*kron_factor_channel(flat, flat, params)).shape == (6, 6)
         for spec_t, spec_r in ((tilted, flat), (flat, tilted)):
             with pytest.raises(ValueError, match="rotated UPA"):
                 kron_factor_channel(spec_t, spec_r, params)

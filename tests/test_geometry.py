@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfocus.geometry import (
     ArraySpec,
@@ -14,6 +16,7 @@ from beamfocus.geometry import (
     StreamExceedsArrayError,
     aperture,
     aperture_feasible,
+    axis_streams,
     build_layout,
     nominal_extent,
     optimal_spacing,
@@ -47,6 +50,20 @@ class TestOptimalSpacing:
     def test_stream_count_beyond_array_rejected(self):
         with pytest.raises(StreamExceedsArrayError):
             optimal_spacing(4, 16, 6, 0.01, 50.0)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 128),
+        m=st.integers(2, 128),
+        pairs=st.integers(1, 64),
+        wavelength=st.floats(1e-4, 0.1),
+        distance=st.floats(0.5, 1e3),
+    )
+    def test_spacing_ratio_gives_back_the_stream_count(self, n, m, pairs, wavelength, distance):
+        ns = min(2 * pairs, min(n, m) // 2 * 2)
+        sol = optimal_spacing(n, m, ns, wavelength, distance)
+        assert axis_streams(sol.delta, n, m) == ns
+        assert sol.achieved_streams == ns
 
 
 class TestBuildLayout:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfocus import linalg
+from beamfocus import linalg, spectral
 from beamfocus.linalg import (
     SVD_RANK_RTOL,
     ConvergenceError,
@@ -16,7 +16,6 @@ from beamfocus.linalg import (
     NonSquareError,
     dft_matrix,
     eig_hermitian,
-    kron,
     least_squares,
     svd,
 )
@@ -75,13 +74,6 @@ class TestEigHermitian:
         spec = eig_hermitian(np.zeros((4, 4)))
         assert np.allclose(spec.values, 0.0)
 
-    def test_largest_entry_of_each_vector_is_real_positive(self):
-        rng = np.random.default_rng(16)
-        vecs = eig_hermitian(random_hermitian(rng, 12)).vectors
-        lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(12)]
-        assert np.abs(lead.imag).max() <= 1e-15
-        assert np.all(lead.real > 0)
-
     def test_lapack_failure_reported_as_convergence_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -98,9 +90,34 @@ class TestEigHermitian:
         spec = eig_hermitian(a)
         assert spec.vectors.dtype == np.float64
         assert np.array_equal(spec.values, np.linalg.eigh(a)[0][::-1])
-        lead = spec.vectors[np.abs(spec.vectors).argmax(axis=0), np.arange(n)]
-        assert np.all(lead > 0)
         assert np.abs(a @ spec.vectors - spec.vectors * spec.values).max() <= 1e-12 * np.abs(a).max() * n
+
+    @pytest.mark.parametrize("orthonormal", [False, True])
+    def test_callers_do_not_read_eigenvector_phases(self, monkeypatch, orthonormal):
+        # rate whitens over the span of W and least_squares is a projection, so
+        # a unit phase on each eigenvector (a sign if real) changes neither
+        rng = np.random.default_rng(23)
+        h, f, w, basis, target = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((6, 5), (5, 2), (6, 2), (8, 3), (8, 2))
+        )
+        if orthonormal:  # W^H W = I: one degenerate cluster
+            w = np.linalg.qr(w)[0]
+        before = spectral.rate(h, f, w, 3.0, 2), least_squares(basis, target)
+        eigh = np.linalg.eigh
+
+        def phased(a):
+            values, vectors = eigh(a)
+            if np.iscomplexobj(vectors):
+                turn = np.exp(2j * np.pi * rng.uniform(size=vectors.shape[1]))
+            else:
+                turn = rng.choice([-1.0, 1.0], size=vectors.shape[1])
+            return values, vectors * turn
+
+        monkeypatch.setattr(np.linalg, "eigh", phased)
+        after = spectral.rate(h, f, w, 3.0, 2), least_squares(basis, target)
+        assert abs(after[0] - before[0]) <= 1e-12 * before[0]
+        assert np.linalg.norm(after[1] - before[1]) <= 1e-12 * np.linalg.norm(before[1])
 
     def test_complex_input_stays_complex(self):
         spec = eig_hermitian(np.eye(3, dtype=complex))
@@ -425,26 +442,6 @@ class TestDftMatrix:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             dft_matrix(0)
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_scalar_factor(self):
-        b = np.arange(6.0).reshape(2, 3) + 0j
-        assert np.allclose(kron(np.array([[2.0]]), b), 2.0 * b)
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(12)
-        mats = [
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        ]
-        a, b, c, d = mats
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 class TestLeastSquares:

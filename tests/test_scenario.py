@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamfocus import beamforming, channel, cli, scenario as scenario_module, spectral
-from beamfocus.geometry import ArraySpec, LayoutKind, Side, build_layout
+from beamfocus.geometry import (
+    ArraySpec,
+    LayoutKind,
+    OddStreamCountError,
+    Side,
+    StreamExceedsArrayError,
+    build_layout,
+    check_axis_streams,
+)
 from beamfocus.linalg import eig_hermitian
 from beamfocus.scenario import (
     LAYOUT_NAMES,
@@ -126,6 +134,30 @@ class TestParseConfig:
             parse_config(cfg(ns=36, ns_split=[6, 6], n_rf_tx=36, n_rf_rx=36,
                              tx={"n_v": 4, "n_h": 16}, rx={"n_v": 4, "n_h": 16}))
         assert err.value.field_path == "ns_split"
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        counts=st.lists(st.integers(1, 12), min_size=4, max_size=4),
+        split=st.tuples(st.integers(-6, 16), st.integers(-6, 16)).filter(lambda p: p[0] * p[1] > 0),
+    )
+    def test_ns_split_rejected_exactly_when_an_axis_is(self, counts, split):
+        tx_v, tx_h, rx_v, rx_h = counts
+        try:
+            check_axis_streams(split[0], rx_v, tx_v)
+            check_axis_streams(split[1], rx_h, tx_h)
+            legal = True
+        except (OddStreamCountError, StreamExceedsArrayError):
+            legal = False
+        # n_rf = ns exceeds an antenna count on some illegal splits; the split is reported first
+        ns = split[0] * split[1]
+        data = cfg(ns=ns, ns_split=list(split), n_rf_tx=ns, n_rf_rx=ns,
+                   tx={"n_v": tx_v, "n_h": tx_h}, rx={"n_v": rx_v, "n_h": rx_h})
+        if legal:
+            assert parse_config(data).ns_split == split
+        else:
+            with pytest.raises(ConfigError) as err:
+                parse_config(data)
+            assert err.value.field_path == "ns_split"
 
     def test_empty_rotation_defaults_to_zero(self):
         assert parse_config(cfg(rotation_deg=[])).rotation_deg == (0.0,)

@@ -1,4 +1,4 @@
-"""Tests for clustering diagnostics, water-filling, and rate formulas."""
+"""Tests for the cluster prediction, water-filling, and rate formulas."""
 
 import math
 import warnings
@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfocus import linalg, spectral, validation
+from beamfocus import linalg, scenario, spectral, validation
 from beamfocus.channel import ChannelParams, fresnel_factors, gram, layout_pair
-from beamfocus.geometry import ArraySpec, Side, optimal_spacing
+from beamfocus.geometry import ArraySpec, Side, axis_streams, optimal_spacing
 from beamfocus.linalg import EigenSpectrum, eig_hermitian
+from beamfocus.scenario import ArrayConfig
 from beamfocus.spectral import (
     AllZeroEigenvaluesError,
     BadEpsilonError,
     DimensionMismatchError,
     SingularCombinerError,
-    cluster_report,
     dft_diag_quality,
     rate,
     rate_upper_bound,
@@ -81,34 +81,50 @@ class TestTransitionBand:
             transition_band(16, 16, 0.5, 0.7)
 
 
-class TestClusterReport:
-    def test_flat_spectrum(self):
-        spec = EigenSpectrum(values=np.ones(8), vectors=np.eye(8, dtype=complex))
-        rep = cluster_report(spec, 1.0, 0.1, delta=0.5, n_min=8, n_max=8, m_dim=8)
-        assert rep.count_near_one == 8
-        assert rep.transition_count == 0
-        assert rep.count_near_zero == 0
-        assert rep.predicted_rank == 4
+def small_config(**overrides):
+    """validation's desk config shrunk to 4x4 arrays and 4 streams."""
+    small = dict(tx=ArrayConfig(4, 4), rx=ArrayConfig(4, 4), ns=4, ns_split=(2, 2), n_rf_tx=4, n_rf_rx=4)
+    return validation.desk_config(**{**small, **overrides})
 
-    def test_ula_counts_match_eigh_oracle(self):
+
+def summary_for(monkeypatch, omega, eps=0.1):
+    """spectrum_data's summary when its eigensolve returns ``omega`` times the normalizer."""
+    normalizer = 16 * 16 / 4  # a power of two, so omega comes back exactly
+    spec = EigenSpectrum(values=np.asarray(omega) * normalizer, vectors=np.empty((0, 0)))
+    monkeypatch.setattr(scenario, "eig_hermitian", lambda g: spec)
+    summary = scenario.spectrum_data(small_config(cluster_eps=eps))[2]
+    assert summary["normalizer"] == normalizer
+    return summary
+
+
+class TestClusterPrediction:
+    """spectrum_data's cluster counts against axis_streams and the transition bound."""
+
+    def test_flat_spectrum(self, monkeypatch):
+        summary = summary_for(monkeypatch, np.ones(8))
+        assert summary["count_near_one"] == 8
+        assert summary["transition_count"] == 0
+        assert summary["count_near_zero"] == 0
+        assert axis_streams(0.5, 8, 8) == 4
+
+    def test_ula_counts_match_eigh_oracle(self, monkeypatch):
         lam, dist = LAMBDA_28GHZ, 50.0
         sol = optimal_spacing(16, 16, 4, lam, dist)
         delta = sol.delta
         g = linear_gain_matrix(16, 16, delta)
-        spec = eig_hermitian(g)
         normalizer = 16 / delta
-        rep = cluster_report(spec, normalizer, 0.1, delta=delta, n_min=16, n_max=16, m_dim=16)
+        summary = summary_for(monkeypatch, eig_hermitian(g).values / normalizer)
         # frozen from the eigh oracle: omega = [1.0, 0.998, 0.965, 0.731, 0.267, ...]
-        assert rep.count_near_one == 3
-        assert rep.count_near_zero == 11
-        assert rep.transition_count == 2
-        assert rep.predicted_rank == 4
-        assert rep.transition_count <= rep.transition_bound
+        assert summary["count_near_one"] == 3
+        assert summary["count_near_zero"] == 11
+        assert summary["transition_count"] == 2
+        assert axis_streams(delta, 16, 16) == 4
+        assert summary["transition_count"] <= 2.0 * transition_band(16, 16, delta, 0.1)
         oracle = np.linalg.eigvalsh(g)[::-1] / normalizer
-        assert int((oracle >= 0.9).sum()) == rep.count_near_one
-        assert int((oracle <= 0.1).sum()) == rep.count_near_zero
+        assert int((oracle >= 0.9).sum()) == summary["count_near_one"]
+        assert int((oracle <= 0.1).sum()) == summary["count_near_zero"]
 
-    def test_transition_below_bound_on_random_cases(self):
+    def test_transition_below_bound_on_random_cases(self, monkeypatch):
         rng = np.random.default_rng(30)
         for _ in range(50):
             n = int(rng.integers(4, 24))
@@ -119,15 +135,12 @@ class TestClusterReport:
             delta = ns_axis / n_min
             eps = float(rng.uniform(0.02, 0.45))
             g = linear_gain_matrix(n, m, delta)
-            spec = eig_hermitian(g)
-            rep = cluster_report(spec, max(n, m) / delta, eps, delta=delta,
-                                 n_min=n_min, n_max=max(n, m), m_dim=m)
-            assert rep.transition_count <= rep.transition_bound
+            summary = summary_for(monkeypatch, eig_hermitian(g).values / (max(n, m) / delta), eps)
+            assert summary["transition_count"] <= 2.0 * transition_band(max(n, m), m, delta, eps)
 
     def test_bad_epsilon(self):
-        spec = EigenSpectrum(values=np.ones(3), vectors=np.eye(3, dtype=complex))
         with pytest.raises(BadEpsilonError):
-            cluster_report(spec, 1.0, 0.6, delta=0.5, n_min=2, n_max=2, m_dim=2)
+            scenario.spectrum_data(small_config(cluster_eps=0.6))
 
 
 class TestWaterFilling:

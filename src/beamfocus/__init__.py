@@ -27,11 +27,12 @@ from .geometry import (
     ArraySpec,
     LayoutKind,
     Side,
-    SpacingSolution,
     aperture,
     aperture_feasible,
+    axis_streams,
     build_layout,
     optimal_spacing,
+    spacing_ratio,
 )
 from .linalg import (
     EigenSpectrum,

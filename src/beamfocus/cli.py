@@ -16,8 +16,7 @@ import numpy as np
 
 from .geometry import aperture, aperture_feasible, nominal_extent
 from .linalg import ConvergenceError, active_backend
-from .scenario import Scenario, ScenarioConfig, load_config, spectrum_data
-from .scenario import ConfigError
+from .scenario import ConfigError, Scenario, ScenarioConfig, load_config, spectrum_data
 
 # what a grid point's numerics can raise; anything else is a bug and surfaces
 # as a traceback rather than as exit code 3
@@ -68,14 +67,6 @@ def _parse_scales(text: str) -> list[float]:
     if not all(0.0 < s < math.inf for s in scales):
         raise ConfigError("scales", f"scales must be positive and finite: {text!r}")
     return scales
-
-
-def _resolve_out(config: ScenarioConfig, out_flag: str | None) -> str:
-    if out_flag:
-        return out_flag
-    if config.output_path:
-        return config.output_path
-    raise ConfigError("output_path", "missing and no --out flag given")
 
 
 def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = False):
@@ -184,7 +175,7 @@ def main(argv=None) -> int:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="YAML scenario config")
-        p.add_argument("--out", default=None, help="output CSV path (overrides config)")
+        p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--threads", type=int, default=1, help="parallel grid evaluation")
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue spectrum and cluster summary")
@@ -207,7 +198,6 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-        out_path = _resolve_out(config, args.out)
         if args.command == "spectrum":
             header, rows = run_spectrum(config)
         elif args.command in ("rate-sweep", "rotation-sweep"):
@@ -221,8 +211,8 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 
-    _write_csv(out_path, header, rows)
-    print(f"wrote {len(rows)} rows to {out_path}")
+    _write_csv(args.out, header, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

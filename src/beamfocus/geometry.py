@@ -83,16 +83,6 @@ class AntennaLayout:
         return self.coords.shape[1]
 
 
-@dataclass(frozen=True)
-class SpacingSolution:
-    """Per-axis spacing pair realizing an even per-axis stream count."""
-
-    d_t: float
-    d_r: float
-    delta: float
-    achieved_streams: int
-
-
 def spacing_ratio(
     d_t: float, d_r: float, n_i: int, m_i: int, wavelength: float, distance: float
 ) -> float:
@@ -123,23 +113,18 @@ def optimal_spacing(
     ns_i: int,
     wavelength: float,
     distance: float,
-) -> SpacingSolution:
-    """Spacing pair whose product supports exactly ns_i streams on one axis.
+) -> float:
+    """Spacing that both sides use on one axis to carry exactly ns_i streams there.
 
-    The attainable per-axis stream count is ``axis_streams``, always even;
-    the returned product sits at the lower edge of its floor interval so
-    exactly ns_i streams are realized. Only the product is fixed, and both
-    sides get its square root.
+    Only the product d_t d_r = ns_i lambda D / (n_i m_i) is fixed, and both
+    sides get its square root. That product puts ``spacing_ratio`` at the
+    lower edge of its ``axis_streams`` floor interval, so exactly ns_i
+    streams are realized.
     """
     check_axis_streams(ns_i, n_i, m_i)
     if wavelength <= 0 or distance <= 0:
         raise ValueError("wavelength and distance must be positive")
-    product = ns_i * wavelength * distance / (n_i * m_i)
-    d_t = d_r = math.sqrt(product)
-    delta = spacing_ratio(d_t, d_r, n_i, m_i, wavelength, distance)
-    return SpacingSolution(
-        d_t=d_t, d_r=d_r, delta=delta, achieved_streams=axis_streams(delta, n_i, m_i)
-    )
+    return math.sqrt(ns_i * wavelength * distance / (n_i * m_i))
 
 
 def _rotation_xy(theta: float, phi: float) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -64,12 +64,16 @@ class ScenarioConfig:
     spacing_mode: str = "optimal"
     rotation_deg: tuple[float, ...] = (0.0,)
     layout: str = "parallelogram"
-    output_path: str | None = None
     cluster_eps: float = 0.1
 
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / (self.frequency_ghz * 1e9)
+
+
+# the keys a config may hold: a key that parse_config would not read is an error
+CONFIG_KEYS = tuple(field.name for field in fields(ScenarioConfig))
+ARRAY_KEYS = tuple(field.name for field in fields(ArrayConfig))
 
 
 def _number(value, path: str, kind=float):
@@ -96,6 +100,20 @@ def _numbers(values, path: str, kind=float) -> tuple:
     return tuple(_number(v, path, kind) for v in values)
 
 
+def _known_keys(mapping: dict, keys: tuple, prefix: str = "") -> None:
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{prefix}{key}", f"not a config field; the fields are {keys}")
+
+
+def _distinct(values: tuple, path: str) -> tuple:
+    """A grid axis: each value once, so each grid point is evaluated once."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(path, f"{value!r} appears more than once")
+    return values
+
+
 def _positive(mapping: dict, path: str, kind=float):
     """The required number under the last key of ``path``, checked by _number and > 0."""
     key = path.rpartition(".")[2]
@@ -111,6 +129,10 @@ def _array_config(data: dict, side: str, need_spacing: bool) -> ArrayConfig:
     mapping = data.get(side)
     if not isinstance(mapping, dict):
         raise ConfigError(side, "missing" if mapping is None else "expected a mapping")
+    _known_keys(mapping, ARRAY_KEYS, f"{side}.")
+    for key in ("d_v", "d_h"):
+        if key in mapping and not need_spacing:
+            raise ConfigError(f"{side}.{key}", "read only under spacing_mode: explicit")
     n_v, n_h = (_positive(mapping, f"{side}.{key}", int) for key in ("n_v", "n_h"))
     spacings = (_positive(mapping, f"{side}.{key}") for key in ("d_v", "d_h"))
     d_v, d_h = spacings if need_spacing else (None, None)
@@ -121,6 +143,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     """Validate a parsed config mapping; each ConfigError names the field at fault."""
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config document must be a mapping")
+    _known_keys(data, CONFIG_KEYS)
     freq = _positive(data, "frequency_ghz")
     dist = _positive(data, "distance_m")
 
@@ -159,7 +182,7 @@ def parse_config(data: dict) -> ScenarioConfig:
                 field, f"need ns={ns} <= {field} <= {count}, the {side.upper()} antenna count"
             )
 
-    snr_db = _numbers(data.get("snr_db"), "snr_db")
+    snr_db = _distinct(_numbers(data.get("snr_db"), "snr_db"), "snr_db")
     if not snr_db:
         raise ConfigError("snr_db", "expected a non-empty list")
 
@@ -169,9 +192,11 @@ def parse_config(data: dict) -> ScenarioConfig:
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError("schemes", f"unknown scheme {s!r}, valid: {SCHEMES}")
+    schemes = _distinct(tuple(schemes), "schemes")
 
     rotation = data.get("rotation_deg")
     rotation = (() if rotation is None else _numbers(rotation, "rotation_deg")) or (0.0,)
+    rotation = _distinct(rotation, "rotation_deg")
 
     layout = data.get("layout", "parallelogram")
     if layout not in tuple(LAYOUT_NAMES):
@@ -182,10 +207,6 @@ def parse_config(data: dict) -> ScenarioConfig:
                 geometry.plane_cosine(math.radians(r), math.radians(r))
             except geometry.DegeneratePlaneError as exc:
                 raise ConfigError("rotation_deg", f"{r:g} deg: {exc}") from exc
-
-    output_path = data.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path", "expected a string")
 
     cluster_eps = _number(data.get("cluster_eps", 0.1), "cluster_eps")
     if not 0.0 < cluster_eps < 0.5:
@@ -201,11 +222,10 @@ def parse_config(data: dict) -> ScenarioConfig:
         n_rf_tx=n_rf["tx"],
         n_rf_rx=n_rf["rx"],
         snr_db=snr_db,
-        schemes=tuple(schemes),
+        schemes=schemes,
         spacing_mode=spacing_mode,
         rotation_deg=rotation,
         layout=layout,
-        output_path=output_path,
         cluster_eps=cluster_eps,
     )
 
@@ -244,13 +264,12 @@ def axis_spacings(config: ScenarioConfig, scale: float = 1.0):
     """Per-axis (tx, rx) spacing pairs for the configured spacing mode."""
     lam, dist = config.wavelength, config.distance_m
     if config.spacing_mode == "optimal":
-        sol_v = geometry.optimal_spacing(
+        d_tv = d_rv = geometry.optimal_spacing(
             config.rx.n_v, config.tx.n_v, config.ns_split[0], lam, dist
         )
-        sol_h = geometry.optimal_spacing(
+        d_th = d_rh = geometry.optimal_spacing(
             config.rx.n_h, config.tx.n_h, config.ns_split[1], lam, dist
         )
-        d_tv, d_rv, d_th, d_rh = sol_v.d_t, sol_v.d_r, sol_h.d_t, sol_h.d_r
     elif config.spacing_mode == "half-wavelength":
         d_tv = d_rv = d_th = d_rh = lam / 2.0
     else:

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import beamforming, channel, geometry, spectral
 from .linalg import dft_matrix, eig_hermitian
-from .scenario import ArrayConfig, Scenario, ScenarioConfig
+from .scenario import SPEED_OF_LIGHT, ArrayConfig, Scenario, ScenarioConfig
 
-LAMBDA_28GHZ = 299_792_458.0 / 28e9
+LAMBDA_28GHZ = SPEED_OF_LIGHT / 28e9
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ def _result(name, passed, detail):
 
 def square_link(side=8, ns_axis=2, wavelength=LAMBDA_28GHZ, distance=50.0, theta=0.0, phi=0.0):
     """Two equal side x side arrays at the spacing that carries ns_axis streams per axis."""
-    sol = geometry.optimal_spacing(side, side, ns_axis, wavelength, distance)
-    spec = geometry.ArraySpec(n_v=side, n_h=side, d_v=sol.d_t, d_h=sol.d_t, theta=theta, phi=phi)
+    d = geometry.optimal_spacing(side, side, ns_axis, wavelength, distance)
+    spec = geometry.ArraySpec(n_v=side, n_h=side, d_v=d, d_h=d, theta=theta, phi=phi)
     return spec, spec, channel.ChannelParams(wavelength=wavelength, distance=distance)
 
 

@@ -214,8 +214,8 @@ def test_criterion_09_dft_diagonalization():
     start = time.perf_counter()
     qualities = []
     for side in (4, 8, 16):  # 16, 64, 256 antennas per side, half-filled
-        sol = optimal_spacing(side, side, side // 2, LAMBDA, 50.0)
-        spec = ArraySpec(n_v=side, n_h=side, d_v=sol.d_t, d_h=sol.d_t)
+        d = optimal_spacing(side, side, side // 2, LAMBDA, 50.0)
+        spec = ArraySpec(n_v=side, n_h=side, d_v=d, d_h=d)
         tx, rx = layout_pair(spec, spec, 50.0)
         cs = fresnel_factors(tx, rx, ChannelParams(wavelength=LAMBDA, distance=50.0))
         qualities.append(dft_diag_quality(gram(cs.h_tilde, Side.TX), side, side))
@@ -247,8 +247,8 @@ def test_criterion_10_water_filling():
 def test_criterion_11_omp_exact_recovery():
     start = time.perf_counter()
     rng = np.random.default_rng(50)
-    sol = optimal_spacing(8, 8, 2, LAMBDA, 50.0)
-    spec = ArraySpec(n_v=8, n_h=8, d_v=sol.d_t, d_h=sol.d_t)
+    d = optimal_spacing(8, 8, 2, LAMBDA, 50.0)
+    spec = ArraySpec(n_v=8, n_h=8, d_v=d, d_h=d)
     params = ChannelParams(wavelength=LAMBDA, distance=50.0)
     tx, _ = layout_pair(spec, spec, 50.0)
     dic = dictionary_tx(tx, params)

@@ -30,7 +30,7 @@ LAMBDA_28GHZ = 299_792_458.0 / 28e9
 
 
 def desk_channel(side=8, ns_axis=2, dist=50.0, lam=LAMBDA_28GHZ, spacing=None):
-    d = spacing if spacing is not None else optimal_spacing(side, side, ns_axis, lam, dist).d_t
+    d = spacing if spacing is not None else optimal_spacing(side, side, ns_axis, lam, dist)
     spec = ArraySpec(n_v=side, n_h=side, d_v=d, d_h=d)
     params = ChannelParams(wavelength=lam, distance=dist)
     tx, rx = layout_pair(spec, spec, dist)

@@ -85,8 +85,8 @@ class TestFresnelFactors:
 
     def test_taylor_error_shrinks_with_distance(self):
         lam = LAMBDA_28GHZ
-        sol = optimal_spacing(8, 8, 2, lam, 50.0)
-        spec = ArraySpec(n_v=8, n_h=8, d_v=sol.d_t, d_h=sol.d_t)
+        d = optimal_spacing(8, 8, 2, lam, 50.0)
+        spec = ArraySpec(n_v=8, n_h=8, d_v=d, d_h=d)
         errs = []
         for dist in (25.0, 50.0, 100.0):
             params = ChannelParams(wavelength=lam, distance=dist)
@@ -163,8 +163,8 @@ class TestKronFactorChannel:
 
     def test_vertical_only_array(self):
         lam = LAMBDA_28GHZ
-        sol = optimal_spacing(4, 4, 2, lam, 50.0)
-        spec = ArraySpec(n_v=4, n_h=1, d_v=sol.d_t, d_h=0.1)
+        d = optimal_spacing(4, 4, 2, lam, 50.0)
+        spec = ArraySpec(n_v=4, n_h=1, d_v=d, d_h=0.1)
         params = ChannelParams(wavelength=lam, distance=50.0)
         h_linv, h_linh = kron_factor_channel(spec, spec, params)
         assert h_linh.shape == (1, 1) and abs(h_linh[0, 0] - 1.0) <= 1e-15

@@ -253,9 +253,11 @@ class TestConfigErrors:
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_output_exit_two(self, small_config, capsys):
-        code = cli.main(["rate-sweep", "--config", str(small_config)])
-        assert code == 2
-        assert "output_path" in capsys.readouterr().err
+        # --out is the one source of the output path; argparse rejects its absence
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rate-sweep", "--config", str(small_config)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
 
 class TestSpectrum:

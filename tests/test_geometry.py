@@ -20,28 +20,27 @@ from beamfocus.geometry import (
     build_layout,
     nominal_extent,
     optimal_spacing,
+    spacing_ratio,
 )
 
 
 class TestOptimalSpacing:
     def test_desk_scale_value(self):
-        sol = optimal_spacing(16, 16, 4, 0.010707, 50.0)
+        d = optimal_spacing(16, 16, 4, 0.010707, 50.0)
         # sqrt(4 * 0.010707 * 50 / 256)
-        assert abs(sol.d_t - 0.09145951973414249) <= 1e-15
-        assert sol.d_t == sol.d_r
-        assert sol.achieved_streams == 4
+        assert abs(d - 0.09145951973414249) <= 1e-15
+        assert axis_streams(spacing_ratio(d, d, 16, 16, 0.010707, 50.0), 16, 16) == 4
 
     def test_small_hand_value(self):
-        sol = optimal_spacing(2, 2, 2, 0.01, 10.0)
-        assert abs(sol.d_t - 0.22360679774997896) <= 1e-15
+        assert abs(optimal_spacing(2, 2, 2, 0.01, 10.0) - 0.22360679774997896) <= 1e-15
 
     def test_product_and_split_are_exact(self):
-        sol = optimal_spacing(8, 16, 4, 0.011, 40.0)
+        d = optimal_spacing(8, 16, 4, 0.011, 40.0)
         product = 4 * 0.011 * 40.0 / (8 * 16)
-        assert abs(sol.d_t * sol.d_r - product) <= 1e-15
-        assert sol.d_t == sol.d_r
-        assert sol.achieved_streams == 4
-        assert abs(sol.delta - product * 16 / (0.011 * 40.0)) <= 1e-12
+        assert abs(d * d - product) <= 1e-15
+        delta = spacing_ratio(d, d, 8, 16, 0.011, 40.0)
+        assert axis_streams(delta, 8, 16) == 4
+        assert abs(delta - product * 16 / (0.011 * 40.0)) <= 1e-12
 
     def test_odd_stream_count_rejected(self):
         with pytest.raises(OddStreamCountError):
@@ -61,9 +60,8 @@ class TestOptimalSpacing:
     )
     def test_spacing_ratio_gives_back_the_stream_count(self, n, m, pairs, wavelength, distance):
         ns = min(2 * pairs, min(n, m) // 2 * 2)
-        sol = optimal_spacing(n, m, ns, wavelength, distance)
-        assert axis_streams(sol.delta, n, m) == ns
-        assert sol.achieved_streams == ns
+        d = optimal_spacing(n, m, ns, wavelength, distance)
+        assert axis_streams(spacing_ratio(d, d, n, m, wavelength, distance), n, m) == ns
 
 
 class TestBuildLayout:
@@ -183,12 +181,12 @@ class TestApertureFeasible:
     def test_optimal_spacing_meets_bound_with_grid_correction(self):
         lam, dist = 0.010707, 50.0
         for n, ns_axis in ((16, 4), (8, 2)):
-            sol = optimal_spacing(n, n, ns_axis, lam, dist)
-            spec = ArraySpec(n_v=n, n_h=n, d_v=sol.d_t, d_h=sol.d_t)
+            d = optimal_spacing(n, n, ns_axis, lam, dist)
+            spec = ArraySpec(n_v=n, n_h=n, d_v=d, d_h=d)
             l = aperture(build_layout(spec, Side.TX, dist))
             ns = ns_axis * ns_axis
             correction = (n - 1) ** 2 / n**2
             assert l * l >= 2.0 * math.sqrt(ns) * lam * dist * correction * (1 - 1e-12)
             # the nominal grid extent hits the bound exactly
-            nominal = nominal_extent(n, n, sol.d_t, sol.d_t)
+            nominal = nominal_extent(n, n, d, d)
             assert aperture_feasible(nominal, nominal, ns, lam, dist)

@@ -21,6 +21,8 @@ from beamfocus.geometry import (
 )
 from beamfocus.linalg import eig_hermitian
 from beamfocus.scenario import (
+    ARRAY_KEYS,
+    CONFIG_KEYS,
     LAYOUT_NAMES,
     SCHEMES,
     ConfigError,
@@ -204,6 +206,21 @@ class TestParseConfig:
             parse_config(cfg(spacing_mode="explicit"))
         assert err.value.field_path in ("tx.d_v", "tx.d_h")
 
+    @pytest.mark.parametrize("field, values", [
+        ("schemes", ["digital-uniform", "digital-wf", "digital-uniform"]),
+        ("snr_db", [0, -5, 0.0]),
+        ("rotation_deg", [10, 10]),
+    ])
+    def test_repeated_grid_value_rejected(self, tmp_path, field, values):
+        # a repeated value once wrote identical rows for one grid point
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg(**{field: values}))
+        assert err.value.field_path == field
+        texts = dict(VALID_TEXTS, **{field: [str(v) for v in values]})
+        text, key_lines = emit_yaml(texts, "block", list(texts), True)
+        err = load_error(tmp_path, text)
+        assert (err.field_path, err.line) == (field, key_lines[field])
+
 
 ROUND_TRIP_YAML = (
     "frequency_ghz: 28.0\ndistance_m: 50.0\n"
@@ -269,6 +286,7 @@ VALID_TEXTS = {
     "schemes": ["digital-uniform"],
     "rotation_deg": ["0", "15"],
     "cluster_eps": "0.1",
+    "layout": "parallelogram",
 }
 NUMERIC_FIELDS = (
     "frequency_ghz", "distance_m", "ns", "n_rf_tx", "n_rf_rx", "cluster_eps",
@@ -422,6 +440,64 @@ class TestConfigErrorLines:
         monkeypatch.setattr(yaml, "compose", refuse)
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
             assert load_config(str(path)).ns >= 1
+
+
+def key_names(exclude):
+    """Key names that YAML reads as themselves (not true, null, ...) and that are not in ``exclude``."""
+    names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,15}", fullmatch=True)
+    return names.filter(lambda name: name not in exclude and yaml.safe_load(name) == name)
+
+
+class TestConfigKeys:
+    def test_valid_texts_hold_every_field(self):
+        assert set(VALID_TEXTS) == set(CONFIG_KEYS)
+        assert set(SPACED) == set(ARRAY_KEYS)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        style=st.sampled_from(["block", "flow", "flow-document"]),
+        order=st.permutations(list(VALID_TEXTS)),
+        padded=st.booleans(),
+        parent=st.sampled_from([None, "tx", "rx"]),
+        data=st.data(),
+    )
+    def test_unread_key_named_at_its_line(self, tmp_path_factory, style, order, padded, parent,
+                                          data):
+        texts = {k: (dict(v) if isinstance(v, dict) else v) for k, v in VALID_TEXTS.items()}
+        name = data.draw(key_names(CONFIG_KEYS if parent is None else ARRAY_KEYS), label="name")
+        value = data.draw(st.sampled_from(["1", "0.3", "[20]", "abc"]), label="value")
+        if parent is None:
+            order = list(order)
+            order.insert(data.draw(st.integers(0, len(order)), label="position"), name)
+            texts[name], path = value, name
+        else:
+            items = list(texts[parent].items())
+            items.insert(data.draw(st.integers(0, len(items)), label="position"), (name, value))
+            texts[parent], path = dict(items), f"{parent}.{name}"
+        tmp_path = tmp_path_factory.mktemp("config")
+        # every field parses; the one key that is not a field fails at its line
+        valid_text, _ = emit_yaml(VALID_TEXTS, style, [k for k in order if k != name], padded)
+        assert load_text(tmp_path, valid_text).layout == "parallelogram"
+        text, key_lines = emit_yaml(texts, style, order, padded)
+        err = load_error(tmp_path, text)
+        assert (err.field_path, err.line) == (path, key_lines[path])
+        assert str(err).startswith(f"config field {path} (line {key_lines[path]}): ")
+
+    @pytest.mark.parametrize("mode", [None, "optimal", "half-wavelength"])
+    @pytest.mark.parametrize("field", ["tx.d_v", "rx.d_h"])
+    def test_spacing_read_only_when_explicit(self, tmp_path, mode, field):
+        side, key = field.split(".")
+        spaced = {"n_v": 4, "n_h": 4, "d_v": 0.01, "d_h": 0.02}
+        explicit = parse_config(cfg(spacing_mode="explicit", tx=spaced, rx=spaced))
+        assert getattr(getattr(explicit, side), key) == spaced[key]
+        # in the shipped configs' flow style; no spacing_mode line is the default, optimal
+        text = ROUND_TRIP_YAML.replace(f"{side}: {{n_v: 4, n_h: 4}}",
+                                       f"{side}: {{n_v: 4, n_h: 4, {key}: 0.5}}")
+        if mode is not None:
+            text += f"spacing_mode: {mode}\n"
+        err = load_error(tmp_path, text)
+        assert (err.field_path, err.line) == (field, 3 if side == "tx" else 4)
+        assert "spacing_mode: explicit" in str(err)
 
 
 class TestScenario:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from beamfocus import linalg, scenario, spectral, validation
 from beamfocus.channel import ChannelParams, fresnel_factors, gram, layout_pair
-from beamfocus.geometry import ArraySpec, Side, axis_streams, optimal_spacing
+from beamfocus.geometry import ArraySpec, Side, axis_streams, optimal_spacing, spacing_ratio
 from beamfocus.linalg import EigenSpectrum, eig_hermitian
 from beamfocus.scenario import ArrayConfig
 from beamfocus.spectral import (
@@ -109,8 +109,8 @@ class TestClusterPrediction:
 
     def test_ula_counts_match_eigh_oracle(self, monkeypatch):
         lam, dist = LAMBDA_28GHZ, 50.0
-        sol = optimal_spacing(16, 16, 4, lam, dist)
-        delta = sol.delta
+        d = optimal_spacing(16, 16, 4, lam, dist)
+        delta = spacing_ratio(d, d, 16, 16, lam, dist)
         g = linear_gain_matrix(16, 16, delta)
         normalizer = 16 / delta
         summary = summary_for(monkeypatch, eig_hermitian(g).values / normalizer)
@@ -451,8 +451,8 @@ class TestDftDiagQuality:
         lam, dist = LAMBDA_28GHZ, 50.0
         qualities = []
         for side in (4, 8, 16):
-            sol = optimal_spacing(side, side, side // 2, lam, dist)
-            spec = ArraySpec(n_v=side, n_h=side, d_v=sol.d_t, d_h=sol.d_t)
+            d = optimal_spacing(side, side, side // 2, lam, dist)
+            spec = ArraySpec(n_v=side, n_h=side, d_v=d, d_h=d)
             tx, rx = layout_pair(spec, spec, dist)
             cs = fresnel_factors(tx, rx, ChannelParams(wavelength=lam, distance=dist))
             qualities.append(dft_diag_quality(gram(cs.h_tilde, Side.TX), side, side))

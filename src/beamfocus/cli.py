@@ -61,11 +61,11 @@ def _parse_scales(text: str) -> list[float]:
     try:
         scales = [float(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
-        raise ConfigError("scales", f"not a comma-separated list of numbers: {text!r}") from exc
+        raise ConfigError(("scales",), f"not a comma-separated list of numbers: {text!r}") from exc
     if not scales:
-        raise ConfigError("scales", f"no scale given: {text!r}")
+        raise ConfigError(("scales",), f"no scale given: {text!r}")
     if not all(0.0 < s < math.inf for s in scales):
-        raise ConfigError("scales", f"scales must be positive and finite: {text!r}")
+        raise ConfigError(("scales",), f"scales must be positive and finite: {text!r}")
     return scales
 
 

@@ -26,18 +26,14 @@ SCHEMES = (
     "phase-extract",
 )
 SPACING_MODES = ("optimal", "half-wavelength", "explicit")
-LAYOUT_NAMES = {
-    "parallelogram": geometry.LayoutKind.PARALLELOGRAM_OPTIMAL,
-    "rotated-upa": geometry.LayoutKind.ROTATED_UPA,
-}
 
 
 class ConfigError(ValueError):
-    def __init__(self, field_path: str, message: str, line: int | None = None):
-        self.field_path = field_path
+    def __init__(self, path: tuple, message: str, line: int | None = None):
+        self.path = path  # the document keys that lead to the field
         self.message = message
         self.line = line
-        where = f"{field_path}" + (f" (line {line})" if line else "")
+        where = ".".join(map(str, path)) + (f" (line {line})" if line else "")
         super().__init__(f"config field {where}: {message}")
 
 
@@ -63,7 +59,7 @@ class ScenarioConfig:
     schemes: tuple[str, ...]
     spacing_mode: str = "optimal"
     rotation_deg: tuple[float, ...] = (0.0,)
-    layout: str = "parallelogram"
+    layout: geometry.LayoutKind = geometry.LayoutKind.PARALLELOGRAM_OPTIMAL
     cluster_eps: float = 0.1
 
     @property
@@ -76,7 +72,7 @@ CONFIG_KEYS = tuple(field.name for field in fields(ScenarioConfig))
 ARRAY_KEYS = tuple(field.name for field in fields(ArrayConfig))
 
 
-def _number(value, path: str, kind=float):
+def _number(value, path: tuple, kind=float):
     """The one numeric check: an int (or, for a float field, a float) that is finite as a float.
 
     bool is an int subclass, so it is rejected apart; a float field's value
@@ -94,19 +90,19 @@ def _number(value, path: str, kind=float):
     return as_float if kind is float else value
 
 
-def _numbers(values, path: str, kind=float) -> tuple:
+def _numbers(values, path: tuple, kind=float) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(path, f"expected a list, got {type(values).__name__}")
     return tuple(_number(v, path, kind) for v in values)
 
 
-def _known_keys(mapping: dict, keys: tuple, prefix: str = "") -> None:
+def _known_keys(mapping: dict, keys: tuple, prefix: tuple = ()) -> None:
     for key in mapping:
         if key not in keys:
-            raise ConfigError(f"{prefix}{key}", f"not a config field; the fields are {keys}")
+            raise ConfigError((*prefix, key), f"not a config field; the fields are {keys}")
 
 
-def _distinct(values: tuple, path: str) -> tuple:
+def _distinct(values: tuple, path: tuple) -> tuple:
     """A grid axis: each value once, so each grid point is evaluated once."""
     for i, value in enumerate(values):
         if value in values[:i]:
@@ -114,9 +110,9 @@ def _distinct(values: tuple, path: str) -> tuple:
     return values
 
 
-def _positive(mapping: dict, path: str, kind=float):
+def _positive(mapping: dict, path: tuple, kind=float):
     """The required number under the last key of ``path``, checked by _number and > 0."""
-    key = path.rpartition(".")[2]
+    key = path[-1]
     if key not in mapping:
         raise ConfigError(path, "missing")
     value = _number(mapping[key], path, kind)
@@ -125,16 +121,16 @@ def _positive(mapping: dict, path: str, kind=float):
     return value
 
 
-def _array_config(data: dict, side: str, need_spacing: bool) -> ArrayConfig:
-    mapping = data.get(side)
+def _array_config(data: dict, path: tuple, need_spacing: bool) -> ArrayConfig:
+    mapping = data.get(path[-1])
     if not isinstance(mapping, dict):
-        raise ConfigError(side, "missing" if mapping is None else "expected a mapping")
-    _known_keys(mapping, ARRAY_KEYS, f"{side}.")
+        raise ConfigError(path, "missing" if mapping is None else "expected a mapping")
+    _known_keys(mapping, ARRAY_KEYS, path)
     for key in ("d_v", "d_h"):
         if key in mapping and not need_spacing:
-            raise ConfigError(f"{side}.{key}", "read only under spacing_mode: explicit")
-    n_v, n_h = (_positive(mapping, f"{side}.{key}", int) for key in ("n_v", "n_h"))
-    spacings = (_positive(mapping, f"{side}.{key}") for key in ("d_v", "d_h"))
+            raise ConfigError((*path, key), "read only under spacing_mode: explicit")
+    n_v, n_h = (_positive(mapping, (*path, key), int) for key in ("n_v", "n_h"))
+    spacings = (_positive(mapping, (*path, key)) for key in ("d_v", "d_h"))
     d_v, d_h = spacings if need_spacing else (None, None)
     return ArrayConfig(n_v=n_v, n_h=n_h, d_v=d_v, d_h=d_h)
 
@@ -142,75 +138,78 @@ def _array_config(data: dict, side: str, need_spacing: bool) -> ArrayConfig:
 def parse_config(data: dict) -> ScenarioConfig:
     """Validate a parsed config mapping; each ConfigError names the field at fault."""
     if not isinstance(data, dict):
-        raise ConfigError("<root>", "config document must be a mapping")
+        raise ConfigError(("<root>",), "config document must be a mapping")
     _known_keys(data, CONFIG_KEYS)
-    freq = _positive(data, "frequency_ghz")
-    dist = _positive(data, "distance_m")
+    defaults = {field.name: field.default for field in fields(ScenarioConfig)}
+    freq = _positive(data, ("frequency_ghz",))
+    dist = _positive(data, ("distance_m",))
 
-    spacing_mode = data.get("spacing_mode", "optimal")
+    spacing_mode = data.get("spacing_mode", defaults["spacing_mode"])
     if spacing_mode not in SPACING_MODES:
-        raise ConfigError("spacing_mode", f"must be one of {SPACING_MODES}")
-    tx = _array_config(data, "tx", spacing_mode == "explicit")
-    rx = _array_config(data, "rx", spacing_mode == "explicit")
+        raise ConfigError(("spacing_mode",), f"must be one of {SPACING_MODES}")
+    tx = _array_config(data, ("tx",), spacing_mode == "explicit")
+    rx = _array_config(data, ("rx",), spacing_mode == "explicit")
 
-    ns = _positive(data, "ns", int)
+    ns = _positive(data, ("ns",), int)
     if "ns_split" in data:
-        ns_split = _numbers(data["ns_split"], "ns_split", int)
+        ns_split = _numbers(data["ns_split"], ("ns_split",), int)
         if len(ns_split) != 2:
-            raise ConfigError("ns_split", "expected a pair of integers")
+            raise ConfigError(("ns_split",), "expected a pair of integers")
     else:
         root = math.isqrt(ns)
         if root * root != ns or root % 2 != 0:
-            raise ConfigError("ns_split", f"required: ns={ns} has no even balanced split")
+            raise ConfigError(("ns_split",), f"required: ns={ns} has no even balanced split")
         ns_split = (root, root)
     if ns_split[0] * ns_split[1] != ns:
-        raise ConfigError("ns_split", f"product must equal ns={ns}")
+        raise ConfigError(("ns_split",), f"product must equal ns={ns}")
     per_axis = ((ns_split[0], rx.n_v, tx.n_v), (ns_split[1], rx.n_h, tx.n_h))
     for axis, (ns_i, n_i, m_i) in zip("vh", per_axis):
         try:
             geometry.check_axis_streams(ns_i, n_i, m_i)
         except (geometry.OddStreamCountError, geometry.StreamExceedsArrayError) as exc:
-            raise ConfigError("ns_split", f"axis {axis}: {exc}") from exc
+            raise ConfigError(("ns_split",), f"axis {axis}: {exc}") from exc
 
     # each side's hybrid picks its RF chains among that side's antennas
     n_rf = {}
     for side, array in (("tx", tx), ("rx", rx)):
         field, count = f"n_rf_{side}", array.n_v * array.n_h
-        n_rf[side] = _positive(data, field, int)
+        n_rf[side] = _positive(data, (field,), int)
         if not ns <= n_rf[side] <= count:
             raise ConfigError(
-                field, f"need ns={ns} <= {field} <= {count}, the {side.upper()} antenna count"
+                (field,), f"need ns={ns} <= {field} <= {count}, the {side.upper()} antenna count"
             )
 
-    snr_db = _distinct(_numbers(data.get("snr_db"), "snr_db"), "snr_db")
+    snr_db = _distinct(_numbers(data.get("snr_db"), ("snr_db",)), ("snr_db",))
     if not snr_db:
-        raise ConfigError("snr_db", "expected a non-empty list")
+        raise ConfigError(("snr_db",), "expected a non-empty list")
 
     schemes = data.get("schemes")
     if not isinstance(schemes, (list, tuple)) or not schemes:
-        raise ConfigError("schemes", "expected a non-empty list")
+        raise ConfigError(("schemes",), "expected a non-empty list")
     for s in schemes:
         if s not in SCHEMES:
-            raise ConfigError("schemes", f"unknown scheme {s!r}, valid: {SCHEMES}")
-    schemes = _distinct(tuple(schemes), "schemes")
+            raise ConfigError(("schemes",), f"unknown scheme {s!r}, valid: {SCHEMES}")
+    schemes = _distinct(tuple(schemes), ("schemes",))
 
     rotation = data.get("rotation_deg")
-    rotation = (() if rotation is None else _numbers(rotation, "rotation_deg")) or (0.0,)
-    rotation = _distinct(rotation, "rotation_deg")
+    rotation = () if rotation is None else _numbers(rotation, ("rotation_deg",))
+    rotation = _distinct(rotation or defaults["rotation_deg"], ("rotation_deg",))
 
-    layout = data.get("layout", "parallelogram")
-    if layout not in tuple(LAYOUT_NAMES):
-        raise ConfigError("layout", f"must be one of {tuple(LAYOUT_NAMES)}")
-    if LAYOUT_NAMES[layout] is geometry.LayoutKind.PARALLELOGRAM_OPTIMAL:
+    try:
+        layout = geometry.LayoutKind(data.get("layout", defaults["layout"]))
+    except ValueError:
+        names = tuple(kind.value for kind in geometry.LayoutKind)
+        raise ConfigError(("layout",), f"must be one of {names}") from None
+    if layout is geometry.LayoutKind.PARALLELOGRAM_OPTIMAL:
         for r in rotation:
             try:
                 geometry.plane_cosine(math.radians(r), math.radians(r))
             except geometry.DegeneratePlaneError as exc:
-                raise ConfigError("rotation_deg", f"{r:g} deg: {exc}") from exc
+                raise ConfigError(("rotation_deg",), f"{r:g} deg: {exc}") from exc
 
-    cluster_eps = _number(data.get("cluster_eps", 0.1), "cluster_eps")
+    cluster_eps = _number(data.get("cluster_eps", defaults["cluster_eps"]), ("cluster_eps",))
     if not 0.0 < cluster_eps < 0.5:
-        raise ConfigError("cluster_eps", "must lie in (0, 0.5)")
+        raise ConfigError(("cluster_eps",), "must lie in (0, 0.5)")
 
     return ScenarioConfig(
         frequency_ghz=freq,
@@ -241,23 +240,25 @@ def load_config(path: str) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
-        raise ConfigError("<document>", f"not valid YAML: {exc}", line) from exc
+        raise ConfigError(("<document>",), f"not valid YAML: {exc}", line) from exc
     try:
         return parse_config(data)
     except ConfigError as exc:
-        # error path only: walk the node tree to the deepest key of the field
-        # path that the document holds, taking the last of repeated keys as
-        # the constructor does; a missing top-level key gets no line
-        node, line = yaml.compose(raw, Loader=loader), None
-        for key in exc.field_path.split("."):
+        # error path only: follow the path down the node tree as far as the
+        # document holds it, matching keys as the loader constructs them (the
+        # last of repeated keys wins); a missing top-level key gets no line
+        walker, line = loader(raw), None
+        node = walker.get_single_node()
+        for key in exc.path:
             if not isinstance(node, yaml.MappingNode):
                 break
-            pairs = [(k, v) for k, v in node.value if k.value == key]
+            walker.flatten_mapping(node)
+            pairs = [(k, v) for k, v in node.value if walker.construct_object(k) == key]
             if not pairs:
                 break
             key_node, node = pairs[-1]
             line = key_node.start_mark.line + 1
-        raise ConfigError(exc.field_path, exc.message, line) from None
+        raise ConfigError(exc.path, exc.message, line) from None
 
 
 def axis_spacings(config: ScenarioConfig, scale: float = 1.0):
@@ -290,15 +291,14 @@ class Scenario:
         self.config = config
         self.rotation_deg = rotation_deg
         theta = math.radians(rotation_deg)
-        kind = LAYOUT_NAMES[config.layout]
         (d_tv, d_th), (d_rv, d_rh) = axis_spacings(config, spacing_scale)
         self.tx_spec = geometry.ArraySpec(
             n_v=config.tx.n_v, n_h=config.tx.n_h, d_v=d_tv, d_h=d_th,
-            theta=theta, phi=theta, layout_kind=kind,
+            theta=theta, phi=theta, layout_kind=config.layout,
         )
         self.rx_spec = geometry.ArraySpec(
             n_v=config.rx.n_v, n_h=config.rx.n_h, d_v=d_rv, d_h=d_rh,
-            theta=theta, phi=theta, layout_kind=kind,
+            theta=theta, phi=theta, layout_kind=config.layout,
         )
         self.params = channel.ChannelParams(wavelength=config.wavelength, distance=config.distance_m)
         self.tx_layout = geometry.build_layout(self.tx_spec, geometry.Side.TX, config.distance_m)

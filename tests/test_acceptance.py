@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfocus import validation
 from beamfocus.beamforming import dictionary_tx, omp_hybrid
@@ -193,6 +195,15 @@ def test_criterion_07_rotation_invariance():
            + ", ".join(f"{fresnel_err[d]:.1e}" for d in rates) + f" ({elapsed:.1f} s)")
     assert spread <= 0.05
     assert elapsed < 120.0
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(deg=st.floats(0.0, 60.0))
+def test_criterion_07_rotation_invariance_at_any_angle(desk_scenario, deg):
+    # criterion 7's bound at every angle in [0, 60] deg, not only at its five
+    base = desk_scenario.rate("digital-uniform", 1.0)
+    rate = Scenario(validation.desk_config(), deg).rate("digital-uniform", 1.0)
+    assert abs(rate - base) / base <= 0.05
 
 
 def test_criterion_08_aperture_knee():

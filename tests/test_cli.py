@@ -288,8 +288,9 @@ class TestSpectrum:
         assert summary["transition_count"] <= summary["transition_bound_v"] * 2
 
     def test_blas_threads_do_not_change_desk_spectrum(self, tmp_path):
-        # BLAS sums the Gram in a thread-dependent order, so eigenvalues move
-        # by rounding (printed digits of the small ones change); the cluster
+        # the Gram is bitwise equal at any thread count, but LAPACK's eigensolver
+        # factorizes it in a thread-dependent order, so eigenvalues move by
+        # rounding (printed digits of the small ones change); the cluster
         # counts and the other summary rows must not
         runs = [rows_at_blas_threads("spectrum", DESK, tmp_path / f"spec-{t}.csv", t) for t in ("1", "2")]
         summaries = [[r for r in rows if r[0] == "summary"] for rows in runs]

@@ -23,7 +23,6 @@ from beamfocus.linalg import eig_hermitian
 from beamfocus.scenario import (
     ARRAY_KEYS,
     CONFIG_KEYS,
-    LAYOUT_NAMES,
     SCHEMES,
     ConfigError,
     Scenario,
@@ -91,24 +90,24 @@ class TestParseConfig:
         data.pop("distance_m")
         with pytest.raises(ConfigError) as err:
             parse_config(data)
-        assert err.value.field_path == "distance_m"
+        assert err.value.path == ("distance_m",)
 
     def test_nested_field_named(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(tx={"n_v": 4}))
-        assert err.value.field_path == "tx.n_h"
+        assert err.value.path == ("tx", "n_h")
 
     def test_odd_split_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(ns=3, ns_split=[3, 1]))
-        assert err.value.field_path == "ns_split"
+        assert err.value.path == ("ns_split",)
 
     def test_degenerate_rotation_rejected(self):
         # the parallelogram plane contains the link axis at +-90 degrees
         for rot in (90, -90.0, 89.99):
             with pytest.raises(ConfigError) as err:
                 parse_config(cfg(rotation_deg=[0, rot]))
-            assert err.value.field_path == "rotation_deg"
+            assert err.value.path == ("rotation_deg",)
         assert parse_config(cfg(rotation_deg=[89.0])).rotation_deg == (89.0,)
         # a rigidly rotated flat grid has no such singularity
         config = parse_config(cfg(rotation_deg=[90], layout="rotated-upa"))
@@ -117,25 +116,25 @@ class TestParseConfig:
     def test_rf_chain_ordering_enforced(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(n_rf_tx=2))
-        assert err.value.field_path == "n_rf_tx"
+        assert err.value.path == ("n_rf_tx",)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(schemes=["digital-uniform", "zero-forcing"]))
-        assert err.value.field_path == "schemes"
+        assert err.value.path == ("schemes",)
 
     @pytest.mark.parametrize("field", ["layout", "spacing_mode"])
     def test_list_for_a_name_rejected(self, field):
         # a list is unhashable; the layout lookup once raised TypeError on it
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(**{field: ["parallelogram"]}))
-        assert err.value.field_path == field
+        assert err.value.path == (field,)
 
     def test_per_axis_stream_overflow(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(ns=36, ns_split=[6, 6], n_rf_tx=36, n_rf_rx=36,
                              tx={"n_v": 4, "n_h": 16}, rx={"n_v": 4, "n_h": 16}))
-        assert err.value.field_path == "ns_split"
+        assert err.value.path == ("ns_split",)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -159,7 +158,7 @@ class TestParseConfig:
         else:
             with pytest.raises(ConfigError) as err:
                 parse_config(data)
-            assert err.value.field_path == "ns_split"
+            assert err.value.path == ("ns_split",)
 
     def test_empty_rotation_defaults_to_zero(self):
         assert parse_config(cfg(rotation_deg=[])).rotation_deg == (0.0,)
@@ -183,7 +182,7 @@ class TestParseConfig:
             data[field] = value
         with pytest.raises(ConfigError) as err:
             parse_config(data)
-        assert err.value.field_path == field
+        assert err.value.path == tuple(field.split("."))
 
     @pytest.mark.parametrize("field", ["frequency_ghz", "distance_m", "tx.d_v", "rx.d_h"])
     def test_boolean_for_float_rejected(self, field):
@@ -198,13 +197,13 @@ class TestParseConfig:
             data[field] = True
         with pytest.raises(ConfigError) as err:
             parse_config(data)
-        assert err.value.field_path == field
+        assert err.value.path == tuple(field.split("."))
         assert "bool" in str(err.value)
 
     def test_explicit_mode_needs_spacings(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(spacing_mode="explicit"))
-        assert err.value.field_path in ("tx.d_v", "tx.d_h")
+        assert err.value.path in (("tx", "d_v"), ("tx", "d_h"))
 
     @pytest.mark.parametrize("field, values", [
         ("schemes", ["digital-uniform", "digital-wf", "digital-uniform"]),
@@ -215,11 +214,11 @@ class TestParseConfig:
         # a repeated value once wrote identical rows for one grid point
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(**{field: values}))
-        assert err.value.field_path == field
+        assert err.value.path == (field,)
         texts = dict(VALID_TEXTS, **{field: [str(v) for v in values]})
         text, key_lines = emit_yaml(texts, "block", list(texts), True)
         err = load_error(tmp_path, text)
-        assert (err.field_path, err.line) == (field, key_lines[field])
+        assert (err.path, err.line) == ((field,), key_lines[(field,)])
 
 
 ROUND_TRIP_YAML = (
@@ -257,7 +256,7 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
-        assert err.value.field_path == "ns_split"
+        assert err.value.path == ("ns_split",)
         assert err.value.line == 6
         assert "line 6" in str(err.value)
 
@@ -266,7 +265,7 @@ class TestLoadConfig:
         path.write_text("frequency_ghz: [unclosed\n")
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
-        assert err.value.field_path == "<document>"
+        assert err.value.path == ("<document>",)
 
 
 # a valid explicit-spacing config as YAML scalar texts, so that every kind of
@@ -288,10 +287,12 @@ VALID_TEXTS = {
     "cluster_eps": "0.1",
     "layout": "parallelogram",
 }
+# (key path, list index or None) of every number the config holds
 NUMERIC_FIELDS = (
-    "frequency_ghz", "distance_m", "ns", "n_rf_tx", "n_rf_rx", "cluster_eps",
-    *(f"{side}.{key}" for side in ("tx", "rx") for key in SPACED),
-    *((field, i) for field in ("ns_split", "snr_db", "rotation_deg") for i in (0, 1)),
+    *(((field,), None) for field in
+      ("frequency_ghz", "distance_m", "ns", "n_rf_tx", "n_rf_rx", "cluster_eps")),
+    *(((side, key), None) for side in ("tx", "rx") for key in SPACED),
+    *(((field,), i) for field in ("ns_split", "snr_db", "rotation_deg") for i in (0, 1)),
 )
 HUGE_INT = "1" + "0" * 400
 BAD_TEXTS = ("0", "-1", "true", "false", ".nan", "abc", HUGE_INT)
@@ -299,6 +300,8 @@ BAD_TEXTS = ("0", "-1", "true", "false", ".nan", "abc", HUGE_INT)
 
 def emit_yaml(texts, style, order, padded):
     """YAML text of ``texts`` and the 1-based line of every key, counted while writing.
+
+    The lines are keyed by the path of key texts: ``("tx",)``, ``("tx", "n_v")``.
 
     ``block`` nests everything in block style, ``flow`` writes nested mappings
     and lists in flow style (as the shipped configs do), ``flow-document`` puts
@@ -308,15 +311,15 @@ def emit_yaml(texts, style, order, padded):
     offset = 1 if style == "flow-document" else 0
     for key in order:
         value = texts[key]
-        key_lines[key] = len(lines) + 1 + offset
+        key_lines[(key,)] = len(lines) + 1 + offset
         if isinstance(value, dict):
             if style == "block":
                 lines.append(f"{key}:")
                 for sub, text in value.items():
-                    key_lines[f"{key}.{sub}"] = len(lines) + 1
+                    key_lines[(key, sub)] = len(lines) + 1
                     lines.append(f"  {sub}: {text}")
             else:
-                key_lines.update({f"{key}.{sub}": key_lines[key] for sub in value})
+                key_lines.update({(key, sub): key_lines[(key,)] for sub in value})
                 lines.append(f"{key}: {{" + ", ".join(f"{s}: {t}" for s, t in value.items()) + "}")
         elif isinstance(value, list):
             if style == "block":
@@ -333,15 +336,27 @@ def emit_yaml(texts, style, order, padded):
     return "\n".join(lines) + "\n", key_lines
 
 
-def load_text(tmp_path, text):
+# load_config takes libyaml's loader when yaml has it, else the pure-Python SafeLoader
+LOADERS = ("libyaml", "python")
+
+
+def load_text(tmp_path, text, loader="libyaml"):
     path = tmp_path / "config.yaml"
     path.write_text(text)
-    return load_config(str(path))
+    with pytest.MonkeyPatch.context() as patch:
+        if loader == "python":
+            patch.delattr(yaml, "CSafeLoader", raising=False)
+        return load_config(str(path))
 
 
 def load_error(tmp_path, text):
-    with pytest.raises(ConfigError) as err:
-        load_text(tmp_path, text)
+    """The ConfigError of ``text``: the same field, line and message under either loader."""
+    errors = []
+    for loader in LOADERS:
+        with pytest.raises(ConfigError) as err:
+            load_text(tmp_path, text, loader)
+        errors.append((err.value.path, err.value.line, str(err.value)))
+    assert errors[0] == errors[1]
     return err.value
 
 
@@ -358,26 +373,23 @@ class TestConfigErrorLines:
                                                    target, bad):
         texts = {k: (dict(v) if isinstance(v, dict) else list(v) if isinstance(v, list) else v)
                  for k, v in VALID_TEXTS.items()}
-        if isinstance(target, tuple):
-            field, index = target
-            if field in ("snr_db", "rotation_deg") and bad in ("0", "-1"):
+        path, index = target
+        if index is not None:
+            if path[0] in ("snr_db", "rotation_deg") and bad in ("0", "-1"):
                 bad = ".nan"  # zero and negative entries are valid there
-            texts[field][index] = bad
+            texts[path[0]][index] = bad
+        elif len(path) == 2:
+            texts[path[0]][path[1]] = bad
         else:
-            field = target
-            if "." in field:
-                side, key = field.split(".")
-                texts[side][key] = bad
-            else:
-                texts[field] = bad
+            texts[path[0]] = bad
         valid_text, _ = emit_yaml(VALID_TEXTS, style, order, padded)
         text, key_lines = emit_yaml(texts, style, order, padded)
         tmp_path = tmp_path_factory.mktemp("config")
         assert load_text(tmp_path, valid_text).ns == 4
         err = load_error(tmp_path, text)
-        assert err.field_path == field
-        assert err.line == key_lines[field]
-        assert str(err).startswith(f"config field {field} (line {key_lines[field]}): ")
+        assert err.path == path
+        assert err.line == key_lines[path]
+        assert str(err).startswith(f"config field {'.'.join(path)} (line {key_lines[path]}): ")
 
     def test_nested_block_key_gets_its_own_line(self, tmp_path):
         # matching the bare key text once gave line 4, the first "n_v:" (tx's)
@@ -386,66 +398,103 @@ class TestConfigErrorLines:
             "tx:\n  n_v: 4\n  n_h: 4\nrx:\n  n_v: 0\n  n_h: 4\n",
         )
         err = load_error(tmp_path, text)
-        assert (err.field_path, err.line) == ("rx.n_v", 7)
+        assert (err.path, err.line) == (("rx", "n_v"), 7)
 
     def test_flow_style_key_gets_a_line(self, tmp_path):
         text = (CONFIG_DIR / "small_smoke.yaml").read_text()
         err = load_error(tmp_path, text.replace("tx: {n_v: 4, n_h: 4}", "tx: {n_v: 4, n_h: 0}"))
-        assert (err.field_path, err.line) == ("tx.n_h", 4)
+        assert (err.path, err.line) == (("tx", "n_h"), 4)
 
     @pytest.mark.parametrize("field", ["tx.d_h", "rx.n_h"])
     def test_second_array_field_named(self, tmp_path, field):
         side, key = field.split(".")
         texts = dict(VALID_TEXTS, **{side: dict(SPACED, **{key: "-1"})})
         err = load_error(tmp_path, emit_yaml(texts, "flow", list(texts), False)[0])
-        assert err.field_path == field
+        assert err.path == (side, key)
 
     @pytest.mark.parametrize("field, value", [("n_rf_rx", 2), ("n_rf_tx", 17), ("n_rf_rx", 17)])
     def test_each_rf_count_bounded_on_its_own_side(self, field, value):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(**{field: value}))
-        assert err.value.field_path == field
+        assert err.value.path == (field,)
 
     def test_rf_count_above_own_antennas_rejected(self):
         # the other side's larger array once let n_rf_tx through to the hybrids
         with pytest.raises(ConfigError) as err:
             parse_config(cfg(n_rf_tx=20, rx={"n_v": 8, "n_h": 8}))
-        assert err.value.field_path == "n_rf_tx"
+        assert err.value.path == ("n_rf_tx",)
         assert parse_config(cfg(n_rf_rx=20, rx={"n_v": 8, "n_h": 8})).n_rf_rx == 20
 
     def test_missing_key_points_at_its_parent(self, tmp_path):
         err = load_error(tmp_path, ROUND_TRIP_YAML.replace("tx: {n_v: 4, n_h: 4}", "tx: {n_v: 4}"))
-        assert (err.field_path, err.line) == ("tx.n_h", 3)
+        assert (err.path, err.line) == (("tx", "n_h"), 3)
         err = load_error(tmp_path, ROUND_TRIP_YAML.replace("distance_m: 50.0\n", ""))
-        assert (err.field_path, err.line) == ("distance_m", None)
+        assert (err.path, err.line) == (("distance_m",), None)
         assert "(line" not in str(err)
 
     def test_repeated_key_takes_the_last(self, tmp_path):
         # the constructor keeps the last value, so the error is about that one
         err = load_error(tmp_path, ROUND_TRIP_YAML + "ns: 0\n")
-        assert (err.field_path, err.line) == ("ns", 11)
+        assert (err.path, err.line) == (("ns",), 11)
 
     def test_inferred_split_error_has_no_line(self, tmp_path):
         err = load_error(tmp_path, ROUND_TRIP_YAML.replace("ns_split: [2, 2]\n", "")
                          .replace("ns: 4", "ns: 2").replace("n_rf_tx: 4", "n_rf_tx: 2")
                          .replace("n_rf_rx: 4", "n_rf_rx: 2"))
-        assert (err.field_path, err.line) == ("ns_split", None)
+        assert (err.path, err.line) == (("ns_split",), None)
         assert "ns=2" in str(err)
 
-    def test_valid_config_never_composes(self, monkeypatch):
-        # the node tree is built only on the error path
-        def refuse(*args, **kwargs):
-            raise AssertionError("yaml.compose called on a valid config")
+    def test_merge_key_walked_as_constructed(self, tmp_path):
+        # the walk flattens "<<" as the constructor does; constructing it as a key raises
+        text = ROUND_TRIP_YAML.replace("tx: {n_v: 4, n_h: 4}\nrx: {n_v: 4, n_h: 4}\n",
+                                       "tx: &side {n_v: 4, n_h: 4}\nrx:\n  <<: *side\n  n_h: 0\n")
+        err = load_error(tmp_path, text)
+        assert (err.path, err.line) == (("rx", "n_h"), 6)
+        # a merged-in field is named at its line inside the anchor
+        text = "rx: &side {n_v: 4, n_h: 0}\n" + ROUND_TRIP_YAML.replace(
+            "tx: {n_v: 4, n_h: 4}\nrx: {n_v: 4, n_h: 4}\n", "tx: {<<: *side}\n")
+        err = load_error(tmp_path, text)
+        assert (err.path, err.line) == (("tx", "n_h"), 1)
 
-        monkeypatch.setattr(yaml, "compose", refuse)
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_valid_config_builds_its_node_tree_once(self, tmp_path, monkeypatch, loader):
+        # load_config runs in every benchmark workload's setup: only the error
+        # path builds a second node tree, to find the failing key's line
+        if loader == "python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        cls = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        build, builds = cls.get_single_node, []
+
+        def counted(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(cls, "get_single_node", counted)
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
+            builds.clear()
             assert load_config(str(path)).ns >= 1
+            assert len(builds) == 1, path
+        builds.clear()
+        path = tmp_path / "bad.yaml"
+        path.write_text(ROUND_TRIP_YAML + "ns: 0\n")
+        with pytest.raises(ConfigError, match=r"\(line 11\)"):
+            load_config(str(path))
+        assert len(builds) == 2
 
 
-def key_names(exclude):
-    """Key names that YAML reads as themselves (not true, null, ...) and that are not in ``exclude``."""
+def key_texts(exclude):
+    """YAML texts of keys whose constructed key is not in ``exclude``.
+
+    Plain names, and keys that YAML does not read as a plain string: quoted
+    and plain dotted names, YAML 1.1 booleans and nulls, and integers.
+    """
     names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,15}", fullmatch=True)
-    return names.filter(lambda name: name not in exclude and yaml.safe_load(name) == name)
+    dotted = st.builds("{0}{1}.{2}{0}".format, st.sampled_from(['"', "'", ""]),
+                       st.sampled_from(["tx", "rx"]), st.sampled_from(ARRAY_KEYS))
+    resolved = st.sampled_from(["on", "off", "yes", "no", "True", "null", "Null", "~"])
+    integers = st.integers(-20, 20).map(str)
+    texts = st.one_of(names, dotted, resolved, integers)
+    return texts.filter(lambda text: yaml.safe_load(text) not in exclude)
 
 
 class TestConfigKeys:
@@ -464,24 +513,27 @@ class TestConfigKeys:
     def test_unread_key_named_at_its_line(self, tmp_path_factory, style, order, padded, parent,
                                           data):
         texts = {k: (dict(v) if isinstance(v, dict) else v) for k, v in VALID_TEXTS.items()}
-        name = data.draw(key_names(CONFIG_KEYS if parent is None else ARRAY_KEYS), label="name")
+        name = data.draw(key_texts(CONFIG_KEYS if parent is None else ARRAY_KEYS), label="name")
         value = data.draw(st.sampled_from(["1", "0.3", "[20]", "abc"]), label="value")
+        # the error names the key as YAML constructs it: on is True, "tx.n_v" one key
+        key = yaml.safe_load(name)
         if parent is None:
             order = list(order)
             order.insert(data.draw(st.integers(0, len(order)), label="position"), name)
-            texts[name], path = value, name
+            texts[name], path, text_path = value, (key,), (name,)
         else:
             items = list(texts[parent].items())
             items.insert(data.draw(st.integers(0, len(items)), label="position"), (name, value))
-            texts[parent], path = dict(items), f"{parent}.{name}"
+            texts[parent], path, text_path = dict(items), (parent, key), (parent, name)
         tmp_path = tmp_path_factory.mktemp("config")
         # every field parses; the one key that is not a field fails at its line
         valid_text, _ = emit_yaml(VALID_TEXTS, style, [k for k in order if k != name], padded)
-        assert load_text(tmp_path, valid_text).layout == "parallelogram"
+        assert load_text(tmp_path, valid_text).layout is LayoutKind.PARALLELOGRAM_OPTIMAL
         text, key_lines = emit_yaml(texts, style, order, padded)
         err = load_error(tmp_path, text)
-        assert (err.field_path, err.line) == (path, key_lines[path])
-        assert str(err).startswith(f"config field {path} (line {key_lines[path]}): ")
+        line = key_lines[text_path]
+        assert (err.path, err.line) == (path, line)
+        assert str(err).startswith(f"config field {'.'.join(map(str, path))} (line {line}): ")
 
     @pytest.mark.parametrize("mode", [None, "optimal", "half-wavelength"])
     @pytest.mark.parametrize("field", ["tx.d_v", "rx.d_h"])
@@ -496,7 +548,7 @@ class TestConfigKeys:
         if mode is not None:
             text += f"spacing_mode: {mode}\n"
         err = load_error(tmp_path, text)
-        assert (err.field_path, err.line) == (field, 3 if side == "tx" else 4)
+        assert (err.path, err.line) == ((side, key), 3 if side == "tx" else 4)
         assert "spacing_mode: explicit" in str(err)
 
 
@@ -684,7 +736,7 @@ class TestSpectrumData:
     @given(
         tx=st.tuples(st.integers(2, 12), st.integers(2, 12), spacings, spacings),
         rx=st.tuples(st.integers(2, 12), st.integers(2, 12), spacings, spacings),
-        layout=st.sampled_from(sorted(LAYOUT_NAMES)),
+        layout=st.sampled_from([kind.value for kind in LayoutKind]),
         distance=st.floats(10.0, 100.0),
         rotation=angles,
     )

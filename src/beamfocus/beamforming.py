@@ -3,9 +3,9 @@ phase-extraction baseline.
 
 Power convention: the builders carry no transmit power. Digital precoders
 keep orthonormal columns, and each hybrid builder returns the analog and
-baseband stages it built, unscaled. ``Scenario`` sets every precoder to
-trace ns. Combiners carry no power constraint since the rate formula
-whitens them.
+baseband stages it built, unscaled. ``Scenario`` sets every hybrid precoder
+to trace ns and the digital stream powers. Combiners carry no power
+constraint since the rate formula whitens them.
 """
 
 from __future__ import annotations

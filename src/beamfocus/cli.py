@@ -25,11 +25,9 @@ NUMERIC_ERRORS = (ArithmeticError, ValueError, np.linalg.LinAlgError, Convergenc
 
 class GridPointError(RuntimeError):
     def __init__(self, scheme, snr_db, rotation_deg, cause):
-        self.scheme = scheme
-        self.snr_db = snr_db
-        self.rotation_deg = rotation_deg
+        points = ",".join(map(str, snr_db))  # the SNR grid of the failing curve
         super().__init__(
-            f"numeric failure at scheme={scheme} snr_db={snr_db} rotation_deg={rotation_deg}: {cause}"
+            f"numeric failure at scheme={scheme} snr_db={points} rotation_deg={rotation_deg}: {cause}"
         )
 
 
@@ -48,10 +46,10 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _grid_rate(scenario: Scenario, scheme: str, snr_db: float) -> float:
-    """Scenario.rate at one grid point, numeric failures raised as GridPointError."""
+def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> list[float]:
+    """Scenario.rate at each SNR of ``snr_db``, numeric failures raised as GridPointError."""
     try:
-        return scenario.rate(scheme, 10 ** (snr_db / 10.0))
+        return scenario.rate(scheme, np.array([10 ** (s / 10.0) for s in snr_db])).tolist()
     except NUMERIC_ERRORS as exc:
         raise GridPointError(scheme, snr_db, scenario.rotation_deg, exc) from exc
 
@@ -79,18 +77,16 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = Fals
 
     def evaluate_rotation(rot):
         scenario = Scenario(config, rot)
-        reference = {}
+        reference = _rate_curve(scenario, "digital-uniform", config.snr_db)
         out = []
-        for snr_db in config.snr_db:
-            reference[snr_db] = _grid_rate(scenario, "digital-uniform", snr_db)
         for scheme in config.schemes:
-            for snr_db in config.snr_db:
-                start = time.perf_counter()
-                rate = _grid_rate(scenario, scheme, snr_db)
-                elapsed_ms = (time.perf_counter() - start) * 1e3
-                ref = reference[snr_db]
+            start = time.perf_counter()
+            rates = _rate_curve(scenario, scheme, config.snr_db)
+            # the curve's time shared by its rows, so the column sums to the evaluation time
+            timed = ((time.perf_counter() - start) * 1e3 / len(rates),) if timing else ()
+            for snr_db, rate, ref in zip(config.snr_db, rates, reference):
                 gap = rate / ref if ref > 0 else float("nan")
-                out.append((scheme, snr_db, rot, rate, gap, elapsed_ms))
+                out.append((scheme, snr_db, rot, rate, gap, *timed))
         return out
 
     if threads > 1 and len(config.rotation_deg) > 1:
@@ -102,18 +98,9 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = Fals
     else:
         chunks = [evaluate_rotation(rot) for rot in config.rotation_deg]
 
-    rows = []
-    for chunk in chunks:
-        for scheme, snr_db, rot, rate, gap, elapsed_ms in chunk:
-            row = [scheme, snr_db, rot, rate, gap]
-            if timing:
-                row.append(elapsed_ms)
-            rows.append(tuple(row))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[:3])
     header = ["scheme", "snr_db", "rotation_deg", "rate_bps_hz", "digital_gap_ratio"]
-    if timing:
-        header.append("wall_time_ms")
-    return header, rows
+    return header + (["wall_time_ms"] if timing else []), rows
 
 
 def run_spectrum(config: ScenarioConfig):
@@ -146,7 +133,7 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
         feasible = aperture_feasible(
             nominal_t, nominal_r, config.ns, config.wavelength, config.distance_m
         )
-        rate = _grid_rate(scenario, "digital-uniform", snr_db)
+        (rate,) = _rate_curve(scenario, "digital-uniform", (snr_db,))
         rows.append((scale, l_t, l_r, nominal_t * nominal_r, feasible, rate))
     header = ["scale", "l_t_m", "l_r_m", "nominal_product_m2", "feasible", "rate_bps_hz"]
     return header, rows
@@ -183,7 +170,8 @@ def main(argv=None) -> int:
     for name in ("rate-sweep", "rotation-sweep"):
         p = sub.add_parser(name, help="rates for every scheme/SNR/rotation grid point")
         add_common(p)
-        p.add_argument("--timing", action="store_true", help="append wall_time_ms column")
+        p.add_argument("--timing", action="store_true",
+                       help="append wall_time_ms: each (scheme, rotation) curve's time / SNR count")
     p_ap = sub.add_parser("aperture-sweep", help="digital rate vs spacing scale")
     add_common(p_ap)
     p_ap.add_argument("--scales", default="0.25,0.5,0.75,1.0,1.5",

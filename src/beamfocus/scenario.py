@@ -244,16 +244,17 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         return parse_config(data)
     except ConfigError as exc:
-        # error path only: follow the path down the node tree as far as the
-        # document holds it, matching keys as the loader constructs them (the
-        # last of repeated keys wins); a missing top-level key gets no line
+        # error path only: follow the path down the node tree as far as the document holds
+        # it, matching keys as the loader constructs them, identity first as in a dict (.nan);
+        # the last of repeated keys wins; a missing top-level key gets no line
         walker, line = loader(raw), None
         node = walker.get_single_node()
         for key in exc.path:
             if not isinstance(node, yaml.MappingNode):
                 break
             walker.flatten_mapping(node)
-            pairs = [(k, v) for k, v in node.value if walker.construct_object(k) == key]
+            pairs = [(k, v) for k, v in node.value
+                     if (built := walker.construct_object(k)) is key or built == key]
             if not pairs:
                 break
             key_node, node = pairs[-1]
@@ -283,8 +284,8 @@ class Scenario:
     """One rotation point of a config: the exact channel and every scheme's beamformers.
 
     The heavy artifacts are built on first use and shared across the SNR
-    grid. This is the one place that sets transmit power: every precoder
-    that reaches ``spectral.rate`` has trace ns.
+    grid. This is the one place that sets transmit power: trace ns for the
+    hybrid precoders in ``beams`` and the digital stream powers in ``rate``.
     """
 
     def __init__(self, config: ScenarioConfig, rotation_deg: float, spacing_scale: float = 1.0):
@@ -341,30 +342,31 @@ class Scenario:
         raise ValueError(f"not a hybrid scheme: {scheme}")
 
     def beams(self, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-        """Trace-ns precoder and combiner of any scheme but digital-wf, built once per scenario."""
+        """Trace-ns precoder and combiner of a hybrid scheme, built once per scenario."""
         if scheme not in self._beams:
-            if scheme == "digital-uniform":
-                self._beams[scheme] = self.digital.precoder, self.digital.combiner
-            else:
-                tx, rx = self.hybrid(scheme)
-                # ||F_RF F_BB||_F^2 = ns; scaling the baseband before the
-                # product keeps the rounding of the committed CSVs
-                unit = tx.analog @ (tx.baseband / np.linalg.norm(tx.product()))
-                self._beams[scheme] = math.sqrt(self.config.ns) * unit, rx.product()
+            tx, rx = self.hybrid(scheme)
+            # ||F_RF F_BB||_F^2 = ns; scaling the baseband before the
+            # product keeps the rounding of the committed CSVs
+            unit = tx.analog @ (tx.baseband / np.linalg.norm(tx.product()))
+            self._beams[scheme] = math.sqrt(self.config.ns) * unit, rx.product()
         return self._beams[scheme]
 
-    def rate(self, scheme: str, snr: float) -> float:
-        """Spectral efficiency of one scheme at one linear SNR."""
-        ns = self.config.ns
-        if scheme == "digital-wf":
-            dig = self.digital
-            alloc = spectral.water_filling(dig.singular_values**2, 1.0, snr)
-            # the unit-trace allocation scaled to trace ns, like every other precoder
-            precoder = math.sqrt(ns) * (dig.precoder * np.sqrt(alloc.powers)[None, :])
-            combiner = dig.combiner
-        else:
-            precoder, combiner = self.beams(scheme)
-        return spectral.rate(self.h, precoder, combiner, snr, ns)
+    def rate(self, scheme: str, snr):
+        """Spectral efficiency of one scheme at each linear SNR of ``snr``, in its shape.
+
+        Digital rates come from the singular values: digital-uniform gives each
+        stream power 1, digital-wf ns times the water_filling share at each SNR.
+        """
+        if scheme not in ("digital-uniform", "digital-wf"):
+            return spectral.rate(self.h, *self.beams(scheme), snr, self.config.ns)
+        gains = self.digital.singular_values**2
+        if scheme == "digital-uniform":
+            return spectral.stream_rate(snr, gains, self.config.ns)
+        snrs = np.asarray(snr, dtype=float)
+        # any allocation gives rate 0 at SNR 0; stream_rate rejects a bad SNR
+        powers = [spectral.water_filling(gains, 1.0, s).powers if 0 < s < math.inf else 0 * gains
+                  for s in snrs.flat]
+        return spectral.stream_rate(snrs, np.reshape(powers, (*snrs.shape, -1)) * gains)
 
 
 # rounding leaves the centred Gram's imaginary part near 1e-14 of its real

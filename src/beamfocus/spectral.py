@@ -91,19 +91,30 @@ def water_filling(eigs, p_total: float, gain_over_noise: float) -> PowerAllocati
     return PowerAllocation(powers=powers, water_level=float(level))
 
 
-def rate(h, f, w, snr: float, ns: int) -> float:
-    """Spectral efficiency log2 det(I + snr/ns * F*H* P_W H F) in b/s/Hz.
+def stream_rate(snr, gains, ns: int = 1):
+    """Rate sum_i log2(1 + snr/ns * g_i) in b/s/Hz of parallel streams at each SNR, clamped at 0.
 
-    P_W = W (W*W)^+ W* projects onto the range of the combiner, so a
-    rank-deficient W (an OMP combiner whose atoms tie at the cut, say) is
-    scored on its range; only a zero W raises SingularCombinerError. W is
-    whitened with the eigenpairs (V, Lambda) of its Gram W*W, keeping those
-    above lambda_max / COMBINER_COND_LIMIT (all of them on a well-conditioned
-    W): with C = Lambda^-1/2 V* W* H F on the r kept rows, the rate is
-    log2 det(I_r + snr/ns * C C*), clamped at zero. The r x r side spares the
-    determinant the cancellation of a rank-deficient C*C. The relative error
-    grows like cond(W*W) * eps over the kept pairs: rounding level for the
-    combiners the schemes build (cond below 10), about 1e-7 near cond 1e9.
+    The rate has the shape of ``snr``; the gains run along the last axis. 1 + x rounds
+    first, as in a determinant: below x ~ 1e-4, log1p would differ by over 1e-12 relative.
+    """
+    snrs = np.asarray(snr, dtype=float)
+    if not np.isfinite(snrs).all() or (snrs < 0).any():
+        raise ValueError(f"snr must be finite and non-negative, got {snr}")
+    return np.maximum(np.log2(1.0 + (snrs / ns)[..., None] * gains).sum(axis=-1), 0.0)
+
+
+def rate(h, f, w, snr, ns: int):
+    """Spectral efficiency log2 det(I + snr/ns * F*H* P_W H F) in b/s/Hz, at each SNR of ``snr``.
+
+    P_W = W (W*W)^+ W* projects onto the range of the combiner, so a rank-deficient W
+    (an OMP combiner whose atoms tie at the cut, say) is scored on its range; only a
+    zero W raises SingularCombinerError. W is whitened with the eigenpairs (V, Lambda)
+    of its Gram W*W, keeping those above lambda_max / COMBINER_COND_LIMIT (all of them
+    on a well-conditioned W). C = Lambda^-1/2 V* W* H F on the r kept rows does not
+    depend on the SNR: the rate is stream_rate over the eigenvalues of the r x r C C*,
+    one eigensolve for every SNR. The relative error grows like cond(W*W) * eps over
+    the kept pairs: rounding level for the combiners the schemes build (cond below
+    10), about 1e-7 near cond 1e9.
     """
     h = np.asarray(h, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
@@ -112,8 +123,6 @@ def rate(h, f, w, snr: float, ns: int) -> float:
         raise DimensionMismatchError(
             f"precoder/combiner must have ns={ns} columns, got {f.shape[1]}, {w.shape[1]}"
         )
-    if not math.isfinite(snr) or snr < 0:
-        raise ValueError(f"snr must be finite and non-negative, got {snr}")
     w_h = w.conj().T
     spec_w = eig_hermitian(w_h @ w)
     lmax = float(spec_w.values[0])
@@ -122,10 +131,7 @@ def rate(h, f, w, snr: float, ns: int) -> float:
     keep = int(np.count_nonzero(spec_w.values > lmax / COMBINER_COND_LIMIT))
     lam, vectors = spec_w.values[:keep], spec_w.vectors[:, :keep]
     c = (vectors.conj().T @ w_h @ h @ f) / np.sqrt(lam)[:, None]
-    m = (snr / ns) * (c @ c.conj().T)
-    m.flat[:: m.shape[0] + 1] += 1.0
-    sign, logdet = np.linalg.slogdet(m)
-    return max(float(logdet) / math.log(2.0), 0.0)
+    return stream_rate(snr, eig_hermitian(c @ c.conj().T).values, ns)
 
 
 def rate_upper_bound(n: int, m: int, ns: int, snr: float) -> float:

@@ -83,10 +83,6 @@ def _random_links(seed, cases):
     return links
 
 
-def _default_channel():
-    return channel.exact_channel(*_realized(square_link(side=4)))
-
-
 def _worst(deviations) -> float:
     """The largest deviation; a NaN anywhere comes through, so it fails every bound."""
     return float(np.max(deviations, initial=0.0))
@@ -234,14 +230,21 @@ def check_water_filling_kkt(seed=0, cases=50, spectra=None) -> CheckResult:
     return _result("water-filling-kkt", worst <= 1e-9, f"worst KKT violation {worst:.3e}")
 
 
-def check_rate_eigsum_identity(h=None, ns=4, snrs=(0.1, 1.0, 10.0)) -> CheckResult:
-    """Uniform digital rate equals the eigenvalue sum form of the objective."""
-    h = _default_channel() if h is None else h
-    dig = beamforming.digital_svd(h, ns)
+def check_rate_eigsum_identity(scenario=None, snrs=(0.1, 1.0, 10.0)) -> CheckResult:
+    """Scenario.rate's digital rates, read off sigma, equal spectral.rate on the SVD beams.
+
+    The precoder carries unit stream powers, or at each SNR the water-filled
+    ones scaled to trace ns. Default: the desk scenario at 0 deg.
+    """
+    scenario = Scenario(desk_config(), 0.0) if scenario is None else scenario
+    h, dig, ns = scenario.h, scenario.digital, scenario.config.ns
+    curves = {s: scenario.rate(s, np.asarray(snrs)) for s in ("digital-uniform", "digital-wf")}
     gaps = []
-    for snr in snrs:
-        direct = spectral.rate(h, dig.precoder, dig.combiner, snr, ns)
-        gaps.append(abs(direct - float(np.log2(1.0 + snr * dig.singular_values**2 / ns).sum())))
+    for i, snr in enumerate(snrs):
+        powers = spectral.water_filling(dig.singular_values**2, 1.0, snr).powers
+        filled = math.sqrt(ns) * (dig.precoder * np.sqrt(powers))
+        for scheme, precoder in (("digital-uniform", dig.precoder), ("digital-wf", filled)):
+            gaps.append(abs(curves[scheme][i] - spectral.rate(h, precoder, dig.combiner, snr, ns)))
     worst = _worst(gaps)
     return _result("rate-eigsum-identity", worst <= 1e-9, f"worst gap {worst:.3e}")
 
@@ -255,7 +258,7 @@ def check_combiner_scale_invariance(
     about cond(M* M) * eps, so the bound is relative and grows with it.
     Defaults: the digital beams of the 4x4 link and a seeded M = X + 3 I.
     """
-    h = _default_channel() if h is None else h
+    h = channel.exact_channel(*_realized(square_link(side=4))) if h is None else h
     if precoder is None:
         dig = beamforming.digital_svd(h, 4)
         precoder, combiner = dig.precoder, dig.combiner

@@ -180,7 +180,9 @@ class TestRateSweep:
         monkeypatch.setattr(Scenario, "rate", fail)
         code = cli.main([command, "--config", str(small_config), "--out", str(tmp_path / "x.csv")])
         assert code == 3
-        assert "scheme=digital-uniform snr_db=-5.0 rotation_deg=0.0" in capsys.readouterr().err
+        # a rate-sweep curve spans the SNR grid; aperture-sweep rates the first SNR only
+        points = "-5.0,5.0" if command == "rate-sweep" else "-5.0"
+        assert f"scheme=digital-uniform snr_db={points} rotation_deg=0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["rate-sweep", "aperture-sweep"])
     def test_programming_error_propagates(self, small_config, tmp_path, monkeypatch, command):

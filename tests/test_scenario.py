@@ -400,6 +400,13 @@ class TestConfigErrorLines:
         err = load_error(tmp_path, text)
         assert (err.path, err.line) == (("rx", "n_v"), 7)
 
+    @pytest.mark.parametrize("key", ['"tx.n_v"', "on", "3", ".nan"])
+    def test_key_appended_to_smoke_config_named_at_its_line(self, tmp_path, key):
+        # NaN equals nothing, so only matching by identity first finds .nan's node
+        text = (CONFIG_DIR / "small_smoke.yaml").read_text() + f"{key}: 1\n"
+        err = load_error(tmp_path, text)
+        assert err.line == 15 and f"(line 15): not a config field" in str(err)
+
     def test_flow_style_key_gets_a_line(self, tmp_path):
         text = (CONFIG_DIR / "small_smoke.yaml").read_text()
         err = load_error(tmp_path, text.replace("tx: {n_v: 4, n_h: 4}", "tx: {n_v: 4, n_h: 0}"))
@@ -486,12 +493,14 @@ def key_texts(exclude):
     """YAML texts of keys whose constructed key is not in ``exclude``.
 
     Plain names, and keys that YAML does not read as a plain string: quoted
-    and plain dotted names, YAML 1.1 booleans and nulls, and integers.
+    and plain dotted names, YAML 1.1 booleans and nulls, NaN and the
+    infinities, and integers.
     """
     names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,15}", fullmatch=True)
     dotted = st.builds("{0}{1}.{2}{0}".format, st.sampled_from(['"', "'", ""]),
                        st.sampled_from(["tx", "rx"]), st.sampled_from(ARRAY_KEYS))
-    resolved = st.sampled_from(["on", "off", "yes", "no", "True", "null", "Null", "~"])
+    resolved = st.sampled_from(["on", "off", "yes", "no", "True", "null", "Null", "~",
+                                ".nan", ".NaN", ".inf", "-.inf"])
     integers = st.integers(-20, 20).map(str)
     texts = st.one_of(names, dotted, resolved, integers)
     return texts.filter(lambda text: yaml.safe_load(text) not in exclude)
@@ -656,21 +665,31 @@ class TestScenario:
         snr_db=st.floats(-20.0, 30.0),
     )
     def test_every_rated_precoder_has_trace_ns(self, rotation, n_rf_tx, n_rf_rx, snr_db):
-        # the one transmit power rule, read off the precoders that reach the rate formula
+        # the one transmit power rule: each hybrid curve reaches the rate formula once, with a
+        # trace-ns precoder, and the water-filled digital streams share a unit total at each SNR
         scenario = Scenario(parse_config(cfg(n_rf_tx=n_rf_tx, n_rf_rx=n_rf_rx)), rotation)
-        seen = []
-        original = spectral.rate
+        snrs = 10 ** (np.array([snr_db, snr_db + 10.0, snr_db + 20.0]) / 10)
+        seen, totals = [], []
+        rate, water_filling = spectral.rate, spectral.water_filling
 
-        def recording(h, f, w, snr, ns):
+        def recording_rate(h, f, w, snr, ns):
             seen.append(np.linalg.norm(f) ** 2)
-            return original(h, f, w, snr, ns)
+            return rate(h, f, w, snr, ns)
+
+        def recording_water_filling(eigs, p_total, gain_over_noise):
+            alloc = water_filling(eigs, p_total, gain_over_noise)
+            totals.append(alloc.powers.sum())
+            return alloc
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectral, "rate", recording)
+            patch.setattr(spectral, "rate", recording_rate)
+            patch.setattr(spectral, "water_filling", recording_water_filling)
             for scheme in SCHEMES:
-                scenario.rate(scheme, 10 ** (snr_db / 10))
-        assert len(seen) == len(SCHEMES)
+                assert scenario.rate(scheme, snrs).shape == snrs.shape
+        assert len(seen) == len(SCHEMES) - 2  # the hybrids; digital rates come from sigma
         assert np.abs(np.array(seen) - 4.0).max() <= 1e-12
+        assert len(totals) == len(snrs)
+        assert np.abs(np.array(totals) - 1.0).max() <= 1e-12
 
 
 class TestSpectrumData:

@@ -352,16 +352,56 @@ class TestRate:
             rate(h, h[:, :2], h, 1.0, 3)
 
     def test_top_singular_vectors_give_eigsum_rate(self):
-        rng = np.random.default_rng(33)
-        h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert validation.check_rate_eigsum_identity(h=h, ns=3, snrs=(0.5, 1.0, 4.0)).passed
+        config = validation.desk_config(
+            tx=ArrayConfig(n_v=6, n_h=4), rx=ArrayConfig(n_v=4, n_h=6), ns=4, ns_split=(2, 2)
+        )
+        case = scenario.Scenario(config, 25.0)
+        assert validation.check_rate_eigsum_identity(scenario=case, snrs=(0.5, 1.0, 4.0)).passed
 
 
     @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
     def test_bad_snr_rejected(self, snr):
         h = np.eye(3, dtype=complex)
-        with pytest.raises(ValueError, match="snr"):
-            rate(h, h, h, snr, 3)
+        for snrs in (snr, [1.0, snr]):
+            with pytest.raises(ValueError, match="snr"):
+                rate(h, h, h, snrs, 3)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        tx=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        rx=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        rotation=st.floats(0.0, 60.0),
+        distance=st.floats(10.0, 100.0),
+        rf=st.tuples(st.integers(0, 32), st.integers(0, 32)),
+        snr_db=st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=4),
+    )
+    def test_scheme_curves_match_solve_oracle(self, tx, rx, rotation, distance, rf, snr_db):
+        # every scheme's curve against the determinant on its beams, one SNR at a time;
+        # digital-wf's beams are the water-filled powers assembled into the SVD precoder
+        split = tuple(4 if min(t, r) >= 4 else 2 for t, r in zip(tx, rx))
+        ns = split[0] * split[1]
+        n_rf = [ns + pick % (n_v * n_h - ns + 1) for pick, (n_v, n_h) in zip(rf, (tx, rx))]
+        config = validation.desk_config(
+            distance_m=distance, tx=ArrayConfig(*tx), rx=ArrayConfig(*rx), ns=ns,
+            ns_split=split, n_rf_tx=n_rf[0], n_rf_rx=n_rf[1],
+        )
+        case = scenario.Scenario(config, rotation)
+        snrs = np.array([0.0, *(10 ** (np.array(snr_db) / 10))])
+        dig = case.digital
+        for scheme in scenario.SCHEMES:
+            curve = case.rate(scheme, snrs)
+            assert curve.shape == snrs.shape and curve[0] == 0.0
+            for snr, got in zip(snrs[1:], curve[1:]):
+                if scheme == "digital-uniform":
+                    f, w = dig.precoder, dig.combiner
+                elif scheme == "digital-wf":
+                    powers = water_filling(dig.singular_values**2, 1.0, snr).powers
+                    f, w = math.sqrt(ns) * (dig.precoder * np.sqrt(powers)), dig.combiner
+                else:
+                    f, w = case.beams(scheme)
+                cond = np.linalg.cond(w.conj().T @ w)
+                want = rate_by_solve(h=case.h, f=f, w=w, snr=snr, ns=ns)
+                assert abs(got - want) <= (1e-12 + 1e-14 * cond) * want
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(
@@ -398,7 +438,7 @@ class TestRate:
         if cond <= 1e3:
             assert abs(got - want) <= 1e-12 * want
 
-    def test_one_eigensolve_and_no_solve_per_call(self, monkeypatch):
+    def test_two_eigensolves_and_no_solve_per_curve(self, monkeypatch):
         calls = {"eig": 0, "solve": 0}
         eig, solve = linalg.eig_hermitian, np.linalg.solve
 
@@ -415,8 +455,11 @@ class TestRate:
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         rng = np.random.default_rng(34)
         h = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        rate(h, h[:5, :3], h[:, :3], 2.0, 3)
-        assert calls == {"eig": 1, "solve": 0}
+        # the combiner Gram, then C C*: neither depends on the SNR
+        for snr in (2.0, np.linspace(0.0, 4.0, 7), np.full((3, 31), 2.0)):
+            calls.update(eig=0, solve=0)
+            assert np.shape(rate(h, h[:5, :3], h[:, :3], snr, 3)) == np.shape(snr)
+            assert calls == {"eig": 2, "solve": 0}
 
 
 class TestRateUpperBound:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelParams, quadratic_phase
 from .geometry import AntennaLayout, Side
-from .linalg import SVD_RANK_RTOL, SvdResult, dft_matrix, least_squares, svd
+from .linalg import SVD_RANK_RTOL, SvdResult, dft_matrix, svd
 
 # digital beamformer entries this far below their column's largest are
 # rounding noise (exact zeros by the array symmetry), so they get phase 0
@@ -170,13 +170,12 @@ def asymptotic_hybrid(
 
 
 def omp_hybrid(target: np.ndarray, dictionary: TwistedDft, n_rf: int) -> HybridBeamformer:
-    """Greedy sparse reconstruction of a beamformer over a unitary dictionary.
+    """Orthogonal matching pursuit of a beamformer over a unitary dictionary, in closed form.
 
-    Runs exactly n_rf iterations: pick the dictionary column with the
-    largest residual projection (never re-selecting; ties as in
-    ``_gain_order``), refit the baseband by least squares, renormalize the
-    residual by its squared Frobenius norm. The projections come from
-    ``dictionary.adjoint`` and the analog stage from ``dictionary.columns``.
+    A pick never changes the residual's projection onto an unpicked atom, so
+    the picks are the n_rf rows of ``y = D^H target`` of largest energy (ties
+    as in ``_gain_order``), the baseband is those rows, and the residual norm
+    after k picks is the root of the energy in the rows left unpicked.
     """
     target = np.asarray(target, dtype=np.complex128)
     if n_rf > dictionary.size:
@@ -185,28 +184,13 @@ def omp_hybrid(target: np.ndarray, dictionary: TwistedDft, n_rf: int) -> HybridB
         )
     if n_rf < target.shape[1]:
         raise ValueError(f"n_rf={n_rf} below stream count {target.shape[1]}")
-    selected: list[int] = []
-    # Fortran order, as dictionary.columns returns: each analog[:, :k] reaches
-    # least_squares with the layout, so the rounding, of the atoms built at once
-    analog = np.empty((dictionary.size, n_rf), dtype=np.complex128, order="F")
-    residual = target.copy()
-    baseband = None
-    norms = []
-    for k in range(n_rf):
-        y = dictionary.adjoint(residual)
-        metric = (y.real**2 + y.imag**2).sum(axis=1)
-        if selected:
-            metric[selected] = -1.0
-        q = int(_gain_order(metric)[0])
-        selected.append(q)
-        analog[:, k : k + 1] = dictionary.columns([q])
-        basis = analog[:, : k + 1]
-        baseband = least_squares(basis, target)
-        raw = target - basis @ baseband
-        raw_sq = float(np.linalg.norm(raw)) ** 2
-        norms.append(math.sqrt(raw_sq))
-        residual = raw / raw_sq if raw_sq > 1e-300 else np.zeros_like(raw)
-    return HybridBeamformer(analog=analog, baseband=baseband, residual_norms=tuple(norms))
+    y = dictionary.adjoint(target)
+    energy = (y.real**2 + y.imag**2).sum(axis=1)
+    order = _gain_order(energy)
+    # summed over the sorted tail, not subtracted from the total, so an exact fit leaves ~0
+    unpicked = np.append(np.cumsum(energy[order[:0:-1]])[::-1], 0.0)[:n_rf]
+    picks = order[:n_rf]
+    return HybridBeamformer(dictionary.columns(picks), y[picks], tuple(np.sqrt(unpicked).tolist()))
 
 
 def phase_extraction_hybrid(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -65,6 +66,12 @@ def _parse_scales(text: str) -> list[float]:
     if not all(0.0 < s < math.inf for s in scales):
         raise ConfigError(("scales",), f"scales must be positive and finite: {text!r}")
     return scales
+
+
+def _check_out(path: str) -> None:
+    """A --out that is a directory or in a missing one is a ConfigError, raised before any work."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(("out",), f"not a file in an existing directory: {path!r}")
 
 
 def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = False):
@@ -182,9 +189,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
+        if args.seed < 0:  # numpy seeds are non-negative; exit 2 before the suite runs
+            p_val.error(f"argument --seed: must be non-negative, got {args.seed}")
         return run_validate(seed=args.seed)
 
     try:
+        _check_out(args.out)
         config = load_config(args.config)
         if args.command == "spectrum":
             header, rows = run_spectrum(config)

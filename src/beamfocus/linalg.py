@@ -1,9 +1,10 @@
 """Dense linear algebra on top of LAPACK (numpy.linalg).
 
-Everything downstream (channel Grams, SVD beamformers, OMP least squares)
-goes through these routines. They add what LAPACK leaves open: descending
-order, input checks, and, for the SVD, a canonical basis, so that results do
-not depend on which singular vectors the solver happens to return.
+Everything downstream (channel Grams, SVD beamformers) goes through these
+routines. They add what LAPACK leaves open: descending order, input checks,
+and, for the SVD, a canonical basis, so that results do not depend on which
+singular vectors the solver happens to return. ``least_squares`` now serves
+only the tests' greedy OMP oracle and the benchmark's tracer.
 """
 
 from __future__ import annotations

@@ -231,12 +231,14 @@ def parse_config(data: dict) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     """Read and validate a YAML config; a ConfigError carries the failing key's line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
     # libyaml when present: same constructor and resolver, so the same objects
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
         data = yaml.load(raw, Loader=loader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(("<document>",), f"cannot read: {exc}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None

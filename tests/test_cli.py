@@ -261,6 +261,28 @@ class TestConfigErrors:
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, content", [
+        pytest.param("missing.yaml", None, id="missing"),
+        pytest.param("", None, id="directory"),
+        pytest.param("latin1.yaml", "distance_m: 50.0 # \xb5m\n".encode("latin-1"), id="not-utf8"),
+    ])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "x.csv"
+        assert cli.main(["rate-sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert "config field <document>: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["missing/x.csv", ""], ids=["missing-directory", "directory"])
+    def test_output_not_a_file_path_exit_two(self, small_config, tmp_path, capsys, name):
+        # caught before the sweep runs, so nothing is written
+        out = tmp_path / name
+        assert cli.main(["rate-sweep", "--config", str(small_config), "--out", str(out)]) == 2
+        assert "config field out: not a file in an existing directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
+
 
 class TestSpectrum:
     def test_rows_match_eigh_oracle(self, small_config, tmp_path):
@@ -432,6 +454,14 @@ class TestValidate:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in CORRUPTIONS]
         assert lines[-1].startswith("14/14 invariants passed")
+
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_exit_two(self, capsys, seed):
+        # exit 1 is a failed invariant, so argparse must reject the seed first
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_run_all_runs_every_check_once(self, monkeypatch):
         defined = [name for name in vars(validation) if name.startswith("check_")]

@@ -187,10 +187,11 @@ def omp_hybrid(target: np.ndarray, dictionary: TwistedDft, n_rf: int) -> HybridB
     y = dictionary.adjoint(target)
     energy = (y.real**2 + y.imag**2).sum(axis=1)
     order = _gain_order(energy)
-    # summed over the sorted tail, not subtracted from the total, so an exact fit leaves ~0
-    unpicked = np.append(np.cumsum(energy[order[:0:-1]])[::-1], 0.0)[:n_rf]
+    # left[k]: the energy after k picks, summed over the sorted tail rather than
+    # subtracted from the total, so a target the picks hold exactly leaves ~0
+    left = np.append(np.cumsum(energy[order[::-1]])[::-1], 0.0)
     picks = order[:n_rf]
-    return HybridBeamformer(dictionary.columns(picks), y[picks], tuple(np.sqrt(unpicked).tolist()))
+    return HybridBeamformer(dictionary.columns(picks), y[picks], tuple(np.sqrt(left[1 : n_rf + 1]).tolist()))
 
 
 def phase_extraction_hybrid(

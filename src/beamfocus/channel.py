@@ -96,24 +96,32 @@ def quadratic_phase(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
     return np.exp(2j * np.pi / params.wavelength * phase)
 
 
+def warn_large_aperture(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> None:
+    """Warn (RuntimeWarning) when an aperture is not small against the link distance.
+
+    There the quadratic-phase factorization stops describing the exact
+    channel. fresnel_factors and the Kronecker spectrum both warn from here.
+    """
+    big = max(aperture(tx), aperture(rx))
+    if big >= params.distance:
+        warnings.warn(
+            f"aperture {big:.3g} m is not small against distance {params.distance:.3g} m; "
+            "quadratic-phase factors may be inaccurate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> ChannelSet:
     """Factor the quadratic-phase channel into per-side diagonals and the xy core.
 
     The recomposition conj(d_r) * h_tilde * d_t reproduces taylor_channel
     exactly; the gap to the exact channel is the Taylor remainder, which
-    shrinks as the link distance grows relative to the apertures. Warns
-    (RuntimeWarning) when an aperture is not small against the link
-    distance, where the factorization stops describing the exact channel.
+    shrinks as the link distance grows relative to the apertures, as
+    warn_large_aperture checks.
     """
     d = params.distance
-    big = max(aperture(tx), aperture(rx))
-    if big >= d:
-        warnings.warn(
-            f"aperture {big:.3g} m is not small against distance {d:.3g} m; "
-            "quadratic-phase factors may be inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warn_large_aperture(tx, rx, params)
     tx_x, tx_y = tx.coords[0], tx.coords[1]
     rx_x, rx_y = rx.coords[0], rx.coords[1]
     h_tilde = np.exp(
@@ -126,20 +134,29 @@ def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams)
     )
 
 
+def has_kron_core(*specs: ArraySpec) -> bool:
+    """True when the Fresnel core of arrays laid out from ``specs`` is a Kronecker product.
+
+    A parallelogram layout keeps the xy grid at every tilt, so it always
+    has one; a rigidly rotated UPA shears that grid, so only its flat case does.
+    """
+    return all(
+        spec.layout_kind is not LayoutKind.ROTATED_UPA or (spec.theta == 0.0 and spec.phi == 0.0)
+        for spec in specs
+    )
+
+
 def kron_factor_channel(
     spec_tx: ArraySpec, spec_rx: ArraySpec, params: ChannelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertical and horizontal linear-array factors of the planar core.
 
     kron(h_linv, h_linh) equals the h_tilde of the full planar pair, thanks
-    to the vertical-major element enumeration. A parallelogram layout keeps
-    the xy grid at every tilt, so the identity holds at any theta, phi; a
-    rigidly rotated UPA shears that grid, so only its flat case is accepted.
+    to the vertical-major element enumeration. Raises ValueError for a pair
+    that has_kron_core rejects.
     """
-    for spec in (spec_tx, spec_rx):
-        tilted = spec.theta != 0.0 or spec.phi != 0.0
-        if tilted and spec.layout_kind is LayoutKind.ROTATED_UPA:
-            raise ValueError("a rotated UPA has no Kronecker core unless theta = phi = 0")
+    if not has_kron_core(spec_tx, spec_rx):
+        raise ValueError("a rotated UPA has no Kronecker core unless theta = phi = 0")
     lam, dist = params.wavelength, params.distance
 
     def factor(n_rx, d_rx, n_tx, d_tx):

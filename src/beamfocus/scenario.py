@@ -397,23 +397,46 @@ def _centred_tx_gram(
     return channel.gram(h_tilde, geometry.Side.TX)
 
 
-def spectrum_data(config: ScenarioConfig):
-    """Eigenvalues of the transmit gain matrix, their cluster counts and the per-axis predictions.
+def _tx_gain_values(scenario: Scenario) -> np.ndarray:
+    """Eigenvalues of the transmit Gram of the Fresnel core, in non-increasing order.
 
-    The eigensolve runs on the real part of ``_centred_tx_gram``, which has
-    the same spectrum as the plain Gram at the cost of a real solver.
+    With a Kronecker core (channel.has_kron_core) that Gram is the Kronecker
+    product of the two per-axis Grams, so its eigenvalues are the products of
+    two per-axis prolate spectra (Slepian 1978): an n_v x n_v and an n_h x n_h
+    eigensolve. Each per-axis spectrum is clamped at 0 first, so a
+    rounding-level negative cannot give a product of either sign. A tilted
+    rotated UPA has no such core: its eigensolve runs on the real part of
+    ``_centred_tx_gram``, which has the same spectrum as the plain Gram at
+    the cost of a real solver.
     """
-    scenario = Scenario(config, config.rotation_deg[0])
-    g = _centred_tx_gram(scenario.tx_layout, scenario.rx_layout, scenario.params)
+    ts, rs, params = scenario.tx_spec, scenario.rx_spec, scenario.params
+    if channel.has_kron_core(ts, rs):
+        channel.warn_large_aperture(scenario.tx_layout, scenario.rx_layout, params)
+        per_axis = [
+            np.maximum(eig_hermitian(channel.gram(factor, geometry.Side.TX)).values, 0.0)
+            for factor in channel.kron_factor_channel(ts, rs, params)
+        ]
+        return np.sort(np.outer(*per_axis), axis=None)[::-1]
+    g = _centred_tx_gram(scenario.tx_layout, scenario.rx_layout, params)
     imag, real = np.abs(g.imag).max(), np.abs(g.real).max()
     if imag > CENTRED_GRAM_IMAG_RTOL * real:
         # a broken symmetry assumption is a bug, not a numeric failure
         raise RuntimeError(
             f"centred transmit Gram is not real: max |Im| {imag:.3e} against max |Re| {real:.3e}"
         )
-    eig = eig_hermitian(g.real)
+    return eig_hermitian(g.real).values
+
+
+def spectrum_data(config: ScenarioConfig):
+    """Eigenvalues of the transmit gain matrix, their cluster counts and the per-axis predictions.
+
+    The spectrum is that of the config's first ``rotation_deg`` entry; see
+    ``_tx_gain_values`` for how it is solved.
+    """
+    scenario = Scenario(config, config.rotation_deg[0])
+    values = _tx_gain_values(scenario)
     normalizer = scenario.tx_layout.count * scenario.rx_layout.count / config.ns
-    omega = eig.values / normalizer
+    omega = values / normalizer
     eps = config.cluster_eps
     ts, rs = scenario.tx_spec, scenario.rx_spec
     axes = []  # (delta, predicted streams, transition bound) of the v, then the h axis
@@ -436,4 +459,4 @@ def spectrum_data(config: ScenarioConfig):
         "transition_bound_v": bound_v,
         "transition_bound_h": bound_h,
     }
-    return eig.values, omega, summary
+    return values, omega, summary

@@ -14,6 +14,7 @@ from beamfocus.channel import (
     exact_channel,
     fresnel_factors,
     gram,
+    has_kron_core,
     kron_factor_channel,
     layout_pair,
     prolate_matrix,
@@ -176,8 +177,11 @@ class TestKronFactorChannel:
         params = ChannelParams(wavelength=0.01, distance=10.0)
         flat = ArraySpec(n_v=2, n_h=3, d_v=0.1, d_h=0.1, layout_kind=LayoutKind.ROTATED_UPA)
         tilted = ArraySpec(n_v=2, n_h=3, d_v=0.1, d_h=0.1, phi=0.1, layout_kind=LayoutKind.ROTATED_UPA)
+        tilted_parallelogram = ArraySpec(n_v=2, n_h=3, d_v=0.1, d_h=0.1, theta=0.3, phi=0.1)
         assert np.kron(*kron_factor_channel(flat, flat, params)).shape == (6, 6)
+        assert has_kron_core(flat, tilted_parallelogram)
         for spec_t, spec_r in ((tilted, flat), (flat, tilted)):
+            assert not has_kron_core(spec_t, spec_r)
             with pytest.raises(ValueError, match="rotated UPA"):
                 kron_factor_channel(spec_t, spec_r, params)
 

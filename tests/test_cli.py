@@ -312,17 +312,17 @@ class TestSpectrum:
         assert summary["transition_count"] <= summary["transition_bound_v"] * 2
 
     def test_blas_threads_do_not_change_desk_spectrum(self, tmp_path):
-        # the Gram is bitwise equal at any thread count, but LAPACK's eigensolver
-        # factorizes it in a thread-dependent order, so eigenvalues move by
-        # rounding (printed digits of the small ones change); the cluster
-        # counts and the other summary rows must not
-        runs = [rows_at_blas_threads("spectrum", DESK, tmp_path / f"spec-{t}.csv", t) for t in ("1", "2")]
-        summaries = [[r for r in rows if r[0] == "summary"] for rows in runs]
-        assert summaries[0] == summaries[1]
-        assert len(summaries[0]) == 10
-        one, two = (np.array([float(r[2]) for r in rows if r[0] == "eigenvalue"]) for rows in runs)
-        assert one.size == two.size == 256
-        assert np.abs(one - two).max() <= 4 * 256 * np.finfo(float).eps * one[0]
+        # LAPACK's eigensolver runs threaded blocked kernels above about
+        # 128 x 128, which round differently at each thread count; the
+        # Kronecker spectrum solves only per-axis Grams, 16 x 16 on desk, so
+        # the whole CSV is byte-identical. Smaller calls may thread on a box
+        # with more cores, hence the nproc count too
+        files = []
+        for t in sorted({"1", "2", str(len(os.sched_getaffinity(0)))}):
+            rows_at_blas_threads("spectrum", DESK, tmp_path / f"spec-{t}.csv", t)
+            files.append((tmp_path / f"spec-{t}.csv").read_bytes())
+        assert len(files[0].splitlines()) == 1 + 256 + 10
+        assert all(f == files[0] for f in files[1:])
 
     def test_half_wavelength_spacing_is_rank_deficient(self, tmp_path):
         path = tmp_path / "half.yaml"

@@ -705,17 +705,30 @@ class TestSpectrumData:
         # the real centred Gram rounds differently from the complex one
         assert np.abs(values - expected).max() <= spectrum_tolerance(expected, 16)
 
-    def test_one_real_eigensolve(self, monkeypatch):
-        # a silent return to the complex Gram would pass every value check
+    @staticmethod
+    def recorded_eigensolves(monkeypatch, config):
+        """(shape, dtype) of each matrix spectrum_data hands to eig_hermitian."""
         seen = []
 
         def recording_eig(a):
-            seen.append(np.asarray(a).dtype)
+            seen.append((np.shape(a), np.asarray(a).dtype))
             return eig_hermitian(a)
 
         monkeypatch.setattr(scenario_module, "eig_hermitian", recording_eig)
-        spectrum_data(parse_config(cfg(rotation_deg=[20.0])))
-        assert seen == [np.float64]
+        spectrum_data(config)
+        return seen
+
+    def test_two_per_axis_eigensolves_on_the_kronecker_path(self, monkeypatch):
+        # a silent return to the dense Gram would pass every value check
+        arrays = {"n_v": 4, "n_h": 6}
+        config = parse_config(cfg(tx=arrays, rx=arrays, rotation_deg=[20.0]))
+        seen = self.recorded_eigensolves(monkeypatch, config)
+        assert [shape for shape, _ in seen] == [(4, 4), (6, 6)]
+
+    def test_one_real_eigensolve_on_a_tilted_rotated_upa(self, monkeypatch):
+        # no Kronecker core: the real part of the centred M x M Gram, not the complex Gram
+        config = parse_config(cfg(layout="rotated-upa", rotation_deg=[20.0]))
+        assert self.recorded_eigensolves(monkeypatch, config) == [((16, 16), np.float64)]
 
     def test_guard_rejects_a_gram_that_is_not_real(self, monkeypatch):
         # the Gram without the centring has an O(1) imaginary part, as a
@@ -726,7 +739,7 @@ class TestSpectrumData:
 
         monkeypatch.setattr(scenario_module, "_centred_tx_gram", uncentred)
         with pytest.raises(RuntimeError, match="not real"):
-            spectrum_data(parse_config(cfg()))
+            spectrum_data(parse_config(cfg(layout="rotated-upa", rotation_deg=[20.0])))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -777,6 +790,39 @@ class TestSpectrumData:
         omega = oracle / summary["normalizer"]
         assert summary["count_near_one"] == int((omega >= 1.0 - config.cluster_eps).sum())
         assert summary["count_near_zero"] == int((omega <= config.cluster_eps).sum())
+
+    # a tilted parallelogram's sheared z can reach the link distance; that
+    # warns about the Fresnel model, and the spectrum does not depend on z
+    @pytest.mark.filterwarnings("ignore:aperture .* is not small against distance:RuntimeWarning")
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        tx=st.tuples(st.integers(2, 12), st.integers(2, 12), spacings, spacings),
+        rx=st.tuples(st.integers(2, 12), st.integers(2, 12), spacings, spacings),
+        distance=st.floats(10.0, 100.0),
+        rotations=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4, unique=True),
+    )
+    def test_parallelogram_spectrum_is_a_rotation_free_prolate_product(
+        self, tx, rx, distance, rotations
+    ):
+        def side(draw):
+            n_v, n_h, d_v, d_h = draw
+            return {"n_v": n_v, "n_h": n_h, "d_v": d_v * WAVELENGTH, "d_h": d_h * WAVELENGTH}
+
+        def values_at(rotation):
+            config = parse_config(cfg(
+                distance_m=distance, spacing_mode="explicit", tx=side(tx), rx=side(rx),
+                rotation_deg=[rotation],
+            ))
+            return spectrum_data(config)[0]
+
+        values = values_at(0.0)
+        assert values.min() >= 0.0 and np.all(np.diff(values) <= 0.0)
+        # the trace of the Gram is the channel's squared Frobenius norm N * M
+        total = tx[0] * tx[1] * rx[0] * rx[1]
+        assert abs(values.sum() - total) <= 1e-12 * total
+        # the paper's rotation claim: a parallelogram keeps the spectrum, bit for bit
+        for rotation in rotations:
+            assert values_at(rotation).tobytes() == values.tobytes()
 
     def test_large_aperture_still_warns(self):
         config = parse_config(cfg(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from beamfocus import linalg, scenario, spectral, validation
 from beamfocus.channel import ChannelParams, fresnel_factors, gram, layout_pair
 from beamfocus.geometry import ArraySpec, Side, axis_streams, optimal_spacing, spacing_ratio
-from beamfocus.linalg import EigenSpectrum, eig_hermitian
+from beamfocus.linalg import eig_hermitian
 from beamfocus.scenario import ArrayConfig
 from beamfocus.spectral import (
     AllZeroEigenvaluesError,
@@ -88,10 +88,10 @@ def small_config(**overrides):
 
 
 def summary_for(monkeypatch, omega, eps=0.1):
-    """spectrum_data's summary when its eigensolve returns ``omega`` times the normalizer."""
+    """spectrum_data's summary when its transmit spectrum is ``omega`` times the normalizer."""
     normalizer = 16 * 16 / 4  # a power of two, so omega comes back exactly
-    spec = EigenSpectrum(values=np.asarray(omega) * normalizer, vectors=np.empty((0, 0)))
-    monkeypatch.setattr(scenario, "eig_hermitian", lambda g: spec)
+    values = np.asarray(omega) * normalizer
+    monkeypatch.setattr(scenario, "_tx_gain_values", lambda _: values)
     summary = scenario.spectrum_data(small_config(cluster_eps=eps))[2]
     assert summary["normalizer"] == normalizer
     return summary

@@ -725,7 +725,7 @@ class TestSpectrumData:
         seen = self.recorded_eigensolves(monkeypatch, config)
         assert [shape for shape, _ in seen] == [(4, 4), (6, 6)]
 
-    def test_one_real_eigensolve_on_a_tilted_rotated_upa(self, monkeypatch):
+    def test_one_real_eigensolve(self, monkeypatch):
         # no Kronecker core: the real part of the centred M x M Gram, not the complex Gram
         config = parse_config(cfg(layout="rotated-upa", rotation_deg=[20.0]))
         assert self.recorded_eigensolves(monkeypatch, config) == [((16, 16), np.float64)]

@@ -15,13 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, quadratic_phase
-from .geometry import AntennaLayout, Side
-from .linalg import SVD_RANK_RTOL, SvdResult, dft_matrix, svd
+from .channel import ChannelParams, has_kron_core, kron_factor_channel, quadratic_phase
+from .geometry import AntennaLayout, ArraySpec, Side
+from .linalg import SVD_RANK_RTOL, ConvergenceError, SvdResult, dft_matrix, subspace_svd, svd
 
 # digital beamformer entries this far below their column's largest are
 # rounding noise (exact zeros by the array symmetry), so they get phase 0
 PHASE_FLOOR_RTOL = 1e-9
+
+# fresnel_start's gates on the Fresnel spectrum s, in non-increasing order: the
+# ns-th value at least SUBSPACE_SIGMA_RTOL of the first, the first value past
+# the block at most SUBSPACE_GAP of the ns-th, and min(N, M) at least four block
+# widths and at least SUBSPACE_MIN_DIM, about where the iteration and LAPACK's
+# dense SVD cost the same (8 x 8 arrays per side, 1.6 ms each on 2 vCPUs)
+SUBSPACE_SIGMA_RTOL = 0.1
+SUBSPACE_GAP = 0.1
+SUBSPACE_MIN_DIM = 64
 
 
 class DictionaryExhaustedError(ValueError):
@@ -49,21 +58,73 @@ class HybridBeamformer:
         return self.analog @ self.baseband
 
 
-def digital_svd(h, ns: int) -> DigitalBeamformer:
+def digital_svd(h, ns: int, start=None) -> DigitalBeamformer:
     """Precoder/combiner from the top ns singular vectors of the channel.
 
-    Columns stay orthonormal; Scenario.rate water-fills over the returned
-    singular values for the ``digital-wf`` scheme.
+    ``start`` is an M x k block from ``fresnel_start``: the top singular
+    triplets then come from ``subspace_svd`` started from its span, or from
+    ``svd`` should that not converge. ``None`` is the k = min(N, M) case, the
+    whole space, which ``svd`` factors densely. Columns stay orthonormal;
+    Scenario.rate water-fills over the returned singular values for the
+    ``digital-wf`` scheme.
     """
     n, m = np.asarray(h).shape
     if ns > min(n, m):
         raise ValueError(f"ns={ns} exceeds min(N, M)={min(n, m)}")
-    res: SvdResult = svd(h, ns)
+    try:
+        res: SvdResult = svd(h, ns) if start is None else subspace_svd(h, ns, start)
+    except ConvergenceError:
+        if start is None:
+            raise
+        # the Fresnel spectrum promised a gap the channel does not have, as
+        # where an aperture is not small against the distance: factor densely
+        res = svd(h, ns)
     return DigitalBeamformer(
         precoder=res.right[:, :ns].copy(),
         combiner=res.left[:, :ns].copy(),
         singular_values=res.singular_values[:ns].copy(),
     )
+
+
+def fresnel_start(
+    spec_tx: ArraySpec, spec_rx: ArraySpec, tx: AntennaLayout, params: ChannelParams, ns: int
+):
+    """Start block of ``digital_svd``'s subspace iteration, or None where the dense SVD runs.
+
+    With a Kronecker core, the Fresnel model ``conj(D_r) kron(h_v, h_h) D_t``
+    of the channel has the right singular vectors ``conj(d_t) * kron(v_v, v_h)``
+    for the per-axis right vectors of ``channel.kron_factor_channel``, with
+    singular values the products ``s = sigma_v sigma_h``. The block holds the
+    first k of them, ordered by s with ``_gain_order``'s tie rule; ``tx`` is
+    the layout ``d_t`` comes from.
+
+    Column ns - 1 converges like (s[k] / s[ns - 1])^2 per pass, so k is the
+    smallest width with s[k] <= SUBSPACE_GAP * s[ns - 1]. None stands for k =
+    min(N, M), the whole space: it is returned for a channel without a
+    Kronecker core, with s[ns - 1] below SUBSPACE_SIGMA_RTOL * s[0] (rank
+    below ns, say), without such a k, with min(N, M) below 4 k, or smaller
+    than SUBSPACE_MIN_DIM.
+    """
+    n, m = spec_rx.n_v * spec_rx.n_h, spec_tx.n_v * spec_tx.n_h
+    if min(n, m) < SUBSPACE_MIN_DIM or not has_kron_core(spec_tx, spec_rx):
+        return None
+    (_, s_v, v_v), (_, s_h, v_h) = (
+        np.linalg.svd(factor, full_matrices=False)
+        for factor in kron_factor_channel(spec_tx, spec_rx, params)
+    )
+    s = np.outer(s_v, s_h).ravel()
+    order = _gain_order(s)
+    s = s[order]
+    if s[ns - 1] < SUBSPACE_SIGMA_RTOL * s[0]:
+        return None
+    past = np.flatnonzero(s[ns:] <= SUBSPACE_GAP * s[ns - 1])
+    k = ns + past[0] if past.size else min(n, m)
+    if 4 * k > min(n, m):
+        return None
+    i, j = np.divmod(order[:k], s_h.size)
+    # rows of v^H are the conjugated right vectors
+    cols = (v_v[i].conj()[:, :, None] * v_h[j].conj()[:, None, :]).reshape(i.size, -1)
+    return np.conj(quadratic_phase(tx, params))[:, None] * cols.T
 
 
 @dataclass(frozen=True, eq=False)

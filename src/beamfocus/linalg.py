@@ -1,10 +1,15 @@
-"""Dense linear algebra on top of LAPACK (numpy.linalg).
+"""Linear algebra on top of LAPACK (numpy.linalg).
 
 Everything downstream (channel Grams, SVD beamformers) goes through these
 routines. They add what LAPACK leaves open: descending order, input checks,
 and, for the SVD, a canonical basis, so that results do not depend on which
-singular vectors the solver happens to return. ``least_squares`` now serves
-only the tests' greedy OMP oracle and the benchmark's tracer.
+singular vectors the solver happens to return. Two solvers give the SVD in
+that basis: ``svd`` factors the whole matrix (LAPACK gesdd), and
+``subspace_svd`` finds only the top triplets by block subspace iteration
+from a caller's start block, factoring nothing larger than N x k. Both end
+in ``_canonical``, the one implementation of the basis rule.
+``least_squares`` now serves only the tests' greedy OMP oracle and the
+benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -16,6 +21,14 @@ import numpy as np
 
 HERMITIAN_ASYMMETRY_RTOL = 1e-10
 SVD_RANK_RTOL = 1e-10
+# entries of a singular vector equal by the array's symmetry come out of a
+# solver apart by rounding over the gap to the neighbouring values: up to
+# 2.5e-10 relative in desk's sigma_4/sigma_5 pair (gap 6.5e-7 sigma_0), so
+# _fix_phases ties them at this tolerance, not at SVD_RANK_RTOL
+PHASE_TIE_RTOL = 1e-8
+# subspace_svd stops once every converged Ritz residual is this small against sigma_0
+RITZ_RESIDUAL_RTOL = 1e-13
+SUBSPACE_MAX_STEPS = 10
 GRAM_COND_LIMIT = 1e12
 
 
@@ -73,20 +86,21 @@ def _as_matrix(a, dtype=np.complex128):
     return a
 
 
-def _first_within(values: np.ndarray, axis=None):
-    """Index of the first entry within SVD_RANK_RTOL of the largest, so ties go to the lowest index."""
+def _first_within(values: np.ndarray, axis=None, rtol=SVD_RANK_RTOL):
+    """Index of the first entry within ``rtol`` of the largest, so ties go to the lowest index."""
     top = values.max(axis=axis, keepdims=axis is not None)
-    return (values >= (1.0 - SVD_RANK_RTOL) * top).argmax(axis=axis)
+    return (values >= (1.0 - rtol) * top).argmax(axis=axis)
 
 
 def _fix_phases(x: np.ndarray, *others: np.ndarray) -> None:
     """Make the largest-magnitude entry of each column of ``x`` real and positive, in place.
 
-    The same unit factor multiplies the matching column of every array in
-    ``others``, so factorizations stay consistent.
+    Entries within PHASE_TIE_RTOL of the largest tie, and the lowest index
+    wins. The same unit factor multiplies the matching column of every
+    array in ``others``, so factorizations stay consistent.
     """
     mag = np.abs(x)
-    at = (_first_within(mag, axis=0), np.arange(x.shape[1]))
+    at = (_first_within(mag, axis=0, rtol=PHASE_TIE_RTOL), np.arange(x.shape[1]))
     lead = np.conj(x[at]) / mag[at]
     x *= lead
     for y in others:
@@ -196,15 +210,35 @@ def svd(a, rank: int | None = None) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     np.conjugate(right, out=right)
-    right = right.T
+    return _canonical(left, sigma, right.T, rank)
+
+
+def _clusters(sigma: np.ndarray, rank: int):
+    """(start, stop) of each cluster of ``sigma`` up to the one holding index ``rank - 1``.
+
+    A cluster is a run of values within SVD_RANK_RTOL * sigma[0] of the run's first value.
+    """
     tol = SVD_RANK_RTOL * sigma[0]
-    sigma[sigma <= tol] = 0.0
-    _fix_phases(right, left)
     start = 0
     while start < rank:
         stop = start + 1
         while stop < sigma.size and sigma[start] - sigma[stop] <= tol:
             stop += 1
+        yield start, stop
+        start = stop
+
+
+def _canonical(left: np.ndarray, sigma: np.ndarray, right: np.ndarray, rank: int) -> SvdResult:
+    """The SVD triplets in the canonical basis that ``svd`` documents, rotated in place.
+
+    The one implementation of the rule for both solvers: values at or below
+    SVD_RANK_RTOL * sigma[0] become zero, every column's phase is fixed, and
+    each cluster up to the one holding column ``rank - 1`` is rotated to the
+    basis its span fixes.
+    """
+    sigma[sigma <= SVD_RANK_RTOL * sigma[0]] = 0.0
+    _fix_phases(right, left)
+    for start, stop in _clusters(sigma, rank):
         cols = slice(start, stop)
         if sigma[start] == 0.0:
             # a zero singular value ties no left vector to its right vector
@@ -212,8 +246,66 @@ def svd(a, rank: int | None = None) -> SvdResult:
             _to_canonical_basis(right[:, cols])
         elif stop - start > 1:
             _to_canonical_basis(right[:, cols], left[:, cols])
-        start = stop
     return SvdResult(left=left, singular_values=sigma, right=right)
+
+
+def subspace_svd(a, rank: int, start) -> SvdResult:
+    """Top singular triplets of ``a`` by block subspace iteration from the span of ``start``.
+
+    Randomized range finding with power steps (Halko, Martinsson & Tropp
+    2011, Alg. 4.4), with the random start replaced by the caller's M x k
+    block ``start``. A pass orthonormalizes the block X by Householder QR
+    and multiplies it by ``a^H a``; the eigenpairs (s_i^2, w_i) of the k x k
+    ``(a X)^H a X`` give the Ritz values s_i and right Ritz vectors X w_i.
+    The passes stop once the Ritz residuals ``||a^H a X w_i - s_i^2 X w_i|| /
+    s_i``, which are ``||a^H u_i - s_i v_i||`` for the Ritz triplets, of the
+    columns up to the end of the cluster holding column ``rank - 1`` are all
+    within RITZ_RESIDUAL_RTOL * s_0; SUBSPACE_MAX_STEPS passes without that
+    raise ConvergenceError. Column i converges like (sigma_k / sigma_i)^2 per
+    pass, so the block must reach well past a gap below sigma_rank. The
+    residual's rounding floor, about 3e-15 * s_0^2 / s_i, stays below the
+    tolerance while sigma_rank is above about a tenth of sigma_0.
+
+    The triplets come from the Rayleigh-Ritz SVD ``a X = U S W^H`` of the
+    last block, in the canonical basis of ``svd``: k columns, of which only
+    those up to that cluster's end are converged. Their values match
+    ``svd(a, rank)`` to about the residual, and their vectors to about the
+    residual over the gap to the neighbouring values.
+    """
+    a = _as_matrix(a)
+    x = _as_matrix(start)
+    k = x.shape[1]
+    if x.shape[0] != a.shape[1]:
+        raise ValueError(f"start has {x.shape[0]} rows, a has {a.shape[1]} columns")
+    if not 1 <= rank <= k < min(a.shape):
+        raise ValueError(f"need 1 <= rank={rank} <= k={k} < min{a.shape}")
+    a_h = a.conj().T
+    for _ in range(SUBSPACE_MAX_STEPS):
+        q = np.linalg.qr(x)[0]
+        b = a @ q
+        x = a_h @ b
+        try:
+            lam, w = np.linalg.eigh(b.conj().T @ b)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"Ritz eigensolve did not converge: {exc}") from exc
+        lam, w = lam[::-1], w[:, ::-1]
+        sigma = np.sqrt(np.maximum(lam, 0.0))
+        *_, (_, stop) = _clusters(sigma, rank)
+        gap = x @ w[:, :stop] - (q @ w[:, :stop]) * lam[:stop]
+        # ||gap_i|| / s_i is the residual; compared without dividing by an s_i of 0
+        gap = np.sqrt((gap.real**2 + gap.imag**2).sum(axis=0))
+        if stop < k and (gap <= RITZ_RESIDUAL_RTOL * sigma[0] * sigma[:stop]).all():
+            break
+    else:
+        raise ConvergenceError(
+            f"subspace iteration did not reach Ritz residual {RITZ_RESIDUAL_RTOL:.0e} * sigma_0 "
+            f"in {SUBSPACE_MAX_STEPS} passes"
+        )
+    try:
+        left, sigma, w_h = np.linalg.svd(b, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Rayleigh-Ritz SVD did not converge: {exc}") from exc
+    return _canonical(left, sigma, q @ w_h.conj().T, rank)
 
 
 def dft_matrix(k: int, cols=None) -> np.ndarray:

@@ -314,7 +314,9 @@ class Scenario:
 
     @functools.cached_property
     def digital(self) -> beamforming.DigitalBeamformer:
-        return beamforming.digital_svd(self.h, self.config.ns)
+        ns = self.config.ns
+        start = beamforming.fresnel_start(self.tx_spec, self.rx_spec, self.tx_layout, self.params, ns)
+        return beamforming.digital_svd(self.h, ns, start)
 
     @functools.cached_property
     def tx_dictionary(self) -> beamforming.TwistedDft:
@@ -357,7 +359,8 @@ class Scenario:
         """Spectral efficiency of one scheme at each linear SNR of ``snr``, in its shape.
 
         Digital rates come from the singular values: digital-uniform gives each
-        stream power 1, digital-wf ns times the water_filling share at each SNR.
+        stream power 1, digital-wf ns times the water_filling share at each SNR,
+        from one water_filling call over the whole curve.
         """
         if scheme not in ("digital-uniform", "digital-wf"):
             return spectral.rate(self.h, *self.beams(scheme), snr, self.config.ns)
@@ -366,9 +369,11 @@ class Scenario:
             return spectral.stream_rate(snr, gains, self.config.ns)
         snrs = np.asarray(snr, dtype=float)
         # any allocation gives rate 0 at SNR 0; stream_rate rejects a bad SNR
-        powers = [spectral.water_filling(gains, 1.0, s).powers if 0 < s < math.inf else 0 * gains
-                  for s in snrs.flat]
-        return spectral.stream_rate(snrs, np.reshape(powers, (*snrs.shape, -1)) * gains)
+        live = (0 < snrs) & (snrs < math.inf)
+        powers = np.zeros((*snrs.shape, gains.size))
+        if live.any():
+            powers[live] = spectral.water_filling(gains, 1.0, snrs[live]).powers
+        return spectral.stream_rate(snrs, powers * gains)
 
 
 # rounding leaves the centred Gram's imaginary part near 1e-14 of its real

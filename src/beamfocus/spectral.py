@@ -30,8 +30,10 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class PowerAllocation:
+    """Stream powers along the last axis and the water level, per gain of ``water_filling``."""
+
     powers: np.ndarray
-    water_level: float
+    water_level: float | np.ndarray
 
 
 def transition_band(n_i: int, m_i: int, delta: float, eps: float) -> float:
@@ -53,7 +55,7 @@ def transition_band(n_i: int, m_i: int, delta: float, eps: float) -> float:
     return first + second
 
 
-def water_filling(eigs, p_total: float, gain_over_noise: float) -> PowerAllocation:
+def water_filling(eigs, p_total: float, gain_over_noise) -> PowerAllocation:
     """Power allocation maximizing sum log(1 + g * lambda_i * p_i), sum p_i = p_total.
 
     eigs must be finite, non-negative and non-increasing, each step up at
@@ -63,32 +65,44 @@ def water_filling(eigs, p_total: float, gain_over_noise: float) -> PowerAllocati
     the largest of the first k floors (the k-th, on a sorted spectrum); the
     running sums that pick it may round differently from the level's own
     sum only where stream k would get zero power anyway.
+
+    An array ``gain_over_noise`` of shape S allocates at each of its values
+    at once: the powers get shape ``(*S, len(eigs))`` and the level shape S,
+    each bitwise equal to the scalar call at that value. A scalar gives
+    powers of the shape of eigs and a float level.
     """
     lam = np.asarray(eigs, dtype=float)
+    gains = np.asarray(gain_over_noise, dtype=float)
     if lam.size == 0 or not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite and non-empty")
     if (lam < 0).any() or (lam[1:] - lam[:-1] > 1e-12 * lam.max()).any():
         raise ValueError("eigenvalues must be non-negative and non-increasing")
-    if not (math.isfinite(p_total) and math.isfinite(gain_over_noise)):
+    if not (math.isfinite(p_total) and np.isfinite(gains).all()):
         raise ValueError("p_total and gain_over_noise must be finite")
-    if p_total <= 0 or gain_over_noise <= 0:
+    if p_total <= 0 or (gains <= 0).any():
         raise ValueError("p_total and gain_over_noise must be positive")
     # positive eigenvalues lead, since the spectrum is non-increasing; a value
     # the tolerance lets rise after a zero is rounding and counts as zero too
     n_pos = lam.size - np.count_nonzero(np.minimum.accumulate(lam) == 0.0)
     if n_pos == 0:
         raise AllZeroEigenvaluesError("cannot allocate power over an all-zero spectrum")
-    floors = 1.0 / (gain_over_noise * lam[:n_pos])
-    if math.isinf(floors[0]):
+    floors = 1.0 / (gains[..., None] * lam[:n_pos])
+    if np.isinf(floors[..., 0]).any():
         raise ValueError("gain_over_noise * largest eigenvalue underflows to zero")
-    levels = (p_total + np.cumsum(floors)) / np.arange(1, n_pos + 1)
+    levels = (p_total + np.cumsum(floors, axis=-1)) / np.arange(1, n_pos + 1)
     # the running max equals floors on a sorted spectrum; on a tie that rises
     # within the tolerance it keeps every active power non-negative
-    k = int(np.flatnonzero(levels - np.maximum.accumulate(floors) >= 0.0)[-1]) + 1
-    level = (p_total + floors[:k].sum()) / k
-    powers = np.zeros(lam.shape)
-    powers[:k] = level - floors[:k]
-    return PowerAllocation(powers=powers, water_level=float(level))
+    clears = levels - np.maximum.accumulate(floors, axis=-1) >= 0.0
+    counts = n_pos - np.argmax(clears[..., ::-1], axis=-1)
+    level = np.empty(gains.shape)
+    powers = np.zeros((*gains.shape, lam.size))
+    # a set, not np.unique: its first call imports numpy.ma, 10 ms
+    for k in set(counts.ravel().tolist()):
+        # each level sums exactly its own k floors, in the scalar call's order
+        rows = counts == k
+        level[rows] = (p_total + floors[rows, :k].sum(axis=-1)) / k
+        powers[rows, :k] = level[rows, None] - floors[rows, :k]
+    return PowerAllocation(powers=powers, water_level=level if level.ndim else float(level))
 
 
 def stream_rate(snr, gains, ns: int = 1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beamforming, channel, geometry, spectral
-from .linalg import dft_matrix, eig_hermitian
+from .linalg import ConvergenceError, dft_matrix, eig_hermitian, subspace_svd, svd
 from .scenario import SPEED_OF_LIGHT, ArrayConfig, Scenario, ScenarioConfig
 
 LAMBDA_28GHZ = SPEED_OF_LIGHT / 28e9
@@ -306,6 +306,45 @@ def check_eigen_reconstruction(seed=0) -> CheckResult:
     return _result("eigen-reconstruction", ok, f"residual {rel:.3e}, orthogonality {orth:.3e}")
 
 
+def check_subspace_svd(scenario=None) -> CheckResult:
+    """The Fresnel-started subspace SVD agrees with LAPACK's dense SVD on the top ns triplets.
+
+    The singular values agree within 1e-13 * sigma_0, the residuals
+    ``||h v_i - s_i u_i||`` and ``||h^H u_i - s_i v_i||`` of the subspace
+    triplets are within 1e-12 * sigma_0, and the subspace's ns right vectors
+    leave the dense ones' span by at most 1e-12 * sigma_0 over the gap below
+    sigma_ns in Frobenius norm (Wedin's bound, with room for rounding).
+    Default: the desk scenario at 0 deg. A scenario that keeps the dense path
+    fails, since it checks nothing.
+    """
+    scenario = Scenario(desk_config(), 0.0) if scenario is None else scenario
+    h, ns = scenario.h, scenario.config.ns
+    start = beamforming.fresnel_start(
+        scenario.tx_spec, scenario.rx_spec, scenario.tx_layout, scenario.params, ns
+    )
+    if start is None:
+        return _result("subspace-svd", False, "the scenario keeps the dense SVD")
+    try:
+        sub = subspace_svd(h, ns, start)
+    except ConvergenceError as exc:
+        return _result("subspace-svd", False, str(exc))
+    dense = svd(h, ns)
+    s_d, v_d = dense.singular_values, dense.right[:, :ns]
+    u, s, v = sub.left[:, :ns], sub.singular_values[:ns], sub.right[:, :ns]
+    value_gap = _worst(np.abs(s - s_d[:ns])) / s_d[0]
+    resid = _worst(np.concatenate([
+        np.linalg.norm(h @ v - u * s, axis=0), np.linalg.norm(h.conj().T @ u - v * s, axis=0),
+    ])) / s_d[0]
+    span = float(np.linalg.norm(v - v_d @ (v_d.conj().T @ v)))
+    span_bound = 1e-12 * s_d[0] / (s_d[ns - 1] - s_d[ns])
+    ok = value_gap <= 1e-13 and resid <= 1e-12 and span <= span_bound
+    return _result(
+        "subspace-svd", ok,
+        f"k={start.shape[1]}: value gap {value_gap:.3e}, residual {resid:.3e}, "
+        f"span gap {span:.3e} (bound {span_bound:.1e})",
+    )
+
+
 def run_all(seed: int = 0) -> list[CheckResult]:
     """Every check on its default case; ``seed`` drives the random ones."""
     return [
@@ -323,4 +362,5 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_combiner_scale_invariance(),
         check_hybrid_dominance(),
         check_eigen_reconstruction(seed=seed),
+        check_subspace_svd(),
     ]

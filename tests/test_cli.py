@@ -58,13 +58,21 @@ def assert_matches_golden(rows, name, count):
             assert abs(got - float(want)) <= 1e-9 * abs(float(want)), gold
 
 
-def rows_at_blas_threads(command, config, out, threads):
-    """CSV rows of one CLI run in a subprocess with OPENBLAS_NUM_THREADS set."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=str(Path(beamfocus.__file__).resolve().parents[1]))
-    subprocess.run([sys.executable, "-m", "beamfocus.cli", command, "--config",
-                    str(config), "--out", str(out)], env=env, check=True)
-    return read_rows(out)[1]
+def csv_bytes_at_blas_threads(command, config, tmp_path):
+    """The CSV bytes of one CLI run, in a subprocess, at each of 1, 2 and nproc BLAS threads.
+
+    The thresholds above which LAPACK threads a call belong to the machine:
+    a box with more cores may thread smaller calls, hence the nproc count.
+    """
+    files = []
+    for t in sorted({"1", "2", str(len(os.sched_getaffinity(0)))}):
+        out = tmp_path / f"{command}-{t}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=t,
+                   PYTHONPATH=str(Path(beamfocus.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "beamfocus.cli", command, "--config",
+                        str(config), "--out", str(out)], env=env, check=True)
+        files.append(out.read_bytes())
+    return files
 
 
 class TestRateSweep:
@@ -100,14 +108,18 @@ class TestRateSweep:
 
     def test_blas_threads_do_not_change_desk_rates(self, tmp_path):
         # the desk SVD has exactly degenerate singular values, so this also
-        # checks that phase-extract does not depend on the basis LAPACK picks
-        rates = []
-        for threads in ("1", "2"):
-            rows = rows_at_blas_threads("rate-sweep", DESK, tmp_path / f"desk-{threads}.csv", threads)
-            rates.append({tuple(r[:3]): float(r[3]) for r in rows})
-        assert rates[0].keys() == rates[1].keys()
-        for key, value in rates[0].items():
-            assert abs(value - rates[1][key]) <= 1e-9 * value, key
+        # checks that phase-extract does not depend on the basis LAPACK picks;
+        # the subspace SVD factors nothing larger than 256 x 35, below the
+        # sizes at which LAPACK threads, so the whole CSV is byte-identical
+        files = csv_bytes_at_blas_threads("rate-sweep", DESK, tmp_path)
+        assert len(files[0].splitlines()) == 1 + 35
+        assert all(f == files[0] for f in files[1:])
+
+    def test_blas_threads_do_not_change_smoke_rates(self, tmp_path):
+        # 16 x 16 channels keep the dense SVD, too small for LAPACK to thread
+        files = csv_bytes_at_blas_threads("rate-sweep", SMOKE, tmp_path)
+        assert len(files[0].splitlines()) == 1 + 30
+        assert all(f == files[0] for f in files[1:])
 
     def test_desk_rates_match_golden_csv(self):
         # every scheme, hybrids included, against the committed desk sweep:
@@ -315,12 +327,8 @@ class TestSpectrum:
         # LAPACK's eigensolver runs threaded blocked kernels above about
         # 128 x 128, which round differently at each thread count; the
         # Kronecker spectrum solves only per-axis Grams, 16 x 16 on desk, so
-        # the whole CSV is byte-identical. Smaller calls may thread on a box
-        # with more cores, hence the nproc count too
-        files = []
-        for t in sorted({"1", "2", str(len(os.sched_getaffinity(0)))}):
-            rows_at_blas_threads("spectrum", DESK, tmp_path / f"spec-{t}.csv", t)
-            files.append((tmp_path / f"spec-{t}.csv").read_bytes())
+        # the whole CSV is byte-identical
+        files = csv_bytes_at_blas_threads("spectrum", DESK, tmp_path)
         assert len(files[0].splitlines()) == 1 + 256 + 10
         assert all(f == files[0] for f in files[1:])
 
@@ -424,6 +432,7 @@ CORRUPTIONS = {
         {"scenario": types.SimpleNamespace(rate=lambda scheme, snr: 2.0 if scheme == "omp-hybrid" else 1.0)},
     ),
     "eigen-reconstruction": ({}, validation, "eig_hermitian", _field("vectors", _taper)),
+    "subspace-svd": ({}, validation, "subspace_svd", _field("singular_values", lambda s: 1.001 * s)),
 }
 
 # one NaN in what each check that takes a worst case judges
@@ -441,6 +450,10 @@ NAN_CORRUPTIONS = {
         {"spectra": [(np.array([4.0, 0.01]), 2.0, 1.0)]}, spectral, "water_filling", _field("powers", _poison)
     ),
     "rate-eigsum-identity": ({}, spectral, "rate", lambda *_: np.nan),
+    # in the largest value: the Ritz triplets past column ns are not judged
+    "subspace-svd": (
+        {}, validation, "subspace_svd", _field("singular_values", lambda s: np.append(np.nan, s[1:]))
+    ),
 }
 
 
@@ -453,7 +466,7 @@ class TestValidate:
         assert cli.main(["validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in CORRUPTIONS]
-        assert lines[-1].startswith("14/14 invariants passed")
+        assert lines[-1].startswith("15/15 invariants passed")
 
     @pytest.mark.parametrize("seed", ["-1", "abc"])
     def test_bad_seed_exit_two(self, capsys, seed):

@@ -17,6 +17,7 @@ from beamfocus.linalg import (
     dft_matrix,
     eig_hermitian,
     least_squares,
+    subspace_svd,
     svd,
 )
 from beamfocus.validation import check_dft_unitarity, check_eigen_reconstruction
@@ -369,6 +370,99 @@ class TestSvd:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceError):
             svd(np.eye(3))
+
+
+@st.composite
+def gapped_factorizations(draw):
+    """(a, rank, start): a spectrum with a cluster among its top ``rank`` values, then a gap.
+
+    The start block is the first k right singular vectors, each moved by
+    about 1e-3 as a model of the channel would move them, and the first
+    value past it sits 20 times below sigma_rank, as fresnel_start's gate asks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    multiplicities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    rank = sum(multiplicities)
+    k = rank + draw(st.integers(1, 6))
+    m, n = draw(st.integers(4 * k, 80)), draw(st.integers(4 * k, 80))
+    top = np.repeat(np.linspace(1.0, 0.5, len(multiplicities)), multiplicities)
+    middle = np.linspace(0.4, 0.1, k - rank)
+    tail = 0.5 / 20 * rng.uniform(0.0, 1.0, min(m, n) - k)
+    sigma = np.concatenate([top, middle, -np.sort(-tail)])
+    u, v = random_unitary(rng, m)[:, : sigma.size], random_unitary(rng, n)[:, : sigma.size]
+    a = (u * sigma) @ v.conj().T
+    start = v[:, :k] + 1e-3 * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    return a, rank, start
+
+
+class TestSubspaceSvd:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(gapped_factorizations())
+    def test_matches_dense_canonical_svd(self, case):
+        # the same canonical rule on both: the cluster's vectors agree in the
+        # basis its span fixes, not just in span
+        a, rank, start = case
+        got, want = subspace_svd(a, rank, start), svd(a, rank)
+        s0 = want.singular_values[0]
+        assert got.singular_values.size == start.shape[1]
+        assert np.abs(got.singular_values[:rank] - want.singular_values[:rank]).max() <= 1e-13 * s0
+        assert np.abs(got.right[:, :rank] - want.right[:, :rank]).max() <= 1e-10
+        assert np.abs(got.left[:, :rank] - want.left[:, :rank]).max() <= 1e-10
+
+    def test_both_solvers_share_the_canonical_rule(self, monkeypatch):
+        calls = []
+        canonical = linalg._canonical
+
+        def record(left, sigma, right, rank):
+            calls.append((right.shape[1], rank))
+            return canonical(left, sigma, right, rank)
+
+        monkeypatch.setattr(linalg, "_canonical", record)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((24, 20)) + 1j * rng.standard_normal((24, 20))
+        a[:, 0] *= 100.0
+        svd(a, 1)
+        subspace_svd(a, 1, np.eye(20)[:, :2])
+        assert calls == [(20, 1), (2, 1)]
+
+    def test_desk_converges_in_five_passes(self, monkeypatch):
+        # sigma_35 / sigma_15 is 0.065, so each pass cuts the residual by about 250
+        from beamfocus import beamforming
+        from beamfocus.scenario import Scenario, load_config
+
+        config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.yaml"))
+        scenario = Scenario(config, 0.0)
+        start = beamforming.fresnel_start(
+            scenario.tx_spec, scenario.rx_spec, scenario.tx_layout, scenario.params, config.ns
+        )
+        passes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda x, *args: passes.append(x.shape) or qr(x, *args))
+        subspace_svd(scenario.h, config.ns, start)
+        assert start.shape == (256, 35)
+        assert len(passes) - 4 == 5  # 4 QRs canonicalize the clusters among the top 16
+
+    def test_no_gap_raises_convergence_error(self):
+        # every value ties, so the cluster of sigma_rank never ends inside the block
+        with pytest.raises(ConvergenceError, match="passes"):
+            subspace_svd(np.eye(12), 2, np.eye(12)[:, :3])
+
+    def test_rank_past_the_matrix_rank_raises_without_a_warning(self):
+        # a zero Ritz value never converges, and the stop test must not divide by it
+        rng = np.random.default_rng(4)
+        u = random_unitary(rng, 12)[:, :2]
+        a = (u * [1.0, 0.5]) @ u.conj().T
+        with pytest.raises(ConvergenceError, match="passes"):
+            subspace_svd(a, 3, rng.standard_normal((12, 4)))
+
+    @pytest.mark.parametrize("shape, rank, k", [((8, 6), 2, 6), ((8, 6), 3, 2), ((8, 6), 0, 2)])
+    def test_rank_and_block_width_checked(self, shape, rank, k):
+        with pytest.raises(ValueError, match="rank"):
+            subspace_svd(np.ones(shape), rank, np.ones((shape[1], k)))
+
+    def test_start_rows_checked(self):
+        with pytest.raises(ValueError, match="rows"):
+            subspace_svd(np.ones((8, 6)), 1, np.ones((5, 2)))
 
 
 def dense_residual_pivots(x):

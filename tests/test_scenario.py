@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from beamfocus import beamforming, channel, cli, scenario as scenario_module, spectral
+from beamfocus import beamforming, channel, cli, linalg, scenario as scenario_module, spectral
 from beamfocus.geometry import (
     ArraySpec,
     LayoutKind,
@@ -666,7 +666,8 @@ class TestScenario:
     )
     def test_every_rated_precoder_has_trace_ns(self, rotation, n_rf_tx, n_rf_rx, snr_db):
         # the one transmit power rule: each hybrid curve reaches the rate formula once, with a
-        # trace-ns precoder, and the water-filled digital streams share a unit total at each SNR
+        # trace-ns precoder, and the digital-wf curve reaches water_filling once, whose
+        # streams share a unit total at each SNR
         scenario = Scenario(parse_config(cfg(n_rf_tx=n_rf_tx, n_rf_rx=n_rf_rx)), rotation)
         snrs = 10 ** (np.array([snr_db, snr_db + 10.0, snr_db + 20.0]) / 10)
         seen, totals = [], []
@@ -678,7 +679,7 @@ class TestScenario:
 
         def recording_water_filling(eigs, p_total, gain_over_noise):
             alloc = water_filling(eigs, p_total, gain_over_noise)
-            totals.append(alloc.powers.sum())
+            totals.append(alloc.powers.sum(axis=-1))
             return alloc
 
         with pytest.MonkeyPatch.context() as patch:
@@ -688,8 +689,139 @@ class TestScenario:
                 assert scenario.rate(scheme, snrs).shape == snrs.shape
         assert len(seen) == len(SCHEMES) - 2  # the hybrids; digital rates come from sigma
         assert np.abs(np.array(seen) - 4.0).max() <= 1e-12
-        assert len(totals) == len(snrs)
-        assert np.abs(np.array(totals) - 1.0).max() <= 1e-12
+        assert len(totals) == 1 and totals[0].shape == snrs.shape
+        assert np.abs(totals[0] - 1.0).max() <= 1e-12
+
+
+def fresnel_start_of(scenario):
+    return beamforming.fresnel_start(
+        scenario.tx_spec, scenario.rx_spec, scenario.tx_layout, scenario.params, scenario.config.ns
+    )
+
+
+def dense_twin(config, rotation, scale=1.0):
+    """A scenario whose digital beams come from the dense SVD, as at the parent commit."""
+    twin = Scenario(config, rotation, scale)
+    twin.__dict__["digital"] = beamforming.digital_svd(twin.h, config.ns)
+    return twin
+
+
+def smallest_phase_read(beams):
+    """The smallest entry above phase extraction's floor, relative to its column's largest."""
+    entries = np.abs(beams) / np.abs(beams).max(axis=0)
+    return entries[entries >= beamforming.PHASE_FLOOR_RTOL].min()
+
+
+def relative_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+EPS = np.finfo(float).eps
+split_pairs = st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 4)])
+desk_sides = st.fixed_dictionaries({"n_v": st.integers(8, 16), "n_h": st.integers(8, 16)})
+
+
+class TestDigitalPath:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        tx=desk_sides, rx=desk_sides, split=split_pairs,
+        spare=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        distance=st.floats(20.0, 100.0), scale=st.floats(0.8, 1.2), rotation=st.floats(0.0, 60.0),
+    )
+    def test_subspace_path_matches_the_dense_svd(self, tx, rx, split, spare, distance, scale, rotation):
+        ns = split[0] * split[1]
+        config = parse_config(cfg(
+            tx=tx, rx=rx, ns=ns, ns_split=list(split), n_rf_tx=ns + spare[0], n_rf_rx=ns + spare[1],
+            distance_m=distance, schemes=list(SCHEMES),
+        ))
+        fast = Scenario(config, rotation, scale)
+        assume(fresnel_start_of(fast) is not None)
+        dense = dense_twin(config, rotation, scale)
+        sigma = linalg.svd(dense.h, ns).singular_values
+        got = fast.digital.singular_values
+        assert np.abs(got - sigma[:ns]).max() <= 1e-13 * sigma[0]
+        snrs = 10 ** (np.array([-10.0, 0.0, 10.0, 20.0]) / 10)
+        for scheme in ("digital-uniform", "digital-wf"):
+            assert relative_gap(fast.rate(scheme, snrs), dense.rate(scheme, snrs)) <= 1e-12
+        # asymptotic-hybrid reads no digital beam
+        assert np.array_equal(fast.rate("asymptotic-hybrid", snrs), dense.rate("asymptotic-hybrid", snrs))
+        # OMP and phase extraction read the vectors, which any backward-stable SVD
+        # fixes only to about eps sigma_0 over the gap to the neighbouring values:
+        # OMP reads the span of the first ns, phase extraction the phase of each
+        # entry above its floor, which moves by the vector's error over the
+        # entry. The rate's whitening multiplies that by cond(F) cond(W)^2, up
+        # to 1e5 on OMP's combiners with spare RF chains. Dense LAPACK moves
+        # them as much between one and two BLAS threads: 3.7e-8 for phase
+        # extraction on desk at 0.164 deg, where a pair splits by 1.6e-9 sigma_0
+        steps = -np.diff(sigma[: ns + 1]) / sigma[0]
+        read = min(smallest_phase_read(beams) for beams in (dense.digital.precoder, dense.digital.combiner))
+        conditioning = {
+            "omp-hybrid": 1.0 / steps[-1],
+            "phase-extract": 1.0 / (steps[steps > linalg.SVD_RANK_RTOL].min() * read),
+        }
+        for scheme, amplification in conditioning.items():
+            f, w = dense.beams(scheme)
+            kappa = np.linalg.cond(f) * np.linalg.cond(w) ** 2 * amplification
+            bound = 1e-12 + 1e2 * EPS * kappa
+            assert relative_gap(fast.rate(scheme, snrs), dense.rate(scheme, snrs)) <= bound, scheme
+
+    def test_desk_takes_the_subspace_path(self, monkeypatch):
+        config = load_config(str(CONFIG_DIR / "desk_scale.yaml"))
+        scenario = Scenario(config, 0.0)
+        assert fresnel_start_of(scenario).shape == (256, 35)
+
+        def dense(*args):
+            raise AssertionError("the desk channel reached the dense SVD")
+
+        monkeypatch.setattr(beamforming, "svd", dense)
+        assert scenario.digital.precoder.shape == (256, 16)
+
+    @pytest.mark.parametrize("path, overrides, rotation, scale, vectors", [
+        # rank 13 < ns = 16: the digital beams read zero singular values
+        ("desk_scale.yaml", {"spacing_mode": "half-wavelength"}, 0.0, 1.0, True),
+        # sigma_35 / sigma_15 is 0.999: no gap below sigma_ns. Precoder column 10
+        # has two entries 1.2e-10 below its largest, where the parent's phase
+        # pick (ties at SVD_RANK_RTOL) flips between one and two BLAS threads and
+        # moves phase-extract by 1.8e-6; PHASE_TIE_RTOL ties them. So only what
+        # the aperture sweep reads, the singular values, is the parent's here
+        ("desk_scale.yaml", {}, 0.0, 1.5, False),
+        # a tilted rotated UPA has no Kronecker core
+        ("desk_scale.yaml", {"layout": "rotated-upa"}, 20.0, 1.0, True),
+        # 16 x 16 channels: LAPACK costs no more, and phase-extract reads the phases
+        ("small_smoke.yaml", {}, 20.0, 1.0, True),
+    ], ids=["half-wavelength", "aperture-1.5", "tilted-rotated-upa", "4x4"])
+    def test_dense_path_keeps_the_parent_outputs(
+        self, monkeypatch, path, overrides, rotation, scale, vectors
+    ):
+        data = yaml.safe_load((CONFIG_DIR / path).read_text())
+        config = parse_config({**data, **overrides, "rotation_deg": [rotation]})
+        scenario = Scenario(config, rotation, scale)
+        assert fresnel_start_of(scenario) is None
+        got = scenario.digital
+        # the parent commit: the dense SVD with ties of the phase pick at SVD_RANK_RTOL
+        monkeypatch.setattr(linalg, "PHASE_TIE_RTOL", linalg.SVD_RANK_RTOL)
+        parent = dense_twin(config, rotation, scale)
+        fields = ("precoder", "combiner", "singular_values") if vectors else ("singular_values",)
+        for field in fields:
+            assert np.array_equal(getattr(got, field), getattr(parent.digital, field)), field
+        snrs = 10 ** (np.array(config.snr_db) / 10)
+        schemes = SCHEMES if vectors else ("asymptotic-hybrid", "digital-uniform", "digital-wf")
+        for scheme in schemes:
+            assert np.array_equal(scenario.rate(scheme, snrs), parent.rate(scheme, snrs)), scheme
+
+    def test_a_gap_the_channel_lacks_falls_back_to_the_dense_svd(self, monkeypatch):
+        # a start that never converges stands in for a Fresnel spectrum that
+        # mispredicts the channel's
+        config = load_config(str(CONFIG_DIR / "desk_scale.yaml"))
+        h = Scenario(config, 0.0).h
+
+        def stalled(a, rank, start):
+            raise linalg.ConvergenceError("did not converge")
+
+        monkeypatch.setattr(beamforming, "subspace_svd", stalled)
+        got = beamforming.digital_svd(h, 16, np.eye(256)[:, :35])
+        want = beamforming.digital_svd(h, 16)
+        assert np.array_equal(got.precoder, want.precoder)
 
 
 class TestSpectrumData:
@@ -741,6 +873,10 @@ class TestSpectrumData:
         with pytest.raises(RuntimeError, match="not real"):
             spectrum_data(parse_config(cfg(layout="rotated-upa", rotation_deg=[20.0])))
 
+    # a tilted array's sheared z can reach the link distance (12 x 12 at 20
+    # lambda, 1.2 rad, 10 m: 23 m), which warns about the Fresnel model; the
+    # Gram and the spectrum do not depend on z
+    @pytest.mark.filterwarnings("ignore:aperture .* is not small against distance:RuntimeWarning")
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         tx=st.tuples(counts, counts, spacings, spacings, angles, angles),
@@ -764,6 +900,7 @@ class TestSpectrumData:
         values = eig_hermitian(g.real).values
         assert np.abs(values - oracle).max() <= spectrum_tolerance(oracle, tx_layout.count)
 
+    @pytest.mark.filterwarnings("ignore:aperture .* is not small against distance:RuntimeWarning")
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         tx=st.tuples(st.integers(2, 12), st.integers(2, 12), spacings, spacings),

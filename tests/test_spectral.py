@@ -262,6 +262,53 @@ class TestWaterFilling:
         assert alloc.water_level == level
 
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        top=st.lists(
+            st.one_of(st.sampled_from([0.5, 1.0, 3.0, 7.0]), st.floats(1e-3, 1e3)),
+            min_size=1,
+            max_size=20,
+        ),
+        tail=st.lists(st.floats(1e-12, 1e-6), max_size=4),
+        zeros=st.integers(0, 3),
+        p_total=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 1e3)),
+        gains=st.lists(
+            st.one_of(st.sampled_from([1.0, 4.0]), st.floats(1e-6, 1e6)), min_size=1, max_size=8
+        ),
+        shape=st.sampled_from(["flat", "column"]),
+    )
+    def test_gain_array_rows_equal_scalar_calls(self, top, tail, zeros, p_total, gains, shape):
+        # one call over an SNR grid: each row is the scalar call's bits and the
+        # search oracle's, whichever active count its neighbours have
+        lam = np.array(sorted(top, reverse=True) + sorted(tail, reverse=True) + [0.0] * zeros)
+        grid = np.array(gains) if shape == "flat" else np.array(gains)[:, None]
+        alloc = water_filling(lam, p_total, grid)
+        assert alloc.powers.shape == (*grid.shape, lam.size)
+        assert alloc.water_level.shape == grid.shape
+        for idx in np.ndindex(grid.shape):
+            one = water_filling(lam, p_total, float(grid[idx]))
+            assert np.array_equal(alloc.powers[idx], one.powers)
+            assert alloc.water_level[idx] == one.water_level
+            powers, level = water_filling_by_search(lam, p_total, float(grid[idx]))
+            assert np.array_equal(alloc.powers[idx], powers)
+            assert alloc.water_level[idx] == level
+
+    def test_scalar_gain_keeps_a_float_level(self):
+        alloc = water_filling(np.array([4.0, 1.0]), 2.0, 1.0)
+        assert alloc.powers.shape == (2,) and type(alloc.water_level) is float
+
+    @pytest.mark.parametrize("bad, match", [
+        (math.nan, "finite"), (math.inf, "finite"), (0.0, "positive"), (-1.0, "positive"),
+    ])
+    def test_each_gain_of_an_array_is_checked(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            water_filling([1.0, 0.5], 1.0, np.array([1.0, bad, 2.0]))
+
+    def test_an_underflowing_gain_in_an_array_rejected(self):
+        with pytest.raises(ValueError, match="underflows"), np.errstate(divide="ignore"):
+            water_filling([1e-200, 1e-201], 1.0, np.array([1.0, 1e-200]))
+
+
 class TestRate:
     def test_scalar_identity_channel(self):
         one = np.eye(1, dtype=complex)

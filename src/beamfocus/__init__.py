@@ -46,7 +46,6 @@ from .linalg import (
 from .scenario import Scenario, ScenarioConfig, load_config
 from .spectral import (
     PowerAllocation,
-    dft_diag_quality,
     rate,
     rate_upper_bound,
     transition_band,

@@ -11,7 +11,7 @@ constraint since the rate formula whitens them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,16 +87,16 @@ def digital_svd(h, ns: int, start=None) -> DigitalBeamformer:
 
 
 def fresnel_start(
-    spec_tx: ArraySpec, spec_rx: ArraySpec, tx: AntennaLayout, params: ChannelParams, ns: int
+    spec_tx: ArraySpec, spec_rx: ArraySpec, tx_dict: TwistedDft, params: ChannelParams, ns: int
 ):
     """Start block of ``digital_svd``'s subspace iteration, or None where the dense SVD runs.
 
     With a Kronecker core, the Fresnel model ``conj(D_r) kron(h_v, h_h) D_t``
-    of the channel has the right singular vectors ``conj(d_t) * kron(v_v, v_h)``
-    for the per-axis right vectors of ``channel.kron_factor_channel``, with
-    singular values the products ``s = sigma_v sigma_h``. The block holds the
-    first k of them, ordered by s with ``_gain_order``'s tie rule; ``tx`` is
-    the layout ``d_t`` comes from.
+    of the channel has singular values the products ``s = sigma_v sigma_h`` of
+    the axis factors of ``channel.kron_factor_channel``, and its right singular
+    vectors are the atoms of the TX dictionary ``tx_dict`` with each axis's DFT
+    swapped for the rows of that axis's v^H. The block holds the first k of
+    them, ordered by s with ``_gain_order``'s tie rule.
 
     Column ns - 1 converges like (s[k] / s[ns - 1])^2 per pass, so k is the
     smallest width with s[k] <= SUBSPACE_GAP * s[ns - 1]. None stands for k =
@@ -108,7 +108,7 @@ def fresnel_start(
     n, m = spec_rx.n_v * spec_rx.n_h, spec_tx.n_v * spec_tx.n_h
     if min(n, m) < SUBSPACE_MIN_DIM or not has_kron_core(spec_tx, spec_rx):
         return None
-    (_, s_v, v_v), (_, s_h, v_h) = (
+    (_, s_v, vh_v), (_, s_h, vh_h) = (
         np.linalg.svd(factor, full_matrices=False)
         for factor in kron_factor_channel(spec_tx, spec_rx, params)
     )
@@ -121,20 +121,21 @@ def fresnel_start(
     k = ns + past[0] if past.size else min(n, m)
     if 4 * k > min(n, m):
         return None
-    i, j = np.divmod(order[:k], s_h.size)
-    # rows of v^H are the conjugated right vectors
-    cols = (v_v[i].conj()[:, :, None] * v_h[j].conj()[:, None, :]).reshape(i.size, -1)
-    return np.conj(quadratic_phase(tx, params))[:, None] * cols.T
+    return replace(tx_dict, f_v=vh_v, f_h=vh_h).columns(order[:k])
 
 
 @dataclass(frozen=True, eq=False)
 class TwistedDft:
-    """Unitary dictionary ``diag(twist) @ kron(f_v, f_h).conj().T``, kept as its factors.
+    """Dictionary ``diag(twist) @ kron(f_v, f_h).conj().T``, kept as its factors.
 
-    Atom ``q = i * n_h + j`` is row (i, j) of the 2-D DFT, conjugated and
-    multiplied entrywise by the per-antenna twist. Memory is O(N) for N
-    antennas; only ``dense`` forms the N x N matrix, and it is for checks
-    on small arrays.
+    For an n_v x n_h array, ``f_v`` is r_v x n_v and ``f_h`` is r_h x n_h:
+    the square DFTs of ``dictionary_tx``/``dictionary_rx``, or others, such
+    as the per-axis right vectors that ``fresnel_start`` passes. Atom ``q = i *
+    r_h + j`` is the conjugated Kronecker product of row i of f_v and row j of
+    f_h, multiplied entrywise by the per-antenna twist. There are r_v * r_h
+    atoms, and the dictionary is unitary only when both factors are. It holds
+    N + r_v n_v + r_h n_h entries for N antennas, O(N) on a square array;
+    only ``dense`` forms the full matrix, and it is for checks on small arrays.
     """
 
     twist: np.ndarray
@@ -143,24 +144,23 @@ class TwistedDft:
 
     @property
     def size(self) -> int:
-        """Atom count, equal to the antenna count."""
-        return self.twist.shape[0]
+        """Atom count, rows(f_v) * rows(f_h): the antenna count for square factors."""
+        return self.f_v.shape[0] * self.f_h.shape[0]
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """``D^H @ x`` for an N x k matrix x, by one DFT product per axis."""
-        n_v, n_h = self.f_v.shape[0], self.f_h.shape[0]
-        y = (np.conj(self.twist)[:, None] * x).reshape(n_v, -1)
-        z = (self.f_v @ y).reshape(n_v, n_h, -1)
+        """``D^H @ x`` for an N x k matrix x, by one factor product per axis."""
+        y = (np.conj(self.twist)[:, None] * x).reshape(self.f_v.shape[1], -1)
+        z = (self.f_v @ y).reshape(self.f_v.shape[0], self.f_h.shape[1], -1)
         return (self.f_h @ z).reshape(self.size, -1)
 
     def columns(self, idx) -> np.ndarray:
         """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``."""
         i, j = np.divmod(np.asarray(idx, dtype=np.intp), self.f_h.shape[0])
-        rows = (self.f_v[i][:, :, None] * self.f_h[j][:, None, :]).reshape(i.size, -1)
-        return self.twist[:, None] * rows.conj().T
+        rows = (self.f_v[i].conj()[:, :, None] * self.f_h[j].conj()[:, None, :]).reshape(i.size, -1)
+        return self.twist[:, None] * rows.T
 
     def dense(self) -> np.ndarray:
-        """The full N x N matrix, for checks on small arrays only."""
+        """The full N x size matrix, for checks on small arrays only."""
         return self.twist[:, None] * np.kron(self.f_v, self.f_h).conj().T
 
 

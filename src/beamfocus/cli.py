@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import aperture, aperture_feasible, nominal_extent
 from .linalg import ConvergenceError, active_backend
-from .scenario import ConfigError, Scenario, ScenarioConfig, load_config, spectrum_data
+from .scenario import ConfigError, Scenario, ScenarioConfig, _distinct, load_config, spectrum_data
 
 # what a grid point's numerics can raise; anything else is a bug and surfaces
 # as a traceback rather than as exit code 3
@@ -55,8 +55,8 @@ def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> list[float]:
         raise GridPointError(scheme, snr_db, scenario.rotation_deg, exc) from exc
 
 
-def _parse_scales(text: str) -> list[float]:
-    """The --scales list; anything but a non-empty list of positive finite numbers is a ConfigError."""
+def _parse_scales(text: str) -> tuple[float, ...]:
+    """The --scales list: distinct positive finite numbers, at least one, else a ConfigError."""
     try:
         scales = [float(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
@@ -65,7 +65,7 @@ def _parse_scales(text: str) -> list[float]:
         raise ConfigError(("scales",), f"no scale given: {text!r}")
     if not all(0.0 < s < math.inf for s in scales):
         raise ConfigError(("scales",), f"scales must be positive and finite: {text!r}")
-    return scales
+    return _distinct(tuple(scales), ("scales",))
 
 
 def _check_out(path: str) -> None:
@@ -125,7 +125,7 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
     The feasibility flag tests the nominal grid extent (n*d per side), the
     scale on which the threshold is exact for optimally spaced arrays; the
     l_t/l_r columns report realized corner-to-corner apertures. ``scales``
-    must be positive and finite, as ``_parse_scales`` checks.
+    must be distinct, positive and finite, as ``_parse_scales`` checks.
     """
     snr_db = config.snr_db[0]
     rot = config.rotation_deg[0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dft_matrix, eig_hermitian
+from .linalg import eig_hermitian
 
 COMBINER_COND_LIMIT = 1e12
 
@@ -153,22 +153,3 @@ def rate_upper_bound(n: int, m: int, ns: int, snr: float) -> float:
     if ns < 1:
         raise ValueError(f"ns must be >= 1, got {ns}")
     return ns * math.log2(1.0 + snr * n * m / ns**2)
-
-
-def dft_diag_quality(g, nv: int, nh: int) -> float:
-    """Off-diagonal Frobenius share left after conjugating by the 2-D DFT.
-
-    Zero means the 2-D DFT diagonalizes g exactly (circulant structure);
-    the share shrinks toward zero as block-Toeplitz dimensions grow.
-    """
-    g = np.asarray(g, dtype=np.complex128)
-    dim = nv * nh
-    if g.shape != (dim, dim):
-        raise DimensionMismatchError(f"expected {dim}x{dim} matrix, got {g.shape}")
-    f2 = np.kron(dft_matrix(nv), dft_matrix(nh))
-    q = f2.conj().T @ g @ f2
-    total = float(np.linalg.norm(q))
-    if total == 0.0:
-        return 0.0
-    off = float(np.linalg.norm(q - np.diag(np.diag(q))))
-    return off / total

@@ -361,6 +361,27 @@ class TestFactoredDictionaryProperties:
             assert np.array_equal(dic.columns(idx), dense[:, idx])
 
     @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_thin_factors_match_dense(self, n_v, n_h, seed):
+        # fresnel_start's factors: r x n with orthonormal rows, so r_v * r_h
+        # orthonormal atoms that do not span the N antennas when an r < n
+        rng = np.random.default_rng(seed)
+
+        def thin(n):
+            r = int(rng.integers(1, n + 1))
+            z = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            return np.linalg.qr(z)[0].conj().T
+
+        dic = TwistedDft(twist=np.exp(2j * np.pi * rng.random(n_v * n_h)), f_v=thin(n_v), f_h=thin(n_h))
+        dense = dic.dense()
+        assert dense.shape == (n_v * n_h, dic.f_v.shape[0] * dic.f_h.shape[0]) == (n_v * n_h, dic.size)
+        assert np.abs(dense.conj().T @ dense - np.eye(dic.size)).max() <= 1e-12
+        x = rng.standard_normal((n_v * n_h, 3)) + 1j * rng.standard_normal((n_v * n_h, 3))
+        assert np.abs(dic.adjoint(x) - dense.conj().T @ x).max() <= 1e-12
+        idx = rng.permutation(dic.size)[: rng.integers(1, dic.size + 1)]
+        assert np.array_equal(dic.columns(idx), dense[:, idx])
+
+    @settings(max_examples=60, deadline=None, database=None)
     @given(tilted_links())
     def test_selected_atoms_match_dense_reference(self, link):
         tx, rx, params, seed = link

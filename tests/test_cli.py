@@ -378,7 +378,7 @@ class TestApertureSweep:
         _, rows = read_rows(out)
         assert len(rows) == 1
 
-    @pytest.mark.parametrize("scales", ["0.5,abc", ",", "", "nan", "inf", "0,1", "-1"])
+    @pytest.mark.parametrize("scales", ["0.5,abc", ",", "", "nan", "inf", "0,1", "-1", "1,1", "1,1.0"])
     def test_bad_scales_exit_two(self, small_config, tmp_path, capsys, scales):
         out = tmp_path / "bad.csv"
         code = cli.main([

@@ -695,8 +695,25 @@ class TestScenario:
 
 def fresnel_start_of(scenario):
     return beamforming.fresnel_start(
-        scenario.tx_spec, scenario.rx_spec, scenario.tx_layout, scenario.params, scenario.config.ns
+        scenario.tx_spec, scenario.rx_spec, scenario.tx_dictionary, scenario.params, scenario.config.ns
     )
+
+
+def hand_built_start(scenario, k):
+    """fresnel_start's first k columns built by hand, without TwistedDft, and their s_v s_h.
+
+    Column q is conj(d_t) times the conjugated Kronecker product of the axes'
+    right singular vectors i and j, with q = i * r_h + j in _gain_order.
+    """
+    (_, s_v, v_v), (_, s_h, v_h) = (
+        np.linalg.svd(factor, full_matrices=False)
+        for factor in channel.kron_factor_channel(scenario.tx_spec, scenario.rx_spec, scenario.params)
+    )
+    s = np.outer(s_v, s_h).ravel()
+    order = beamforming._gain_order(s)[:k]
+    i, j = np.divmod(order, s_h.size)
+    cols = (v_v[i].conj()[:, :, None] * v_h[j].conj()[:, None, :]).reshape(k, -1)
+    return np.conj(channel.quadratic_phase(scenario.tx_layout, scenario.params))[:, None] * cols.T, s[order]
 
 
 def dense_twin(config, rotation, scale=1.0):
@@ -719,15 +736,31 @@ def relative_gap(a, b):
 EPS = np.finfo(float).eps
 split_pairs = st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 4)])
 desk_sides = st.fixed_dictionaries({"n_v": st.integers(8, 16), "n_h": st.integers(8, 16)})
+desk_links = {
+    "tx": desk_sides, "rx": desk_sides, "split": split_pairs,
+    "distance": st.floats(20.0, 100.0), "scale": st.floats(0.8, 1.2), "rotation": st.floats(0.0, 60.0),
+}
 
 
 class TestDigitalPath:
     @settings(max_examples=30, deadline=None, database=None)
-    @given(
-        tx=desk_sides, rx=desk_sides, split=split_pairs,
-        spare=st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        distance=st.floats(20.0, 100.0), scale=st.floats(0.8, 1.2), rotation=st.floats(0.0, 60.0),
-    )
+    @given(**desk_links)
+    def test_start_block_is_the_fresnel_models_right_vectors(self, tx, rx, split, distance, scale, rotation):
+        ns = split[0] * split[1]
+        config = parse_config(cfg(
+            tx=tx, rx=rx, ns=ns, ns_split=list(split), n_rf_tx=ns, n_rf_rx=ns, distance_m=distance,
+        ))
+        scenario = Scenario(config, rotation, scale)
+        start = fresnel_start_of(scenario)
+        assume(start is not None)
+        want, s = hand_built_start(scenario, start.shape[1])
+        assert np.array_equal(start, want)
+        assert np.linalg.norm(start.conj().T @ start - np.eye(s.size)) <= 1e-13
+        h_f = channel.fresnel_factors(scenario.tx_layout, scenario.rx_layout, scenario.params).recompose()
+        assert np.abs(np.linalg.norm(h_f @ start, axis=0) - s).max() <= 1e-13 * s[0]
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(spare=st.tuples(st.integers(0, 4), st.integers(0, 4)), **desk_links)
     def test_subspace_path_matches_the_dense_svd(self, tx, rx, split, spare, distance, scale, rotation):
         ns = split[0] * split[1]
         config = parse_config(cfg(

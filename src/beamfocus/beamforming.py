@@ -32,6 +32,18 @@ SUBSPACE_SIGMA_RTOL = 0.1
 SUBSPACE_GAP = 0.1
 SUBSPACE_MIN_DIM = 64
 
+# entries per block of _row_energies. 2**14 complex entries are 256 KiB, so
+# the three blocks a ranking holds at once (a conjugated block and the
+# adjoint's two stages) stay under the 1 MiB of a 256 x 256 channel, and a
+# block stays in a core's L2 cache through both per-axis products. Both
+# asymptotic rankings took 2.6 ms on desk and 324 ms at 48 x 48 per side (1
+# BLAS thread, 2 vCPUs), against 3.5 and 404 ms at 2**12, 4.9 and 337 ms at
+# 2**16, and 4.9 and 554 ms for the whole N x M products. At 64 x 64 a block
+# is four columns and the rankings are no faster than those products (1.6
+# against 1.8 s at 2 BLAS threads): the second axis's product is then 64
+# small matmuls a block
+GAIN_BLOCK_ENTRIES = 2**14
+
 
 class DictionaryExhaustedError(ValueError):
     pass
@@ -149,9 +161,10 @@ class TwistedDft:
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """``D^H @ x`` for an N x k matrix x, by one factor product per axis."""
+        # one name for each stage's result, so a stage's input is freed as it ends
         y = (np.conj(self.twist)[:, None] * x).reshape(self.f_v.shape[1], -1)
-        z = (self.f_v @ y).reshape(self.f_v.shape[0], self.f_h.shape[1], -1)
-        return (self.f_h @ z).reshape(self.size, -1)
+        y = (self.f_v @ y).reshape(self.f_v.shape[0], self.f_h.shape[1], -1)
+        return (self.f_h @ y).reshape(self.size, -1)
 
     def columns(self, idx) -> np.ndarray:
         """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``."""
@@ -197,6 +210,34 @@ def _gain_order(gains: np.ndarray) -> np.ndarray:
     return np.argsort(-key, kind="stable")
 
 
+def _row_energies(transform, x: np.ndarray) -> np.ndarray:
+    """Row energies ``(abs(transform(x)) ** 2).sum(axis=1)``, one block of x's columns at a time.
+
+    ``transform`` must act on each column alone, as ``TwistedDft.adjoint``
+    and an FFT along axis 0 do. A block holds GAIN_BLOCK_ENTRIES entries (at
+    least one column), so no temporary grows with x's column count.
+    """
+    step = max(1, GAIN_BLOCK_ENTRIES // x.shape[0])
+    energy = 0.0
+    for lo in range(0, x.shape[1], step):
+        y = transform(x[:, lo : lo + step])
+        # einsum sums the squares with no block-sized temporary
+        energy = energy + np.einsum("ij,ij->i", y.real, y.real) + np.einsum("ij,ij->i", y.imag, y.imag)
+        del y  # freed before the next block's transform runs
+    return energy
+
+
+def _dft_energies(h: np.ndarray, side: Side) -> np.ndarray:
+    """Energies of the columns of ``h @ F`` (TX) or ``h^H @ F`` (RX), F the unitary 1-D DFT.
+
+    Column b of either product is entry b of an FFT along that side's axis,
+    taken over blocks of h's rows (TX) or columns (RX).
+    """
+    if side is Side.TX:
+        return _row_energies(lambda b: np.fft.fft(b, axis=0, norm="ortho"), h.T)
+    return _row_energies(lambda b: np.fft.fft(b.conj(), axis=0, norm="ortho"), h)
+
+
 def _svd_basebands(h: np.ndarray, f_rf: np.ndarray, w_rf: np.ndarray, ns: int):
     """Top-ns right and left singular vectors of the effective channel ``W_RF^H h F_RF``."""
     eff = svd(w_rf.conj().T @ h @ f_rf, ns)
@@ -215,14 +256,20 @@ def asymptotic_hybrid(
 
     Each side takes its ``n_rf_tx``/``n_rf_rx`` columns with the
     largest effective channel gain, the column norms of ``h @ V`` and
-    ``h^H @ U``. With ns columns per side the baseband is the identity (any
-    unitary one gives the same rate); with more, it is the top-ns SVD of the
-    effective channel, as in phase extraction.
+    ``h^H @ U``. They are read off ``V^H h^H`` and ``U^H h`` by
+    ``_row_energies``, over blocks of h's rows (TX) or columns (RX), so
+    beside h only blocks of GAIN_BLOCK_ENTRIES entries are held, never an
+    N x M product. With ns columns per side the baseband is the identity
+    (any unitary one gives the same rate); with more, it is the top-ns SVD
+    of the effective channel, as in phase extraction.
     """
     if not ns <= min(n_rf_tx, n_rf_rx) or n_rf_tx > tx_dict.size or n_rf_rx > rx_dict.size:
         raise ValueError(f"need ns={ns} <= n_rf={n_rf_tx}/{n_rf_rx} <= dictionary column counts")
-    f_rf = tx_dict.columns(_gain_order(np.linalg.norm(tx_dict.adjoint(h.conj().T), axis=1))[:n_rf_tx])
-    w_rf = rx_dict.columns(_gain_order(np.linalg.norm(rx_dict.adjoint(h), axis=1))[:n_rf_rx])
+    # a C-ordered conjugate, so the adjoint's reshape is a view, not another copy
+    tx_gain = np.sqrt(_row_energies(lambda b: tx_dict.adjoint(np.conjugate(b, order="C")), h.T))
+    rx_gain = np.sqrt(_row_energies(rx_dict.adjoint, h))
+    f_rf = tx_dict.columns(_gain_order(tx_gain)[:n_rf_tx])
+    w_rf = rx_dict.columns(_gain_order(rx_gain)[:n_rf_rx])
     if max(n_rf_tx, n_rf_rx) > ns:
         f_bb, w_bb = _svd_basebands(h, f_rf, w_rf, ns)
     else:
@@ -268,9 +315,10 @@ def phase_extraction_hybrid(
     phase 0. Extra RF chains beyond ns are filled with columns of the 1-D
     DFT matrix of the side's antenna count (``dft_matrix(dim)``, not the 2-D
     DFT of the dictionaries), ranked by their gains ``||h F||`` or
-    ``||h^H F||`` read off an FFT of h, skipping columns that repeat an
-    analog column. Only the best ``n_rf_tx``/``n_rf_rx`` columns are built,
-    never the full matrix. Basebands come from the SVD of the effective
+    ``||h^H F||`` read off FFTs of blocks of h (``_dft_energies``), skipping
+    columns that repeat an analog column. Only the best
+    ``n_rf_tx``/``n_rf_rx`` columns are built, never the full matrix, and no
+    N x M temporary is formed. Basebands come from the SVD of the effective
     channel.
     """
     h = np.asarray(h, dtype=np.complex128)
@@ -284,11 +332,10 @@ def phase_extraction_hybrid(
         phase = np.where(mag < PHASE_FLOOR_RTOL * mag.max(axis=0), 0.0, np.angle(opt))
         stage = np.exp(1j * phase) / math.sqrt(dim)
         if count > ns:
-            # column b of h F (TX) or h^H F (RX) is an FFT along the side's axis
-            spectrum = np.fft.fft(h.T if side is Side.TX else h.conj(), axis=0)
             # each unit-norm stage column repeats at most one of the orthonormal
             # DFT columns, so the best `count` of them hold enough pads
-            candidates = dft_matrix(dim, _gain_order(np.linalg.norm(spectrum, axis=1))[:count])
+            gains = np.sqrt(_dft_energies(h, side))
+            candidates = dft_matrix(dim, _gain_order(gains)[:count])
             fresh = np.abs(stage.conj().T @ candidates).max(axis=0) < 1.0 - 1e-9
             pads = candidates[:, fresh][:, : count - ns]
             if pads.shape[1] < count - ns:

@@ -271,6 +271,10 @@ def subspace_svd(a, rank: int, start) -> SvdResult:
     those up to that cluster's end are converged. Their values match
     ``svd(a, rank)`` to about the residual, and their vectors to about the
     residual over the gap to the neighbouring values.
+
+    Beside ``a`` itself, a pass holds only N x k and M x k blocks: ``a^H``
+    is never copied out, so the iteration's memory is one matrix plus a few
+    blocks.
     """
     a = _as_matrix(a)
     x = _as_matrix(start)
@@ -279,11 +283,12 @@ def subspace_svd(a, rank: int, start) -> SvdResult:
         raise ValueError(f"start has {x.shape[0]} rows, a has {a.shape[1]} columns")
     if not 1 <= rank <= k < min(a.shape):
         raise ValueError(f"need 1 <= rank={rank} <= k={k} < min{a.shape}")
-    a_h = a.conj().T
     for _ in range(SUBSPACE_MAX_STEPS):
         q = np.linalg.qr(x)[0]
         b = a @ q
-        x = a_h @ b
+        # a^H b as conj(a^T conj(b)), with no N x M copy of a^H: the same
+        # product, rounded in the same order, only with every sign flipped
+        x = (a.T @ b.conj()).conj()
         try:
             lam, w = np.linalg.eigh(b.conj().T @ b)
         except np.linalg.LinAlgError as exc:

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beamfocus import beamforming
 from beamfocus.beamforming import (
     PHASE_FLOOR_RTOL,
     DictionaryExhaustedError,
@@ -343,6 +344,19 @@ def dense_pad_atoms(opt, effective, count):
     return pads
 
 
+def random_dictionary(rng, n_v, n_h, thin):
+    """A TwistedDft on n_v x n_h antennas: the square DFTs, or thin factors with orthonormal rows."""
+
+    def factor(n):
+        if not thin:
+            return dft_matrix(n)
+        r = int(rng.integers(1, n + 1))
+        z = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        return np.linalg.qr(z)[0].conj().T
+
+    return TwistedDft(twist=np.exp(2j * np.pi * rng.random(n_v * n_h)), f_v=factor(n_v), f_h=factor(n_h))
+
+
 class TestFactoredDictionaryProperties:
     """The factored dictionaries against their dense N x N matrices."""
 
@@ -366,13 +380,7 @@ class TestFactoredDictionaryProperties:
         # fresnel_start's factors: r x n with orthonormal rows, so r_v * r_h
         # orthonormal atoms that do not span the N antennas when an r < n
         rng = np.random.default_rng(seed)
-
-        def thin(n):
-            r = int(rng.integers(1, n + 1))
-            z = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-            return np.linalg.qr(z)[0].conj().T
-
-        dic = TwistedDft(twist=np.exp(2j * np.pi * rng.random(n_v * n_h)), f_v=thin(n_v), f_h=thin(n_h))
+        dic = random_dictionary(rng, n_v, n_h, thin=True)
         dense = dic.dense()
         assert dense.shape == (n_v * n_h, dic.f_v.shape[0] * dic.f_h.shape[0]) == (n_v * n_h, dic.size)
         assert np.abs(dense.conj().T @ dense - np.eye(dic.size)).max() <= 1e-12
@@ -542,3 +550,75 @@ class TestAsymptoticHybridProperties:
         base = hybrid_rate(h, *asymptotic_hybrid(v, u, h, ns, ns, ns), 1.0, ns)
         spare = hybrid_rate(h, f_bf, w_bf, 1.0, ns)
         assert base - 1e-9 * digital <= spare <= digital + 1e-9 * digital
+
+
+class TestStreamedEnergies:
+    """The block-streamed gain energies against the dense products they stand for.
+
+    GAIN_BLOCK_ENTRIES is set small, so test sizes run several blocks, often
+    with a last one that is not full. The sums run in another order than
+    the dense ones, so they agree to rounding: 1e-13 of the largest energy.
+    """
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        n_v=st.integers(1, 6), n_h=st.integers(1, 6), thin=st.booleans(),
+        cols=st.integers(1, 60), block=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_v=1, n_h=1, thin=False, cols=7, block=3, seed=0)  # one antenna; blocks 3, 3, 1
+    @example(n_v=6, n_h=6, thin=True, cols=5, block=100, seed=1)  # N >> columns; blocks 2, 2, 1
+    @example(n_v=6, n_h=6, thin=False, cols=1, block=1, seed=2)  # a block narrower than one column
+    @example(n_v=1, n_h=2, thin=True, cols=59, block=8, seed=3)  # columns >> N; 15 blocks, the last 3 wide
+    def test_row_energies_match_dense(self, n_v, n_h, thin, cols, block, seed):
+        rng = np.random.default_rng(seed)
+        dic = random_dictionary(rng, n_v, n_h, thin)
+        x = rng.standard_normal((n_v * n_h, cols)) + 1j * rng.standard_normal((n_v * n_h, cols))
+        want = (np.abs(dic.dense().conj().T @ x) ** 2).sum(axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(beamforming, "GAIN_BLOCK_ENTRIES", block)
+            got = beamforming._row_energies(dic.adjoint, x)
+        assert got.shape == (dic.size,)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(n=st.integers(1, 40), m=st.integers(1, 40), block=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, m=1, block=1, seed=0)  # a single antenna per side
+    @example(n=40, m=2, block=7, seed=1)  # N >> M; TX blocks of 3 rows, the last 1 wide
+    @example(n=2, m=40, block=90, seed=2)  # M >> N; RX blocks of 2 columns
+    def test_pad_energies_match_dense(self, n, m, block, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(beamforming, "GAIN_BLOCK_ENTRIES", block)
+            got = {side: beamforming._dft_energies(h, side) for side in (Side.TX, Side.RX)}
+        for side, effective in ((Side.TX, h), (Side.RX, h.conj().T)):
+            dim = effective.shape[1]
+            want = np.linalg.norm(effective @ dft_matrix(dim), axis=0) ** 2
+            assert got[side].shape == (dim,)
+            assert np.abs(got[side] - want).max() <= 1e-13 * want.max()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(tilted_links(), st.integers(1, 8))
+    def test_picks_match_dense_reference_in_small_blocks(self, link, block):
+        # test_selected_atoms_match_dense_reference, with every ranking streamed in many blocks
+        tx, rx, params, seed = link
+        rng = np.random.default_rng(seed)
+        h = exact_channel(tx, rx, params)
+        v, u = dictionary_tx(tx, params), dictionary_rx(rx, params)
+        n_min = min(tx.count, rx.count)
+        ns = int(rng.integers(1, n_min + 1))
+        n_rf = int(rng.integers(ns, n_min + 1))
+        tx_atoms = dense_order(np.linalg.norm(h @ v.dense(), axis=0))[:n_rf]
+        rx_atoms = dense_order(np.linalg.norm(h.conj().T @ u.dense(), axis=0))[:n_rf]
+        dig = digital_svd(h, ns)
+        tx_pads = dense_pad_atoms(dig.precoder, h, n_rf - ns)
+        rx_pads = dense_pad_atoms(dig.combiner, h.conj().T, n_rf - ns)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(beamforming, "GAIN_BLOCK_ENTRIES", block)
+            f_bf, w_bf = asymptotic_hybrid(v, u, h, ns, n_rf, n_rf)
+            assert np.array_equal(f_bf.analog, v.columns(tx_atoms))
+            assert np.array_equal(w_bf.analog, u.columns(rx_atoms))
+            if min(len(tx_pads), len(rx_pads)) == n_rf - ns:
+                f_pe, w_pe = phase_extraction_hybrid(h, dig, n_rf, n_rf)
+                assert np.array_equal(f_pe.analog[:, ns:], dft_matrix(tx.count)[:, tx_pads])
+                assert np.array_equal(w_pe.analog[:, ns:], dft_matrix(rx.count)[:, rx_pads])

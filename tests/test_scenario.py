@@ -1,5 +1,6 @@
 """Tests for config parsing/validation and scenario assembly."""
 
+import functools
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from beamfocus.scenario import (
     parse_config,
     spectrum_data,
 )
+
+from test_linalg import random_unitary
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -657,6 +660,47 @@ class TestScenario:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("link", ["desk", "64 x 64 receiver"])
+    def test_each_stage_holds_little_beside_the_channel(self, link):
+        # Beside what it is handed (the channel, the dictionaries, the digital
+        # beams), a stage may hold three gain blocks (a conjugated block and
+        # the adjoint's two stages) and four arrays of (N + M) x w entries, w
+        # the stage's width: the RF chains, or the digital block's k. Peaks:
+        #   desk: digital 1.06 MiB of a 1.84 bound; asymptotic 0.75, OMP 0.33,
+        #     phase-extract 0.32 of 1.25;
+        #   64 x 64 receiver: asymptotic 1.19, OMP 1.48, phase-extract 2.15 of 2.76.
+        # Whole N x M products break it: they took the asymptotic stage to 4.0
+        # MiB on both links, phase-extract to 3.1 on the receiver and the desk
+        # digital stage to 2.06, where the subspace SVD held a copy of h^H.
+        if link == "desk":
+            config = load_config(str(CONFIG_DIR / "desk_scale.yaml"))
+        else:
+            config = parse_config(cfg(rx={"n_v": 64, "n_h": 64}, n_rf_tx=8, n_rf_rx=8))
+        scenario = Scenario(config, 0.0)
+        n, m = scenario.h.shape
+        scenario.tx_dictionary, scenario.rx_dictionary  # built before any stage is measured
+        start = fresnel_start_of(scenario)
+        if link == "desk":
+            stages = [("digital", lambda: scenario.digital, start.shape[1])]
+        else:
+            assert start is None  # a dense digital SVD, held before the hybrids are built
+            scenario.digital
+            stages = []
+        rf_width = max(config.n_rf_tx, config.n_rf_rx)
+        stages += [
+            (scheme, functools.partial(scenario.beams, scheme), rf_width)
+            for scheme in ("asymptotic-hybrid", "omp-hybrid", "phase-extract")
+        ]
+        for name, build, width in stages:
+            tracemalloc.start()
+            try:
+                build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            bound = 16 * (3 * beamforming.GAIN_BLOCK_ENTRIES + 4 * (n + m) * width)
+            assert peak < bound, f"{name}: {peak / 2**20:.2f} MiB against {bound / 2**20:.2f}"
+
     @settings(max_examples=40, deadline=None, database=None)
     @given(
         rotation=st.floats(0.0, 60.0),
@@ -740,6 +784,37 @@ desk_links = {
     "tx": desk_sides, "rx": desk_sides, "split": split_pairs,
     "distance": st.floats(20.0, 100.0), "scale": st.floats(0.8, 1.2), "rotation": st.floats(0.0, 60.0),
 }
+
+
+@st.composite
+def small_links(draw):
+    """Config overrides of a small link: 2..6 antennas per axis, an even split per axis."""
+    sides = [{"n_v": draw(st.integers(2, 6)), "n_h": draw(st.integers(2, 6))} for _ in range(2)]
+    split = [2 * draw(st.integers(1, min(s["n_" + axis] for s in sides) // 2)) for axis in ("v", "h")]
+    return {
+        "tx": sides[0], "rx": sides[1], "ns": split[0] * split[1], "ns_split": split,
+        "n_rf_tx": split[0] * split[1], "n_rf_rx": split[0] * split[1],
+        "distance_m": draw(st.floats(10.0, 100.0)),
+        "spacing_mode": draw(st.sampled_from(["optimal", "half-wavelength"])),
+        "layout": draw(st.sampled_from([kind.value for kind in LayoutKind])),
+    }
+
+
+class TestDigitalRateProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_links(), st.floats(0.0, 60.0), st.integers(0, 2**32 - 1))
+    def test_rates_invariant_to_unitary_bases(self, overrides, rotation, seed):
+        # U h V^H has the singular values of h, which are all the digital rates
+        # read, so the curves agree to the rate bound of the subspace path's
+        # test: 1e-12 of the curve's largest rate
+        config = parse_config(cfg(**overrides))
+        plain, mixed = Scenario(config, rotation), Scenario(config, rotation)
+        rng = np.random.default_rng(seed)
+        n, m = plain.h.shape
+        mixed.h = random_unitary(rng, n) @ plain.h @ random_unitary(rng, m).conj().T
+        snrs = 10 ** (np.arange(-30.0, 31.0, 10.0) / 10)
+        for scheme in ("digital-uniform", "digital-wf"):
+            assert relative_gap(mixed.rate(scheme, snrs), plain.rate(scheme, snrs)) <= 1e-12, scheme
 
 
 class TestDigitalPath:

@@ -11,6 +11,7 @@ constraint since the rate formula whitens them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,16 +100,22 @@ def digital_svd(h, ns: int, start=None) -> DigitalBeamformer:
 
 
 def fresnel_start(
-    spec_tx: ArraySpec, spec_rx: ArraySpec, tx_dict: TwistedDft, params: ChannelParams, ns: int
+    spec_tx: ArraySpec,
+    spec_rx: ArraySpec,
+    tx_dict: Callable[[], TwistedDft],
+    params: ChannelParams,
+    ns: int,
 ):
     """Start block of ``digital_svd``'s subspace iteration, or None where the dense SVD runs.
 
     With a Kronecker core, the Fresnel model ``conj(D_r) kron(h_v, h_h) D_t``
     of the channel has singular values the products ``s = sigma_v sigma_h`` of
     the axis factors of ``channel.kron_factor_channel``, and its right singular
-    vectors are the atoms of the TX dictionary ``tx_dict`` with each axis's DFT
-    swapped for the rows of that axis's v^H. The block holds the first k of
-    them, ordered by s with ``_gain_order``'s tie rule.
+    vectors are the atoms of the TX dictionary with each axis's DFT swapped
+    for the rows of that axis's v^H. The block holds the first k of them,
+    ordered by s with ``_gain_order``'s tie rule. ``tx_dict`` returns that
+    dictionary and is called only past the gates below, so a call that
+    returns None builds none.
 
     Column ns - 1 converges like (s[k] / s[ns - 1])^2 per pass, so k is the
     smallest width with s[k] <= SUBSPACE_GAP * s[ns - 1]. None stands for k =
@@ -133,7 +140,7 @@ def fresnel_start(
     k = ns + past[0] if past.size else min(n, m)
     if 4 * k > min(n, m):
         return None
-    return replace(tx_dict, f_v=vh_v, f_h=vh_h).columns(order[:k])
+    return replace(tx_dict(), f_v=vh_v, f_h=vh_h).columns(order[:k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +174,16 @@ class TwistedDft:
         return (self.f_h @ y).reshape(self.size, -1)
 
     def columns(self, idx) -> np.ndarray:
-        """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``."""
+        """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``.
+
+        The twist multiplies the transposed k x N atom rows in place, so one
+        N x k array is built.
+        """
         i, j = np.divmod(np.asarray(idx, dtype=np.intp), self.f_h.shape[0])
         rows = (self.f_v[i].conj()[:, :, None] * self.f_h[j].conj()[:, None, :]).reshape(i.size, -1)
-        return self.twist[:, None] * rows.T
+        cols = rows.T
+        # numpy multiplies a one-entry array in place by another kernel, which rounds differently
+        return np.multiply(self.twist[:, None], cols, out=cols if cols.size > 1 else None)
 
     def dense(self) -> np.ndarray:
         """The full N x size matrix, for checks on small arrays only."""
@@ -330,16 +343,20 @@ def phase_extraction_hybrid(
     def analog_stage(opt: np.ndarray, dim: int, count: int, side: Side) -> np.ndarray:
         mag = np.abs(opt)
         phase = np.where(mag < PHASE_FLOOR_RTOL * mag.max(axis=0), 0.0, np.angle(opt))
+        del mag
         stage = np.exp(1j * phase) / math.sqrt(dim)
+        del phase
         if count > ns:
             # each unit-norm stage column repeats at most one of the orthonormal
             # DFT columns, so the best `count` of them hold enough pads
             gains = np.sqrt(_dft_energies(h, side))
             candidates = dft_matrix(dim, _gain_order(gains)[:count])
-            fresh = np.abs(stage.conj().T @ candidates).max(axis=0) < 1.0 - 1e-9
-            pads = candidates[:, fresh][:, : count - ns]
-            if pads.shape[1] < count - ns:
+            fresh = np.flatnonzero(np.abs(stage.conj().T @ candidates).max(axis=0) < 1.0 - 1e-9)
+            if fresh.size < count - ns:
                 raise ValueError(f"cannot pad to n_rf={count} with {dim} antennas")
+            # only the pads are copied out, and the candidates go before the stage grows
+            pads = candidates[:, fresh[: count - ns]]
+            del candidates
             stage = np.hstack([stage, pads])
         return stage
 

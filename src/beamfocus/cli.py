@@ -32,25 +32,52 @@ class GridPointError(RuntimeError):
         )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+# The %-format of each command's row shapes. '%.12g' % x is f'{x:.12g}' for
+# every float (nan, inf, -0.0 and subnormals too), so a row is one format call
+# with the bytes of a value-by-value format.
+RATE_ROWS = {  # by --timing
+    False: "%s,%.12g,%.12g,%.12g,%.12g\n",
+    True: "%s,%.12g,%.12g,%.12g,%.12g,%.12g\n",
+}
+SPECTRUM_ROWS = {  # by row type
+    "eigenvalue": "%s,%s,%.12g,%.12g\n",
+    "summary": "%s,%s,%.12g,%s\n",
+}
+APERTURE_ROWS = {  # by the feasibility flag
+    False: "%.12g,%.12g,%.12g,%.12g,false,%.12g\n",
+    True: "%.12g,%.12g,%.12g,%.12g,true,%.12g\n",
+}
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _spectrum_line(row: tuple) -> str:
+    return SPECTRUM_ROWS[row[0]] % row
+
+
+def _aperture_line(row: tuple) -> str:
+    return APERTURE_ROWS[row[4]] % (*row[:4], row[5])
+
+
+def _write_csv(path: str, header: list[str], rows, line) -> None:
+    """Write the header, then ``line(row)`` for each row, streamed to the file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(line, rows))
 
 
-def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> list[float]:
-    """Scenario.rate at each SNR of ``snr_db``, numeric failures raised as GridPointError."""
+def _linear_snr(snr_db: tuple) -> np.ndarray:
+    """The linear SNRs of an SNR grid in dB, read-only since every curve of a sweep shares them."""
+    snr = np.array([10 ** (s / 10.0) for s in snr_db])
+    snr.flags.writeable = False
+    return snr
+
+
+def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple, snr: np.ndarray) -> list[float]:
+    """Scenario.rate at the linear SNRs ``snr`` of the dB grid ``snr_db``.
+
+    Numeric failures are raised as GridPointError.
+    """
     try:
-        return scenario.rate(scheme, np.array([10 ** (s / 10.0) for s in snr_db])).tolist()
+        return scenario.rate(scheme, snr).tolist()
     except NUMERIC_ERRORS as exc:
         raise GridPointError(scheme, snr_db, scenario.rotation_deg, exc) from exc
 
@@ -75,37 +102,51 @@ def _check_out(path: str) -> None:
 
 
 def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = False):
-    """Evaluate every (scheme, snr, rotation) grid point; rows come back sorted.
+    """Evaluate every (scheme, snr, rotation) grid point; rows come back in key order.
 
     Parallelism is per rotation so each scenario's beamformer cache stays
-    single-threaded; rows are sorted afterwards, so ordering never depends
-    on scheduling.
+    single-threaded. Each rotation gives one curve per scheme over the SNR
+    grid, and digital-uniform's curve, evaluated first, is also every
+    scheme's gap reference. The rows are read off the curves by walking the
+    sorted schemes, SNRs and angles. The grid's values are distinct
+    (``_distinct``), so that is the order a sort by (scheme, snr, rotation)
+    would give, and it never depends on scheduling.
     """
+    snr_db = config.snr_db
+    snr = _linear_snr(snr_db)
 
     def evaluate_rotation(rot):
+        """Each scheme's rows at ``rot``, one per SNR in config order."""
         scenario = Scenario(config, rot)
-        reference = _rate_curve(scenario, "digital-uniform", config.snr_db)
-        out = []
-        for scheme in config.schemes:
+        rates, timed = {}, {}
+        for scheme in dict.fromkeys(("digital-uniform", *config.schemes)):
             start = time.perf_counter()
-            rates = _rate_curve(scenario, scheme, config.snr_db)
+            rates[scheme] = _rate_curve(scenario, scheme, snr_db, snr)
             # the curve's time shared by its rows, so the column sums to the evaluation time
-            timed = ((time.perf_counter() - start) * 1e3 / len(rates),) if timing else ()
-            for snr_db, rate, ref in zip(config.snr_db, rates, reference):
-                gap = rate / ref if ref > 0 else float("nan")
-                out.append((scheme, snr_db, rot, rate, gap, *timed))
-        return out
+            timed[scheme] = ((time.perf_counter() - start) * 1e3 / len(snr_db),) if timing else ()
+        reference = rates["digital-uniform"]
+        return {
+            scheme: [
+                (scheme, s, rot, rate, rate / ref if ref > 0 else math.nan) + timed[scheme]
+                for s, rate, ref in zip(snr_db, rates[scheme], reference)
+            ]
+            for scheme in config.schemes
+        }
 
     if threads > 1 and len(config.rotation_deg) > 1:
         # imported on use, like validation below: every CLI start pays for its imports
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(evaluate_rotation, config.rotation_deg))
+            rows_at = list(pool.map(evaluate_rotation, config.rotation_deg))
     else:
-        chunks = [evaluate_rotation(rot) for rot in config.rotation_deg]
+        rows_at = [evaluate_rotation(rot) for rot in config.rotation_deg]
 
-    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[:3])
+    snr_order = sorted(range(len(snr_db)), key=snr_db.__getitem__)
+    rot_order = sorted(range(len(rows_at)), key=config.rotation_deg.__getitem__)
+    rows = [
+        rows_at[i][scheme][j] for scheme in sorted(config.schemes) for j in snr_order for i in rot_order
+    ]
     header = ["scheme", "snr_db", "rotation_deg", "rate_bps_hz", "digital_gap_ratio"]
     return header + (["wall_time_ms"] if timing else []), rows
 
@@ -127,7 +168,8 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
     l_t/l_r columns report realized corner-to-corner apertures. ``scales``
     must be distinct, positive and finite, as ``_parse_scales`` checks.
     """
-    snr_db = config.snr_db[0]
+    snr_db = config.snr_db[:1]
+    snr = _linear_snr(snr_db)
     rot = config.rotation_deg[0]
     rows = []
     for scale in sorted(scales):
@@ -140,7 +182,7 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
         feasible = aperture_feasible(
             nominal_t, nominal_r, config.ns, config.wavelength, config.distance_m
         )
-        (rate,) = _rate_curve(scenario, "digital-uniform", (snr_db,))
+        (rate,) = _rate_curve(scenario, "digital-uniform", snr_db, snr)
         rows.append((scale, l_t, l_r, nominal_t * nominal_r, feasible, rate))
     header = ["scale", "l_t_m", "l_r_m", "nominal_product_m2", "feasible", "rate_bps_hz"]
     return header, rows
@@ -198,10 +240,13 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "spectrum":
             header, rows = run_spectrum(config)
+            line = _spectrum_line
         elif args.command in ("rate-sweep", "rotation-sweep"):
             header, rows = run_rate_sweep(config, threads=args.threads, timing=args.timing)
+            line = RATE_ROWS[args.timing].__mod__
         else:
             header, rows = run_aperture_sweep(config, _parse_scales(args.scales))
+            line = _aperture_line
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -209,7 +254,7 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, rows, line)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

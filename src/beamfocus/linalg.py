@@ -317,13 +317,21 @@ def dft_matrix(k: int, cols=None) -> np.ndarray:
     """Unitary k x k DFT matrix, entry (a, b) = exp(-2j pi a b / k) / sqrt(k).
 
     ``cols`` (indices) builds only those columns, bitwise equal to the same
-    columns of the full matrix.
+    columns of the full matrix. Each step runs in place in the one complex
+    result, bitwise equal to ``np.exp(-2j * np.pi * np.outer(idx, cols) / k)
+    / np.sqrt(k)``, which holds an integer and two complex temporaries.
     """
     if k < 1:
         raise ValueError(f"DFT size must be >= 1, got {k}")
     idx = np.arange(k)
     cols = idx if cols is None else np.asarray(cols, dtype=idx.dtype)
-    return np.exp(-2j * np.pi * np.outer(idx, cols) / k) / np.sqrt(k)
+    out = np.empty((k, cols.size), dtype=np.complex128)
+    np.multiply(idx[:, None], cols, out=out)
+    out *= -2j * np.pi
+    out /= k
+    np.exp(out, out=out)
+    out /= np.sqrt(k)
+    return out
 
 
 def least_squares(basis, target) -> np.ndarray:

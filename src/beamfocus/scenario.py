@@ -316,7 +316,9 @@ class Scenario:
     def digital(self) -> beamforming.DigitalBeamformer:
         # h before the start block: the other order raises desk-sweep's peak RSS by 0.4 MiB
         h, ns = self.h, self.config.ns
-        start = beamforming.fresnel_start(self.tx_spec, self.rx_spec, self.tx_dictionary, self.params, ns)
+        start = beamforming.fresnel_start(
+            self.tx_spec, self.rx_spec, lambda: self.tx_dictionary, self.params, ns
+        )
         return beamforming.digital_svd(h, ns, start)
 
     @functools.cached_property

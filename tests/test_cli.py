@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line harness and its CSV contracts."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import beamfocus
 from beamfocus import beamforming, channel, cli, spectral, validation
@@ -73,6 +77,58 @@ def csv_bytes_at_blas_threads(command, config, tmp_path):
                         str(config), "--out", str(out)], env=env, check=True)
         files.append(out.read_bytes())
     return files
+
+
+def _fmt(value) -> str:
+    """One CSV cell as the writer once formatted each value: the oracle of the row formats."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+# floats of every kind: hypothesis's own draws plus the values a format is likeliest to miss
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e-300]),
+)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)))  # any text UTF-8 can encode
+ROW_SHAPES = {
+    "rate-sweep": (
+        cli.RATE_ROWS[False].__mod__, st.tuples(TEXT, FLOATS, FLOATS, FLOATS, FLOATS),
+    ),
+    "rate-sweep --timing": (
+        cli.RATE_ROWS[True].__mod__, st.tuples(TEXT, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
+    ),
+    "spectrum": (
+        cli._spectrum_line,
+        st.one_of(
+            st.tuples(st.just("eigenvalue"), TEXT, FLOATS, FLOATS),
+            st.tuples(st.just("summary"), TEXT, FLOATS, st.just("")),
+        ),
+    ),
+    "aperture-sweep": (
+        cli._aperture_line, st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, st.booleans(), FLOATS),
+    ),
+}
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("shape", ROW_SHAPES)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    @example(data=None)  # no rows: the header alone
+    def test_bytes_match_value_by_value_format(self, shape, data):
+        line, row = ROW_SHAPES[shape]
+        rows = [] if data is None else data.draw(st.lists(row, max_size=20))
+        header = ["a", "b"]
+        want = "".join([",".join(header) + "\n"] + [",".join(map(_fmt, r)) + "\n" for r in rows])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            cli._write_csv(path, header, rows, line)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode("utf-8")
 
 
 class TestRateSweep:
@@ -153,6 +209,38 @@ class TestRateSweep:
         assert len(snrs) == 7
         for snr in snrs:
             assert 0.0 < rates["omp-hybrid", snr] <= rates["digital-wf", snr]
+
+    def test_rows_come_in_key_order_whatever_the_config_order(self, tmp_path):
+        # the rows are read off the curves in (scheme, snr, rotation) order, not sorted
+        text = SMOKE.read_text()
+        reversed_text = text.replace(
+            "schemes: [digital-uniform, digital-wf, asymptotic-hybrid, omp-hybrid, phase-extract]",
+            "schemes: [phase-extract, omp-hybrid, asymptotic-hybrid, digital-wf, digital-uniform]",
+        ).replace("snr_db: [-10, 0, 10]", "snr_db: [10, 0, -10]").replace(
+            "rotation_deg: [0, 20]", "rotation_deg: [20, 0]"
+        )
+        config = parse_config(yaml.safe_load(reversed_text))
+        assert (config.snr_db, config.rotation_deg) == ((10.0, 0.0, -10.0), (20.0, 0.0))
+        assert config.schemes[0] == "phase-extract"
+        _, rows = cli.run_rate_sweep(config)
+        assert len(rows) == 30
+        assert rows == sorted(rows, key=lambda r: r[:3])
+        path = tmp_path / "reversed.yaml"
+        path.write_text(reversed_text)
+        for threads in ("1", "2"):
+            out, want = tmp_path / f"reversed-{threads}.csv", tmp_path / f"smoke-{threads}.csv"
+            for config_path, csv in ((path, out), (SMOKE, want)):
+                argv = ["rate-sweep", "--config", str(config_path), "--out", str(csv), "--threads", threads]
+                assert cli.main(argv) == 0
+            assert out.read_bytes() == want.read_bytes()
+        # digital-uniform's one curve is both its rows and the gap reference, and it is timed
+        timed = tmp_path / "timed.csv"
+        assert cli.main(["rate-sweep", "--config", str(path), "--out", str(timed), "--timing"]) == 0
+        header, timed_rows = read_rows(timed)
+        assert header[-1] == "wall_time_ms"
+        uniform = [r for r in timed_rows if r[0] == "digital-uniform"]
+        assert len(uniform) == 6 and all(float(r[-1]) > 0.0 for r in uniform)
+        assert [r[:5] for r in timed_rows] == read_rows(tmp_path / "smoke-1.csv")[1]
 
     def test_timing_column_opt_in(self, small_config, tmp_path):
         out = tmp_path / "timed.csv"

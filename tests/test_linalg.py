@@ -433,7 +433,7 @@ class TestSubspaceSvd:
         config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.yaml"))
         scenario = Scenario(config, 0.0)
         start = beamforming.fresnel_start(
-            scenario.tx_spec, scenario.rx_spec, scenario.tx_dictionary, scenario.params, config.ns
+            scenario.tx_spec, scenario.rx_spec, lambda: scenario.tx_dictionary, scenario.params, config.ns
         )
         passes = []
         qr = np.linalg.qr
@@ -536,6 +536,18 @@ class TestDftMatrix:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             dft_matrix(0)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(k=st.integers(1, 4096), picks=st.lists(st.integers(0, 2**31), max_size=12), whole=st.booleans())
+    def test_in_place_build_is_the_one_expression_formula(self, k, picks, whole):
+        # bitwise, in values and layout: the in-place steps round as the expression does;
+        # whole matrices up to 256 x 256, columns up to phase-extract's 4096-point side
+        idx = np.arange(k)
+        cols = None if whole and k <= 256 else np.array(picks, dtype=idx.dtype) % k
+        want = np.exp(-2j * np.pi * np.outer(idx, idx if cols is None else cols) / k) / np.sqrt(k)
+        got = dft_matrix(k, cols)
+        assert got.strides == want.strides
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLeastSquares:

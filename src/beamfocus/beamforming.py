@@ -174,16 +174,10 @@ class TwistedDft:
         return (self.f_h @ y).reshape(self.size, -1)
 
     def columns(self, idx) -> np.ndarray:
-        """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``.
-
-        The twist multiplies the transposed k x N atom rows in place, so one
-        N x k array is built.
-        """
+        """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``."""
         i, j = np.divmod(np.asarray(idx, dtype=np.intp), self.f_h.shape[0])
         rows = (self.f_v[i].conj()[:, :, None] * self.f_h[j].conj()[:, None, :]).reshape(i.size, -1)
-        cols = rows.T
-        # numpy multiplies a one-entry array in place by another kernel, which rounds differently
-        return np.multiply(self.twist[:, None], cols, out=cols if cols.size > 1 else None)
+        return self.twist[:, None] * rows.T
 
     def dense(self) -> np.ndarray:
         """The full N x size matrix, for checks on small arrays only."""

@@ -32,29 +32,23 @@ class GridPointError(RuntimeError):
         )
 
 
-# The %-format of each command's row shapes. '%.12g' % x is f'{x:.12g}' for
-# every float (nan, inf, -0.0 and subnormals too), so a row is one format call
-# with the bytes of a value-by-value format.
-RATE_ROWS = {  # by --timing
-    False: "%s,%.12g,%.12g,%.12g,%.12g\n",
-    True: "%s,%.12g,%.12g,%.12g,%.12g,%.12g\n",
-}
-SPECTRUM_ROWS = {  # by row type
-    "eigenvalue": "%s,%s,%.12g,%.12g\n",
-    "summary": "%s,%s,%.12g,%s\n",
-}
-APERTURE_ROWS = {  # by the feasibility flag
-    False: "%.12g,%.12g,%.12g,%.12g,false,%.12g\n",
-    True: "%.12g,%.12g,%.12g,%.12g,true,%.12g\n",
-}
+# Each command formats a row with one %-format. '%.12g' % x is f'{x:.12g}' for
+# every float (nan, inf, -0.0 and subnormals too), so the bytes are those of a
+# value-by-value format.
+def _rate_line(timing: bool):
+    """The row format of rate-sweep, with --timing's wall_time_ms column or without."""
+    return ("%s,%.12g,%.12g,%.12g,%.12g" + ",%.12g" * timing + "\n").__mod__
 
 
 def _spectrum_line(row: tuple) -> str:
-    return SPECTRUM_ROWS[row[0]] % row
+    # a summary row leaves its normalized_value cell empty
+    return ("%s,%s,%.12g,%.12g\n" if row[0] == "eigenvalue" else "%s,%s,%.12g,%s\n") % row
 
 
 def _aperture_line(row: tuple) -> str:
-    return APERTURE_ROWS[row[4]] % (*row[:4], row[5])
+    scale, l_t, l_r, product, feasible, rate = row
+    flag = "true" if feasible else "false"
+    return "%.12g,%.12g,%.12g,%.12g,%s,%.12g\n" % (scale, l_t, l_r, product, flag, rate)
 
 
 def _write_csv(path: str, header: list[str], rows, line) -> None:
@@ -64,20 +58,10 @@ def _write_csv(path: str, header: list[str], rows, line) -> None:
         fh.writelines(map(line, rows))
 
 
-def _linear_snr(snr_db: tuple) -> np.ndarray:
-    """The linear SNRs of an SNR grid in dB, read-only since every curve of a sweep shares them."""
-    snr = np.array([10 ** (s / 10.0) for s in snr_db])
-    snr.flags.writeable = False
-    return snr
-
-
-def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple, snr: np.ndarray) -> list[float]:
-    """Scenario.rate at the linear SNRs ``snr`` of the dB grid ``snr_db``.
-
-    Numeric failures are raised as GridPointError.
-    """
+def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> list[float]:
+    """Scenario.rate at each SNR of ``snr_db``, numeric failures raised as GridPointError."""
     try:
-        return scenario.rate(scheme, snr).tolist()
+        return scenario.rate(scheme, np.array([10 ** (s / 10.0) for s in snr_db])).tolist()
     except NUMERIC_ERRORS as exc:
         raise GridPointError(scheme, snr_db, scenario.rotation_deg, exc) from exc
 
@@ -113,7 +97,6 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = Fals
     would give, and it never depends on scheduling.
     """
     snr_db = config.snr_db
-    snr = _linear_snr(snr_db)
 
     def evaluate_rotation(rot):
         """Each scheme's rows at ``rot``, one per SNR in config order."""
@@ -121,8 +104,10 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = Fals
         rates, timed = {}, {}
         for scheme in dict.fromkeys(("digital-uniform", *config.schemes)):
             start = time.perf_counter()
-            rates[scheme] = _rate_curve(scenario, scheme, snr_db, snr)
-            # the curve's time shared by its rows, so the column sums to the evaluation time
+            rates[scheme] = _rate_curve(scenario, scheme, snr_db)
+            # the curve's time shared by its rows. The column sums to the evaluation
+            # time only if digital-uniform is listed: otherwise its curve, which
+            # builds the channel and the digital SVD, is timed but has no rows.
             timed[scheme] = ((time.perf_counter() - start) * 1e3 / len(snr_db),) if timing else ()
         reference = rates["digital-uniform"]
         return {
@@ -168,8 +153,7 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
     l_t/l_r columns report realized corner-to-corner apertures. ``scales``
     must be distinct, positive and finite, as ``_parse_scales`` checks.
     """
-    snr_db = config.snr_db[:1]
-    snr = _linear_snr(snr_db)
+    snr_db = config.snr_db[0]
     rot = config.rotation_deg[0]
     rows = []
     for scale in sorted(scales):
@@ -182,7 +166,7 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
         feasible = aperture_feasible(
             nominal_t, nominal_r, config.ns, config.wavelength, config.distance_m
         )
-        (rate,) = _rate_curve(scenario, "digital-uniform", snr_db, snr)
+        (rate,) = _rate_curve(scenario, "digital-uniform", (snr_db,))
         rows.append((scale, l_t, l_r, nominal_t * nominal_r, feasible, rate))
     header = ["scale", "l_t_m", "l_r_m", "nominal_product_m2", "feasible", "rate_bps_hz"]
     return header, rows
@@ -243,7 +227,7 @@ def main(argv=None) -> int:
             line = _spectrum_line
         elif args.command in ("rate-sweep", "rotation-sweep"):
             header, rows = run_rate_sweep(config, threads=args.threads, timing=args.timing)
-            line = RATE_ROWS[args.timing].__mod__
+            line = _rate_line(args.timing)
         else:
             header, rows = run_aperture_sweep(config, _parse_scales(args.scales))
             line = _aperture_line

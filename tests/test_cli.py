@@ -96,10 +96,10 @@ FLOATS = st.one_of(
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)))  # any text UTF-8 can encode
 ROW_SHAPES = {
     "rate-sweep": (
-        cli.RATE_ROWS[False].__mod__, st.tuples(TEXT, FLOATS, FLOATS, FLOATS, FLOATS),
+        cli._rate_line(False), st.tuples(TEXT, FLOATS, FLOATS, FLOATS, FLOATS),
     ),
     "rate-sweep --timing": (
-        cli.RATE_ROWS[True].__mod__, st.tuples(TEXT, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
+        cli._rate_line(True), st.tuples(TEXT, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
     ),
     "spectrum": (
         cli._spectrum_line,

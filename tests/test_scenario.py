@@ -668,12 +668,13 @@ class TestScenario:
         # the stage's width: the RF chains, or the digital block's k. Peaks:
         #   desk: digital 1.06 MiB of a 1.30 bound; asymptotic 0.75, OMP 0.33,
         #     phase-extract 0.32 of 1.00;
-        #   64 x 64 receiver: asymptotic 1.04, OMP 1.12, phase-extract 1.16 of 1.75.
+        #   64 x 64 receiver: asymptotic 1.19, OMP 1.47, phase-extract 1.16 of 1.75.
         # Whole N x M products break it: they took the asymptotic stage to 4.0
         # MiB on both links, phase-extract to 3.1 on the receiver and the desk
         # digital stage to 2.06, where the subspace SVD held a copy of h^H. So
-        # do N x w temporaries beside each built column block: they took OMP to
-        # 1.48 and phase-extract to 2.15 on the receiver.
+        # do N x w temporaries beside a built DFT block: with dft_matrix's
+        # one-expression build and all candidate columns kept, phase-extract
+        # took 2.15 on the receiver.
         if link == "desk":
             config = load_config(str(CONFIG_DIR / "desk_scale.yaml"))
         else:

@@ -1,5 +1,16 @@
 """Near-field LoS MIMO array design and hybrid beam focusing toolkit."""
 
+import os
+import sys
+
+# One BLAS thread unless the caller chose a count. OpenBLAS sizes its pool
+# when numpy loads, and at the paper's array sizes a second thread saves no
+# time but spins a core after every call. Too late once numpy is loaded.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .beamforming import (
     DigitalBeamformer,
     HybridBeamformer,

@@ -105,9 +105,13 @@ def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = Fals
         for scheme in dict.fromkeys(("digital-uniform", *config.schemes)):
             start = time.perf_counter()
             rates[scheme] = _rate_curve(scenario, scheme, snr_db)
-            # the curve's time shared by its rows. The column sums to the evaluation
-            # time only if digital-uniform is listed: otherwise its curve, which
-            # builds the channel and the digital SVD, is timed but has no rows.
+            # the curve's time shared by its rows. Each shared build is charged to
+            # the first curve that reads it: the channel and the digital SVD to
+            # digital-uniform, and so is the TX dictionary where fresnel_start
+            # builds a start block (desk); otherwise each dictionary goes to the
+            # first of asymptotic-hybrid or omp-hybrid in config order. The column
+            # sums to the evaluation time only if digital-uniform is listed:
+            # otherwise its curve is timed but has no rows.
             timed[scheme] = ((time.perf_counter() - start) * 1e3 / len(snr_db),) if timing else ()
         reference = rates["digital-uniform"]
         return {

@@ -1,6 +1,11 @@
 """Fully-digital SVD beamformers, DFT-dictionary hybrids, OMP, and the
 phase-extraction baseline.
 
+Every builder takes one channel or a stack of them, one per rotation of a
+sweep, along a leading axis of its arrays (the twist of a ``TwistedDft``
+too), and returns its beamformers with the same leading axis. A stack is
+built in stacked numpy calls, each element bitwise as it is built alone.
+
 Power convention: the builders carry no transmit power. Digital precoders
 keep orthonormal columns, and each hybrid builder returns the analog and
 baseband stages it built, unscaled. ``Scenario`` sets every hybrid precoder
@@ -18,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelParams, has_kron_core, kron_factor_channel, quadratic_phase
 from .geometry import AntennaLayout, ArraySpec, Side
-from .linalg import SVD_RANK_RTOL, ConvergenceError, SvdResult, dft_matrix, subspace_svd, svd
+from .linalg import SVD_RANK_RTOL, ConvergenceError, SvdResult, dft_matrix, subspace_svd, svd, svd_stack
 
 # digital beamformer entries this far below their column's largest are
 # rounding noise (exact zeros by the array symmetry), so they get phase 0
@@ -77,26 +82,42 @@ def digital_svd(h, ns: int, start=None) -> DigitalBeamformer:
     ``start`` is an M x k block from ``fresnel_start``: the top singular
     triplets then come from ``subspace_svd`` started from its span, or from
     ``svd`` should that not converge. ``None`` is the k = min(N, M) case, the
-    whole space, which ``svd`` factors densely. Columns stay orthonormal;
-    Scenario.rate water-fills over the returned singular values for the
-    ``digital-wf`` scheme.
+    whole space, which ``svd`` factors densely. For a stack of channels,
+    ``start`` holds one block or None per channel (None for all if None):
+    a stack with no block is factored in one ``svd_stack`` call, otherwise
+    each channel alone. Columns stay orthonormal; Scenario.rate water-fills
+    over the returned singular values for the ``digital-wf`` scheme.
     """
-    n, m = np.asarray(h).shape
+    h = np.asarray(h)
+    n, m = h.shape[-2:]
     if ns > min(n, m):
         raise ValueError(f"ns={ns} exceeds min(N, M)={min(n, m)}")
+    if h.ndim == 3 and start is not None and any(block is not None for block in start):
+        # a start block per channel: each iterates alone
+        each = [_top_triplets(one, ns, block) for one, block in zip(h, start)]
+        return DigitalBeamformer(
+            precoder=np.stack([r.right[:, :ns] for r in each]),
+            combiner=np.stack([r.left[:, :ns] for r in each]),
+            singular_values=np.stack([r.singular_values[:ns] for r in each]),
+        )
+    res = _top_triplets(h, ns, start) if h.ndim == 2 else svd_stack(h, ns)
+    return DigitalBeamformer(
+        precoder=res.right[..., :ns].copy(),
+        combiner=res.left[..., :ns].copy(),
+        singular_values=res.singular_values[..., :ns].copy(),
+    )
+
+
+def _top_triplets(h: np.ndarray, ns: int, start) -> SvdResult:
+    """The SVD of one channel that ``digital_svd`` reads, from ``start`` as it documents."""
+    if start is None:
+        return svd(h, ns)
     try:
-        res: SvdResult = svd(h, ns) if start is None else subspace_svd(h, ns, start)
+        return subspace_svd(h, ns, start)
     except ConvergenceError:
-        if start is None:
-            raise
         # the Fresnel spectrum promised a gap the channel does not have, as
         # where an aperture is not small against the distance: factor densely
-        res = svd(h, ns)
-    return DigitalBeamformer(
-        precoder=res.right[:, :ns].copy(),
-        combiner=res.left[:, :ns].copy(),
-        singular_values=res.singular_values[:ns].copy(),
-    )
+        return svd(h, ns)
 
 
 def fresnel_start(
@@ -155,6 +176,8 @@ class TwistedDft:
     atoms, and the dictionary is unitary only when both factors are. It holds
     N + r_v n_v + r_h n_h entries for N antennas, O(N) on a square array;
     only ``dense`` forms the full matrix, and it is for checks on small arrays.
+    A B x N twist holds B dictionaries over the same factors, one per
+    rotation of a sweep; the methods then take and return stacks.
     """
 
     twist: np.ndarray
@@ -167,69 +190,91 @@ class TwistedDft:
         return self.f_v.shape[0] * self.f_h.shape[0]
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """``D^H @ x`` for an N x k matrix x, by one factor product per axis."""
+        """``D^H @ x`` for an N x k matrix x (B x N x k on a stack), by one factor product per axis."""
         # one name for each stage's result, so a stage's input is freed as it ends
-        y = (np.conj(self.twist)[:, None] * x).reshape(self.f_v.shape[1], -1)
-        y = (self.f_v @ y).reshape(self.f_v.shape[0], self.f_h.shape[1], -1)
-        return (self.f_h @ y).reshape(self.size, -1)
+        y = np.conj(self.twist)[..., None] * x
+        lead = y.shape[:-2]
+        y = y.reshape(*lead, self.f_v.shape[1], -1)
+        y = (self.f_v @ y).reshape(*lead, self.f_v.shape[0], self.f_h.shape[1], -1)
+        return (self.f_h @ y).reshape(*lead, self.size, -1)
 
     def columns(self, idx) -> np.ndarray:
-        """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``."""
+        """Atoms ``idx`` as columns, bitwise equal to ``dense()[:, idx]``; B x k indices on a stack."""
         i, j = np.divmod(np.asarray(idx, dtype=np.intp), self.f_h.shape[0])
-        rows = (self.f_v[i].conj()[:, :, None] * self.f_h[j].conj()[:, None, :]).reshape(i.size, -1)
-        return self.twist[:, None] * rows.T
+        rows = (self.f_v[i].conj()[..., :, None] * self.f_h[j].conj()[..., None, :]).reshape(*i.shape, -1)
+        return self.twist[..., :, None] * np.swapaxes(rows, -1, -2)
 
     def dense(self) -> np.ndarray:
         """The full N x size matrix, for checks on small arrays only."""
-        return self.twist[:, None] * np.kron(self.f_v, self.f_h).conj().T
+        return self.twist[..., :, None] * np.kron(self.f_v, self.f_h).conj().T
 
 
-def _twisted_dft(layout: AntennaLayout, params: ChannelParams, side: Side) -> TwistedDft:
+def _twisted_dft(layout, params: ChannelParams, side: Side) -> TwistedDft:
     # conj(diagonal) times the conjugate-transposed 2-D DFT; unitary by construction
-    if layout.side is not side:
-        raise ValueError(f"expected a {side.value} layout, got {layout.side.value}")
+    single = isinstance(layout, AntennaLayout)
+    layouts = (layout,) if single else tuple(layout)
+    for one in layouts:
+        if one.side is not side:
+            raise ValueError(f"expected a {side.value} layout, got {one.side.value}")
+    twists = [np.conj(quadratic_phase(one, params)) for one in layouts]
     return TwistedDft(
-        twist=np.conj(quadratic_phase(layout, params)),
-        f_v=dft_matrix(layout.n_v),
-        f_h=dft_matrix(layout.n_h),
+        twist=twists[0] if single else stacked(twists),
+        f_v=dft_matrix(layouts[0].n_v),
+        f_h=dft_matrix(layouts[0].n_h),
     )
 
 
-def dictionary_tx(layout: AntennaLayout, params: ChannelParams) -> TwistedDft:
-    """Transmit-side unitary dictionary: conj(d_t) twist times the 2-D DFT."""
+def stacked(arrays: list) -> np.ndarray:
+    """Equal-shape arrays along a new leading axis: a view of a lone array, else one copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def dictionary_tx(layout, params: ChannelParams) -> TwistedDft:
+    """Transmit-side unitary dictionary: conj(d_t) twist times the 2-D DFT.
+
+    A sequence of layouts of one array (the rotations of a sweep) gives the
+    stacked dictionary, one twist row per layout over the factors built once.
+    """
     return _twisted_dft(layout, params, Side.TX)
 
 
-def dictionary_rx(layout: AntennaLayout, params: ChannelParams) -> TwistedDft:
-    """Receive-side unitary dictionary; its d_r twist includes the link-distance phase."""
+def dictionary_rx(layout, params: ChannelParams) -> TwistedDft:
+    """Receive-side unitary dictionary; its d_r twist includes the link-distance phase.
+
+    A sequence of layouts gives the stacked dictionary, as for ``dictionary_tx``.
+    """
     return _twisted_dft(layout, params, Side.RX)
 
 
 def _gain_order(gains: np.ndarray) -> np.ndarray:
-    """Indices by gain, largest first, ties by index.
+    """Indices by gain along the last axis, largest first, ties by index.
 
     Gains are compared in steps of SVD_RANK_RTOL of the largest, so gains
     that are equal up to rounding noise tie, whatever order the arithmetic
-    that produced them happened to use.
+    that produced them happened to use. Leading axes order each row alone.
     """
-    step = SVD_RANK_RTOL * gains.max()
-    key = np.rint(gains / step) if step > 0 else gains
-    return np.argsort(-key, kind="stable")
+    step = SVD_RANK_RTOL * gains.max(axis=-1, keepdims=True)
+    # a row of zero gains keeps its zeros
+    key = np.rint(gains / np.where(step > 0, step, 1.0))
+    return np.argsort(-key, axis=-1, kind="stable")
 
 
 def _row_energies(transform, x: np.ndarray) -> np.ndarray:
-    """Row energies ``(abs(transform(x)) ** 2).sum(axis=1)``, one block of x's columns at a time.
+    """Row energies ``(abs(transform(x)) ** 2).sum(axis=-1)``, one block of x's columns at a time.
 
     ``transform`` must act on each column alone, as ``TwistedDft.adjoint``
-    and an FFT along axis 0 do. A block holds GAIN_BLOCK_ENTRIES entries (at
-    least one column), so no temporary grows with x's column count.
+    and an FFT along axis -2 do. A block holds GAIN_BLOCK_ENTRIES entries of
+    each matrix of a stack (at least one column), so no temporary grows with
+    x's column count, and each matrix's energies sum as they would alone.
     """
-    step = max(1, GAIN_BLOCK_ENTRIES // x.shape[0])
+    step = max(1, GAIN_BLOCK_ENTRIES // x.shape[-2])
     energy = 0.0
-    for lo in range(0, x.shape[1], step):
-        y = transform(x[:, lo : lo + step])
+    for lo in range(0, x.shape[-1], step):
+        y = transform(x[..., lo : lo + step])
         # einsum sums the squares with no block-sized temporary
-        energy = energy + np.einsum("ij,ij->i", y.real, y.real) + np.einsum("ij,ij->i", y.imag, y.imag)
+        energy = energy + np.einsum("...ij,...ij->...i", y.real, y.real) + np.einsum(
+            "...ij,...ij->...i", y.imag, y.imag
+        )
         del y  # freed before the next block's transform runs
     return energy
 
@@ -241,14 +286,19 @@ def _dft_energies(h: np.ndarray, side: Side) -> np.ndarray:
     taken over blocks of h's rows (TX) or columns (RX).
     """
     if side is Side.TX:
-        return _row_energies(lambda b: np.fft.fft(b, axis=0, norm="ortho"), h.T)
-    return _row_energies(lambda b: np.fft.fft(b.conj(), axis=0, norm="ortho"), h)
+        return _row_energies(lambda b: np.fft.fft(b, axis=-2, norm="ortho"), np.swapaxes(h, -1, -2))
+    return _row_energies(lambda b: np.fft.fft(b.conj(), axis=-2, norm="ortho"), h)
+
+
+def _svd(a: np.ndarray, rank: int) -> SvdResult:
+    """``svd`` of one matrix, or of each matrix of a stack in one LAPACK call."""
+    return svd(a, rank) if a.ndim == 2 else svd_stack(a, rank)
 
 
 def _svd_basebands(h: np.ndarray, f_rf: np.ndarray, w_rf: np.ndarray, ns: int):
     """Top-ns right and left singular vectors of the effective channel ``W_RF^H h F_RF``."""
-    eff = svd(w_rf.conj().T @ h @ f_rf, ns)
-    return eff.right[:, :ns].copy(), eff.left[:, :ns].copy()
+    eff = _svd(np.swapaxes(w_rf.conj(), -1, -2) @ h @ f_rf, ns)
+    return eff.right[..., :ns].copy(), eff.left[..., :ns].copy()
 
 
 def asymptotic_hybrid(
@@ -273,10 +323,12 @@ def asymptotic_hybrid(
     if not ns <= min(n_rf_tx, n_rf_rx) or n_rf_tx > tx_dict.size or n_rf_rx > rx_dict.size:
         raise ValueError(f"need ns={ns} <= n_rf={n_rf_tx}/{n_rf_rx} <= dictionary column counts")
     # a C-ordered conjugate, so the adjoint's reshape is a view, not another copy
-    tx_gain = np.sqrt(_row_energies(lambda b: tx_dict.adjoint(np.conjugate(b, order="C")), h.T))
+    tx_gain = np.sqrt(
+        _row_energies(lambda b: tx_dict.adjoint(np.conjugate(b, order="C")), np.swapaxes(h, -1, -2))
+    )
     rx_gain = np.sqrt(_row_energies(rx_dict.adjoint, h))
-    f_rf = tx_dict.columns(_gain_order(tx_gain)[:n_rf_tx])
-    w_rf = rx_dict.columns(_gain_order(rx_gain)[:n_rf_rx])
+    f_rf = tx_dict.columns(_gain_order(tx_gain)[..., :n_rf_tx])
+    w_rf = rx_dict.columns(_gain_order(rx_gain)[..., :n_rf_rx])
     if max(n_rf_tx, n_rf_rx) > ns:
         f_bb, w_bb = _svd_basebands(h, f_rf, w_rf, ns)
     else:
@@ -290,23 +342,30 @@ def omp_hybrid(target: np.ndarray, dictionary: TwistedDft, n_rf: int) -> HybridB
     A pick never changes the residual's projection onto an unpicked atom, so
     the picks are the n_rf rows of ``y = D^H target`` of largest energy (ties
     as in ``_gain_order``), the baseband is those rows, and the residual norm
-    after k picks is the root of the energy in the rows left unpicked.
+    after k picks is the root of the energy in the rows left unpicked. On a
+    stack of targets (and dictionaries) the residual norms hold one list per
+    target.
     """
     target = np.asarray(target, dtype=np.complex128)
     if n_rf > dictionary.size:
         raise DictionaryExhaustedError(
             f"n_rf={n_rf} exceeds dictionary size {dictionary.size}"
         )
-    if n_rf < target.shape[1]:
-        raise ValueError(f"n_rf={n_rf} below stream count {target.shape[1]}")
+    if n_rf < target.shape[-1]:
+        raise ValueError(f"n_rf={n_rf} below stream count {target.shape[-1]}")
     y = dictionary.adjoint(target)
-    energy = (y.real**2 + y.imag**2).sum(axis=1)
+    energy = (y.real**2 + y.imag**2).sum(axis=-1)
     order = _gain_order(energy)
     # left[k]: the energy after k picks, summed over the sorted tail rather than
     # subtracted from the total, so a target the picks hold exactly leaves ~0
-    left = np.append(np.cumsum(energy[order[::-1]])[::-1], 0.0)
-    picks = order[:n_rf]
-    return HybridBeamformer(dictionary.columns(picks), y[picks], tuple(np.sqrt(left[1 : n_rf + 1]).tolist()))
+    left = np.cumsum(np.take_along_axis(energy, order[..., ::-1], axis=-1), axis=-1)[..., ::-1]
+    left = np.concatenate([left, np.zeros((*left.shape[:-1], 1))], axis=-1)
+    picks = order[..., :n_rf]
+    return HybridBeamformer(
+        dictionary.columns(picks),
+        np.take_along_axis(y, picks[..., None], axis=-2),
+        tuple(np.sqrt(left[..., 1 : n_rf + 1]).tolist()),
+    )
 
 
 def phase_extraction_hybrid(
@@ -329,14 +388,14 @@ def phase_extraction_hybrid(
     channel.
     """
     h = np.asarray(h, dtype=np.complex128)
-    n, m = h.shape
-    ns = digital.precoder.shape[1]
+    n, m = h.shape[-2:]
+    ns = digital.precoder.shape[-1]
     if min(n_rf_tx, n_rf_rx) < ns:
         raise ValueError(f"n_rf={min(n_rf_tx, n_rf_rx)} below stream count {ns}")
 
     def analog_stage(opt: np.ndarray, dim: int, count: int, side: Side) -> np.ndarray:
         mag = np.abs(opt)
-        phase = np.where(mag < PHASE_FLOOR_RTOL * mag.max(axis=0), 0.0, np.angle(opt))
+        phase = np.where(mag < PHASE_FLOOR_RTOL * mag.max(axis=-2, keepdims=True), 0.0, np.angle(opt))
         del mag
         stage = np.exp(1j * phase) / math.sqrt(dim)
         del phase
@@ -344,14 +403,18 @@ def phase_extraction_hybrid(
             # each unit-norm stage column repeats at most one of the orthonormal
             # DFT columns, so the best `count` of them hold enough pads
             gains = np.sqrt(_dft_energies(h, side))
-            candidates = dft_matrix(dim, _gain_order(gains)[:count])
-            fresh = np.flatnonzero(np.abs(stage.conj().T @ candidates).max(axis=0) < 1.0 - 1e-9)
-            if fresh.size < count - ns:
+            candidates = dft_matrix(dim, _gain_order(gains)[..., :count])
+            overlap = np.abs(np.swapaxes(stage.conj(), -1, -2) @ candidates).max(axis=-2)
+            fresh = overlap < 1.0 - 1e-9
+            if (np.count_nonzero(fresh, axis=-1) < count - ns).any():
                 raise ValueError(f"cannot pad to n_rf={count} with {dim} antennas")
-            # only the pads are copied out, and the candidates go before the stage grows
-            pads = candidates[:, fresh[: count - ns]]
+            # the first count - ns fresh candidates, in gain order: a stable sort
+            # puts them first. Only the pads are copied out, and the candidates
+            # go before the stage grows
+            first = np.argsort(~fresh, axis=-1, kind="stable")[..., None, : count - ns]
+            pads = np.take_along_axis(candidates, first, axis=-1)
             del candidates
-            stage = np.hstack([stage, pads])
+            stage = np.concatenate([stage, pads], axis=-1)
         return stage
 
     f_rf = analog_stage(digital.precoder, m, n_rf_tx, Side.TX)

@@ -58,12 +58,26 @@ def _write_csv(path: str, header: list[str], rows, line) -> None:
         fh.writelines(map(line, rows))
 
 
-def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> list[float]:
-    """Scenario.rate at each SNR of ``snr_db``, numeric failures raised as GridPointError."""
+def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> list:
+    """Scenario.rate at each SNR of ``snr_db``, as (nested, for a sweep) lists.
+
+    A numeric failure is raised as GridPointError naming the rotation. A
+    sweep's batch does not say which of its angles failed, so on that error
+    path only, the scheme is rated again one angle at a time.
+    """
+    snrs = np.array([10 ** (s / 10.0) for s in snr_db])
     try:
-        return scenario.rate(scheme, np.array([10 ** (s / 10.0) for s in snr_db])).tolist()
+        return scenario.rate(scheme, snrs).tolist()
     except NUMERIC_ERRORS as exc:
-        raise GridPointError(scheme, snr_db, scenario.rotation_deg, exc) from exc
+        failure, rotation = exc, scenario.rotation_deg
+    if np.ndim(rotation):
+        for rot in rotation:
+            try:
+                Scenario(scenario.config, rot, scenario.spacing_scale).rate(scheme, snrs)
+            except NUMERIC_ERRORS as exc:
+                failure, rotation = exc, rot
+                break
+    raise GridPointError(scheme, snr_db, rotation, failure) from failure
 
 
 def _parse_scales(text: str) -> tuple[float, ...]:
@@ -85,57 +99,42 @@ def _check_out(path: str) -> None:
         raise ConfigError(("out",), f"not a file in an existing directory: {path!r}")
 
 
-def run_rate_sweep(config: ScenarioConfig, threads: int = 1, timing: bool = False):
+def run_rate_sweep(config: ScenarioConfig, timing: bool = False):
     """Evaluate every (scheme, snr, rotation) grid point; rows come back in key order.
 
-    Parallelism is per rotation so each scenario's beamformer cache stays
-    single-threaded. Each rotation gives one curve per scheme over the SNR
-    grid, and digital-uniform's curve, evaluated first, is also every
-    scheme's gap reference. The rows are read off the curves by walking the
-    sorted schemes, SNRs and angles. The grid's values are distinct
-    (``_distinct``), so that is the order a sort by (scheme, snr, rotation)
-    would give, and it never depends on scheduling.
+    One Scenario holds every rotation, so each scheme's rates come from one
+    batched call as a rotations x SNRs array, and digital-uniform's, rated
+    first, is also every scheme's gap reference. One angle is the scenario
+    of batch shape (), whose arrays are the plain matrices. The rows are
+    read off the arrays by walking the sorted schemes, SNRs and angles. The
+    grid's values are distinct (``_distinct``), so that is the order a sort
+    by (scheme, snr, rotation) would give.
     """
-    snr_db = config.snr_db
-
-    def evaluate_rotation(rot):
-        """Each scheme's rows at ``rot``, one per SNR in config order."""
-        scenario = Scenario(config, rot)
-        rates, timed = {}, {}
-        for scheme in dict.fromkeys(("digital-uniform", *config.schemes)):
-            start = time.perf_counter()
-            rates[scheme] = _rate_curve(scenario, scheme, snr_db)
-            # the curve's time shared by its rows. Each shared build is charged to
-            # the first curve that reads it: the channel and the digital SVD to
-            # digital-uniform, and so is the TX dictionary where fresnel_start
-            # builds a start block (desk); otherwise each dictionary goes to the
-            # first of asymptotic-hybrid or omp-hybrid in config order. The column
-            # sums to the evaluation time only if digital-uniform is listed:
-            # otherwise its curve is timed but has no rows.
-            timed[scheme] = ((time.perf_counter() - start) * 1e3 / len(snr_db),) if timing else ()
-        reference = rates["digital-uniform"]
-        return {
-            scheme: [
-                (scheme, s, rot, rate, rate / ref if ref > 0 else math.nan) + timed[scheme]
-                for s, rate, ref in zip(snr_db, rates[scheme], reference)
-            ]
-            for scheme in config.schemes
-        }
-
-    if threads > 1 and len(config.rotation_deg) > 1:
-        # imported on use, like validation below: every CLI start pays for its imports
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows_at = list(pool.map(evaluate_rotation, config.rotation_deg))
-    else:
-        rows_at = [evaluate_rotation(rot) for rot in config.rotation_deg]
-
+    snr_db, rotations = config.snr_db, config.rotation_deg
+    one = len(rotations) == 1
+    scenario = Scenario(config, rotations[0] if one else rotations)
+    points = len(rotations) * len(snr_db)
+    rates, timed = {}, {}
+    for scheme in dict.fromkeys(("digital-uniform", *config.schemes)):
+        start = time.perf_counter()
+        curves = _rate_curve(scenario, scheme, snr_db)
+        rates[scheme] = [curves] if one else curves
+        # the batch's time shared by its rows. Each shared build is charged to
+        # the first scheme that reads it: the channels and the digital SVD to
+        # digital-uniform. The column sums to the evaluation time only if
+        # digital-uniform is listed: otherwise it is timed but has no rows.
+        timed[scheme] = ((time.perf_counter() - start) * 1e3 / points,) if timing else ()
+    reference = rates["digital-uniform"]
     snr_order = sorted(range(len(snr_db)), key=snr_db.__getitem__)
-    rot_order = sorted(range(len(rows_at)), key=config.rotation_deg.__getitem__)
-    rows = [
-        rows_at[i][scheme][j] for scheme in sorted(config.schemes) for j in snr_order for i in rot_order
-    ]
+    rot_order = sorted(range(len(rotations)), key=rotations.__getitem__)
+    rows = []
+    for scheme in sorted(config.schemes):
+        curves, extra = rates[scheme], timed[scheme]
+        for j in snr_order:
+            for i in rot_order:
+                rate, ref = curves[i][j], reference[i][j]
+                gap = rate / ref if ref > 0 else math.nan
+                rows.append((scheme, snr_db[j], rotations[i], rate, gap) + extra)
     header = ["scheme", "snr_db", "rotation_deg", "rate_bps_hz", "digital_gap_ratio"]
     return header + (["wall_time_ms"] if timing else []), rows
 
@@ -200,7 +199,8 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--config", required=True, help="YAML scenario config")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--threads", type=int, default=1, help="parallel grid evaluation")
+        # kept so that existing scripts run: a sweep is one batch, with nothing to split
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue spectrum and cluster summary")
     add_common(p_spec)
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help="rates for every scheme/SNR/rotation grid point")
         add_common(p)
         p.add_argument("--timing", action="store_true",
-                       help="append wall_time_ms: each (scheme, rotation) curve's time / SNR count")
+                       help="append wall_time_ms: each scheme's batch time / (rotations x SNRs)")
     p_ap = sub.add_parser("aperture-sweep", help="digital rate vs spacing scale")
     add_common(p_ap)
     p_ap.add_argument("--scales", default="0.25,0.5,0.75,1.0,1.5",
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
             header, rows = run_spectrum(config)
             line = _spectrum_line
         elif args.command in ("rate-sweep", "rotation-sweep"):
-            header, rows = run_rate_sweep(config, threads=args.threads, timing=args.timing)
+            header, rows = run_rate_sweep(config, timing=args.timing)
             line = _rate_line(args.timing)
         else:
             header, rows = run_aperture_sweep(config, _parse_scales(args.scales))

@@ -8,13 +8,15 @@ that basis: ``svd`` factors the whole matrix (LAPACK gesdd), and
 ``subspace_svd`` finds only the top triplets by block subspace iteration
 from a caller's start block, factoring nothing larger than N x k. Both end
 in ``_canonical``, the one implementation of the basis rule.
-``least_squares`` now serves only the tests' greedy OMP oracle and the
+``svd_stack`` and ``eig_hermitian_stack`` factor each matrix of a stack (a
+leading axis) in one LAPACK call, each bitwise as ``svd`` and
+``eig_hermitian`` factor it alone: those two run the same cores on a stack
+of one. ``least_squares`` now serves only the tests' greedy OMP oracle and the
 benchmark's tracer.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +76,11 @@ def active_backend() -> str:
     return "lapack"
 
 
-def _as_matrix(a, dtype=np.complex128):
-    """``a`` as a finite, non-empty 2-D array of ``dtype``."""
+def _as_matrix(a, dtype=np.complex128, ndim=2):
+    """``a`` as a finite, non-empty array of ``dtype``: a matrix, or a stack of them for ndim 3."""
     a = np.asarray(a, dtype=dtype)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array, got ndim={a.ndim}")
     if a.size == 0:
         raise ValueError("expected a non-empty matrix")
     if not np.isfinite(a).all():
@@ -97,11 +99,12 @@ def _fix_phases(x: np.ndarray, *others: np.ndarray) -> None:
 
     Entries within PHASE_TIE_RTOL of the largest tie, and the lowest index
     wins. The same unit factor multiplies the matching column of every
-    array in ``others``, so factorizations stay consistent.
+    array in ``others``, so factorizations stay consistent. Leading axes
+    index a stack of matrices.
     """
     mag = np.abs(x)
-    at = (_first_within(mag, axis=0, rtol=PHASE_TIE_RTOL), np.arange(x.shape[1]))
-    lead = np.conj(x[at]) / mag[at]
+    at = _first_within(mag, axis=-2, rtol=PHASE_TIE_RTOL)[..., None, :]
+    lead = np.conj(np.take_along_axis(x, at, axis=-2)) / np.take_along_axis(mag, at, axis=-2)
     x *= lead
     for y in others:
         y *= lead
@@ -146,8 +149,13 @@ def _to_canonical_basis(x: np.ndarray, *others: np.ndarray) -> None:
         y[...] = y @ q
 
 
-def _frobenius(x: np.ndarray) -> float:
-    return math.sqrt(np.vdot(x, x).real)
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack."""
+    return np.sqrt(np.einsum("...ij,...ij->...", x.conj(), x).real)
+
+
+def _hermitian_dtype(a):
+    return np.complex128 if np.iscomplexobj(a) else np.float64
 
 
 def eig_hermitian(a) -> EigenSpectrum:
@@ -160,23 +168,38 @@ def eig_hermitian(a) -> EigenSpectrum:
     the basis LAPACK returns: every caller reads only the values or products
     that do not depend on them (reconstructions, projections, whitening).
     """
-    a = _as_matrix(a, np.complex128 if np.iscomplexobj(a) else np.float64)
-    n, m = a.shape
+    spec = _eigh(_as_matrix(a, _hermitian_dtype(a))[None])
+    return EigenSpectrum(values=spec.values[0], vectors=spec.vectors[0])
+
+
+def eig_hermitian_stack(a) -> EigenSpectrum:
+    """``eig_hermitian`` of each matrix of a B x n x n stack, in one LAPACK call.
+
+    The values come back B x n and the vectors B x n x n, each element
+    bitwise what ``eig_hermitian`` returns for that matrix alone.
+    """
+    return _eigh(_as_matrix(a, _hermitian_dtype(a), ndim=3))
+
+
+def _eigh(a: np.ndarray) -> EigenSpectrum:
+    """The core of both eigensolvers: checked B x n x n stack in, non-increasing values out."""
+    n, m = a.shape[-2:]
     if n != m:
         raise NonSquareError(f"matrix is {n}x{m}, expected square")
     frob = _frobenius(a)
     # a temporary, freed before the eigensolve: 1 MiB on a 256 x 256 Gram
-    asym = _frobenius(a - a.conj().T)
-    if frob > 0 and asym > HERMITIAN_ASYMMETRY_RTOL * frob:
+    asym = _frobenius(a - np.swapaxes(a, -1, -2).conj())
+    bad = (frob > 0) & (asym > HERMITIAN_ASYMMETRY_RTOL * frob)
+    if bad.any():
+        worst = (asym[bad] / frob[bad]).max()
         raise NonHermitianError(
-            f"relative asymmetry {asym / frob:.3e} exceeds {HERMITIAN_ASYMMETRY_RTOL:.1e}"
+            f"relative asymmetry {worst:.3e} exceeds {HERMITIAN_ASYMMETRY_RTOL:.1e}"
         )
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolve did not converge: {exc}") from exc
-    values, vectors = values[::-1], vectors[:, ::-1]
-    return EigenSpectrum(values=values, vectors=vectors)
+    return EigenSpectrum(values=values[..., ::-1], vectors=vectors[..., ::-1])
 
 
 def svd(a, rank: int | None = None) -> SvdResult:
@@ -199,8 +222,22 @@ def svd(a, rank: int | None = None) -> SvdResult:
     still fixed), and the columns up to the end of that cluster are the same
     as without ``rank``. ``None`` makes every column canonical.
     """
-    a = _as_matrix(a)
-    k = min(a.shape)
+    res = _svd(_as_matrix(a)[None], rank)
+    return SvdResult(left=res.left[0], singular_values=res.singular_values[0], right=res.right[0])
+
+
+def svd_stack(a, rank: int | None = None) -> SvdResult:
+    """``svd`` of each matrix of a B x m x n stack, in one LAPACK call.
+
+    The factors come back with the leading axis, each element bitwise what
+    ``svd`` returns for that matrix alone.
+    """
+    return _svd(_as_matrix(a, ndim=3), rank)
+
+
+def _svd(a: np.ndarray, rank: int | None) -> SvdResult:
+    """The core of both dense SVDs: a checked B x m x n stack in, canonical triplets out."""
+    k = min(a.shape[-2:])
     if rank is None:
         rank = k
     elif not 1 <= rank <= k:
@@ -210,7 +247,7 @@ def svd(a, rank: int | None = None) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     np.conjugate(right, out=right)
-    return _canonical(left, sigma, right.T, rank)
+    return _canonical(left, sigma, np.swapaxes(right, -1, -2), rank)
 
 
 def _clusters(sigma: np.ndarray, rank: int):
@@ -234,10 +271,26 @@ def _canonical(left: np.ndarray, sigma: np.ndarray, right: np.ndarray, rank: int
     The one implementation of the rule for both solvers: values at or below
     SVD_RANK_RTOL * sigma[0] become zero, every column's phase is fixed, and
     each cluster up to the one holding column ``rank - 1`` is rotated to the
-    basis its span fixes.
+    basis its span fixes. A leading axis on all three arrays holds a stack
+    of factorizations; only those with two values within the cluster
+    tolerance, or a zero, among their first ``rank`` take the per-cluster
+    rotation, one at a time.
     """
-    sigma[sigma <= SVD_RANK_RTOL * sigma[0]] = 0.0
-    _fix_phases(right, left)
+    # one factorization is a stack of one, by views, so the edits land in place
+    one = sigma.ndim == 1
+    lefts, sigmas, rights = (x[None] if one else x for x in (left, sigma, right))
+    sigmas[sigmas <= SVD_RANK_RTOL * sigmas[:, :1]] = 0.0
+    _fix_phases(rights, lefts)
+    # a cluster starts with a step within _clusters' tolerance, and a zero value is one
+    ties = sigmas[:, :-1] - sigmas[:, 1:] <= SVD_RANK_RTOL * sigmas[:, :1]
+    rotate = ties[:, :rank].any(axis=1) | (sigmas[:, :rank] == 0.0).any(axis=1)
+    for i in np.flatnonzero(rotate):
+        _rotate_clusters(lefts[i], sigmas[i], rights[i], rank)
+    return SvdResult(left=left, singular_values=sigma, right=right)
+
+
+def _rotate_clusters(left: np.ndarray, sigma: np.ndarray, right: np.ndarray, rank: int) -> None:
+    """Rotate each cluster of one factorization, up to the one holding column ``rank - 1``."""
     for start, stop in _clusters(sigma, rank):
         cols = slice(start, stop)
         if sigma[start] == 0.0:
@@ -246,7 +299,6 @@ def _canonical(left: np.ndarray, sigma: np.ndarray, right: np.ndarray, rank: int
             _to_canonical_basis(right[:, cols])
         elif stop - start > 1:
             _to_canonical_basis(right[:, cols], left[:, cols])
-    return SvdResult(left=left, singular_values=sigma, right=right)
 
 
 def subspace_svd(a, rank: int, start) -> SvdResult:
@@ -317,16 +369,17 @@ def dft_matrix(k: int, cols=None) -> np.ndarray:
     """Unitary k x k DFT matrix, entry (a, b) = exp(-2j pi a b / k) / sqrt(k).
 
     ``cols`` (indices) builds only those columns, bitwise equal to the same
-    columns of the full matrix. Each step runs in place in the one complex
-    result, bitwise equal to ``np.exp(-2j * np.pi * np.outer(idx, cols) / k)
-    / np.sqrt(k)``, which holds an integer and two complex temporaries.
+    columns of the full matrix; B x c indices build a B x k x c stack. Each
+    step runs in place in the one complex result, bitwise equal to
+    ``np.exp(-2j * np.pi * np.outer(idx, cols) / k) / np.sqrt(k)``, which
+    holds an integer and two complex temporaries.
     """
     if k < 1:
         raise ValueError(f"DFT size must be >= 1, got {k}")
     idx = np.arange(k)
     cols = idx if cols is None else np.asarray(cols, dtype=idx.dtype)
-    out = np.empty((k, cols.size), dtype=np.complex128)
-    np.multiply(idx[:, None], cols, out=out)
+    out = np.empty((*cols.shape[:-1], k, cols.shape[-1]), dtype=np.complex128)
+    np.multiply(idx[:, None], cols[..., None, :], out=out)
     out *= -2j * np.pi
     out /= k
     np.exp(out, out=out)

@@ -1,14 +1,15 @@
 """Scenario configs (YAML), layout/channel assembly, and scheme evaluation.
 
-A scenario is one rotation angle of one config: realized layouts, the
-exact channel, and lazily built beamformers shared across the SNR grid.
+A scenario is one config at one rotation angle, or at every angle of a
+sweep at once: realized layouts, the exact channels, and lazily built
+beamformers shared across the SNR grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -283,43 +284,70 @@ def axis_spacings(config: ScenarioConfig, scale: float = 1.0):
 
 
 class Scenario:
-    """One rotation point of a config: the exact channel and every scheme's beamformers.
+    """One config at one rotation angle, or at each angle of a sweep: channels and beamformers.
+
+    ``rotation_deg`` is one angle, or a sequence of them. Every array then
+    carries the batch shape of ``rotation_deg``: () for one angle, (R,) for
+    R of them, ahead of its own axes, so ``h`` is N x M or R x N x M and
+    ``rate`` returns the SNR shape or R rows of it. The specs and layouts
+    are one object, or a tuple of one per angle. A sweep of R angles runs
+    every numeric layer once, in stacked calls, and each of its rows is
+    bitwise the one the angle's own scenario gives.
 
     The heavy artifacts are built on first use and shared across the SNR
     grid. This is the one place that sets transmit power: trace ns for the
     hybrid precoders in ``beams`` and the digital stream powers in ``rate``.
     """
 
-    def __init__(self, config: ScenarioConfig, rotation_deg: float, spacing_scale: float = 1.0):
+    def __init__(self, config: ScenarioConfig, rotation_deg, spacing_scale: float = 1.0):
         self.config = config
         self.rotation_deg = rotation_deg
-        theta = math.radians(rotation_deg)
+        self.spacing_scale = spacing_scale
+        self._one = np.ndim(rotation_deg) == 0
+        angles = (rotation_deg,) if self._one else tuple(rotation_deg)
         (d_tv, d_th), (d_rv, d_rh) = axis_spacings(config, spacing_scale)
-        self.tx_spec = geometry.ArraySpec(
-            n_v=config.tx.n_v, n_h=config.tx.n_h, d_v=d_tv, d_h=d_th,
-            theta=theta, phi=theta, layout_kind=config.layout,
-        )
-        self.rx_spec = geometry.ArraySpec(
-            n_v=config.rx.n_v, n_h=config.rx.n_h, d_v=d_rv, d_h=d_rh,
-            theta=theta, phi=theta, layout_kind=config.layout,
-        )
+        tx_specs, rx_specs = [], []
+        for angle in angles:
+            theta = math.radians(angle)
+            tx_specs.append(geometry.ArraySpec(
+                n_v=config.tx.n_v, n_h=config.tx.n_h, d_v=d_tv, d_h=d_th,
+                theta=theta, phi=theta, layout_kind=config.layout,
+            ))
+            rx_specs.append(geometry.ArraySpec(
+                n_v=config.rx.n_v, n_h=config.rx.n_h, d_v=d_rv, d_h=d_rh,
+                theta=theta, phi=theta, layout_kind=config.layout,
+            ))
         self.params = channel.ChannelParams(wavelength=config.wavelength, distance=config.distance_m)
-        self.tx_layout = geometry.build_layout(self.tx_spec, geometry.Side.TX, config.distance_m)
-        self.rx_layout = geometry.build_layout(self.rx_spec, geometry.Side.RX, config.distance_m)
+        tx_layouts = [geometry.build_layout(spec, geometry.Side.TX, config.distance_m) for spec in tx_specs]
+        rx_layouts = [geometry.build_layout(spec, geometry.Side.RX, config.distance_m) for spec in rx_specs]
+        self._pairs = list(zip(tx_specs, rx_specs, tx_layouts, rx_layouts))
+        self.tx_spec, self.rx_spec, self.tx_layout, self.rx_layout = (
+            self._batch(items) for items in (tx_specs, rx_specs, tx_layouts, rx_layouts)
+        )
         self._beams: dict = {}
+
+    def _batch(self, items: list):
+        """Per-angle items in the batch shape: the one item for one angle, else a tuple."""
+        return items[0] if self._one else tuple(items)
 
     @functools.cached_property
     def h(self) -> np.ndarray:
-        return channel.exact_channel(self.tx_layout, self.rx_layout, self.params)
+        channels = [channel.exact_channel(tx, rx, self.params) for _, _, tx, rx in self._pairs]
+        return channels[0] if self._one else beamforming.stacked(channels)
 
     @functools.cached_property
     def digital(self) -> beamforming.DigitalBeamformer:
         # h before the start block: the other order raises desk-sweep's peak RSS by 0.4 MiB
         h, ns = self.h, self.config.ns
-        start = beamforming.fresnel_start(
-            self.tx_spec, self.rx_spec, lambda: self.tx_dictionary, self.params, ns
-        )
-        return beamforming.digital_svd(h, ns, start)
+        starts = [
+            beamforming.fresnel_start(tx, rx, functools.partial(self._tx_dictionary_at, i), self.params, ns)
+            for i, (tx, rx, _, _) in enumerate(self._pairs)
+        ]
+        return beamforming.digital_svd(h, ns, self._batch(starts))
+
+    def _tx_dictionary_at(self, i: int) -> beamforming.TwistedDft:
+        dictionary = self.tx_dictionary
+        return dictionary if self._one else replace(dictionary, twist=dictionary.twist[i])
 
     @functools.cached_property
     def tx_dictionary(self) -> beamforming.TwistedDft:
@@ -354,29 +382,42 @@ class Scenario:
             tx, rx = self.hybrid(scheme)
             # ||F_RF F_BB||_F^2 = ns; scaling the baseband before the
             # product keeps the rounding of the committed CSVs
-            unit = tx.analog @ (tx.baseband / np.linalg.norm(tx.product()))
+            unit = tx.analog @ (tx.baseband / _frobenius(tx.product()))
             self._beams[scheme] = math.sqrt(self.config.ns) * unit, rx.product()
         return self._beams[scheme]
 
     def rate(self, scheme: str, snr):
-        """Spectral efficiency of one scheme at each linear SNR of ``snr``, in its shape.
+        """Spectral efficiency of one scheme at each linear SNR of ``snr``: the batch shape, then snr's.
 
         Digital rates come from the singular values: digital-uniform gives each
         stream power 1, digital-wf ns times the water_filling share at each SNR,
-        from one water_filling call over the whole curve.
+        from one water_filling call over the whole curve (every angle's).
         """
         if scheme not in ("digital-uniform", "digital-wf"):
             return spectral.rate(self.h, *self.beams(scheme), snr, self.config.ns)
         gains = self.digital.singular_values**2
-        if scheme == "digital-uniform":
-            return spectral.stream_rate(snr, gains, self.config.ns)
         snrs = np.asarray(snr, dtype=float)
+        if scheme == "digital-uniform":
+            return spectral.stream_rate(snr, spectral.per_snr(gains, snrs), self.config.ns)
         # any allocation gives rate 0 at SNR 0; stream_rate rejects a bad SNR
         live = (0 < snrs) & (snrs < math.inf)
-        powers = np.zeros((*snrs.shape, gains.size))
+        powers = np.zeros((*gains.shape[:-1], *snrs.shape, gains.shape[-1]))
         if live.any():
-            powers[live] = spectral.water_filling(gains, 1.0, snrs[live]).powers
-        return spectral.stream_rate(snrs, powers * gains)
+            powers[..., live, :] = spectral.water_filling(gains, 1.0, snrs[live]).powers
+        return spectral.stream_rate(snrs, powers * spectral.per_snr(gains, snrs))
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of x, or of each matrix of a stack, as ``np.linalg.norm`` rounds it.
+
+    That norm is two BLAS dot products of the flattened real and imaginary
+    parts, and a 1 x n times n x 1 matmul runs that dot product, so this is
+    bitwise its value; a sum of squares along an axis is not. The result
+    keeps two unit axes to scale the matrices.
+    """
+    flat = x.reshape(*x.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))
 
 
 # rounding leaves the centred Gram's imaginary part near 1e-14 of its real

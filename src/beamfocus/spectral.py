@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian
+from .linalg import eig_hermitian, eig_hermitian_stack
 
 COMBINER_COND_LIMIT = 1e12
 
@@ -69,13 +69,15 @@ def water_filling(eigs, p_total: float, gain_over_noise) -> PowerAllocation:
     An array ``gain_over_noise`` of shape S allocates at each of its values
     at once: the powers get shape ``(*S, len(eigs))`` and the level shape S,
     each bitwise equal to the scalar call at that value. A scalar gives
-    powers of the shape of eigs and a float level.
+    powers of the shape of eigs and a float level. Leading axes of ``eigs``
+    hold a batch of spectra, each checked and allocated as alone: powers
+    ``(*B, *S, n)`` and levels ``(*B, *S)`` for eigs of shape ``(*B, n)``.
     """
     lam = np.asarray(eigs, dtype=float)
     gains = np.asarray(gain_over_noise, dtype=float)
     if lam.size == 0 or not np.isfinite(lam).all():
         raise ValueError("eigenvalues must be finite and non-empty")
-    if (lam < 0).any() or (lam[1:] - lam[:-1] > 1e-12 * lam.max()).any():
+    if (lam < 0).any() or (lam[..., 1:] - lam[..., :-1] > 1e-12 * lam.max(axis=-1, keepdims=True)).any():
         raise ValueError("eigenvalues must be non-negative and non-increasing")
     if not (math.isfinite(p_total) and np.isfinite(gains).all()):
         raise ValueError("p_total and gain_over_noise must be finite")
@@ -83,19 +85,25 @@ def water_filling(eigs, p_total: float, gain_over_noise) -> PowerAllocation:
         raise ValueError("p_total and gain_over_noise must be positive")
     # positive eigenvalues lead, since the spectrum is non-increasing; a value
     # the tolerance lets rise after a zero is rounding and counts as zero too
-    n_pos = lam.size - np.count_nonzero(np.minimum.accumulate(lam) == 0.0)
-    if n_pos == 0:
+    positive = np.minimum.accumulate(lam, axis=-1) > 0.0
+    if not positive[..., 0].all():
         raise AllZeroEigenvaluesError("cannot allocate power over an all-zero spectrum")
-    floors = 1.0 / (gains[..., None] * lam[:n_pos])
+    lam, positive = (per_snr(x, gains) for x in (lam, positive))
+    prod = gains[..., None] * lam
+    # a zero eigenvalue's floor is infinite: its stream never clears the level
+    floors = np.divide(1.0, prod, out=np.full(prod.shape, np.inf), where=positive)
     if np.isinf(floors[..., 0]).any():
         raise ValueError("gain_over_noise * largest eigenvalue underflows to zero")
-    levels = (p_total + np.cumsum(floors, axis=-1)) / np.arange(1, n_pos + 1)
+    n = lam.shape[-1]
+    levels = (p_total + np.cumsum(floors, axis=-1)) / np.arange(1, n + 1)
     # the running max equals floors on a sorted spectrum; on a tie that rises
     # within the tolerance it keeps every active power non-negative
-    clears = levels - np.maximum.accumulate(floors, axis=-1) >= 0.0
-    counts = n_pos - np.argmax(clears[..., ::-1], axis=-1)
-    level = np.empty(gains.shape)
-    powers = np.zeros((*gains.shape, lam.size))
+    clears = np.subtract(
+        levels, np.maximum.accumulate(floors, axis=-1), out=np.full(floors.shape, -1.0), where=positive
+    ) >= 0.0
+    counts = n - np.argmax(clears[..., ::-1], axis=-1)
+    level = np.empty(counts.shape)
+    powers = np.zeros(floors.shape)
     # a set, not np.unique: its first call imports numpy.ma, 10 ms
     for k in set(counts.ravel().tolist()):
         # each level sums exactly its own k floors, in the scalar call's order
@@ -105,16 +113,32 @@ def water_filling(eigs, p_total: float, gain_over_noise) -> PowerAllocation:
     return PowerAllocation(powers=powers, water_level=level if level.ndim else float(level))
 
 
+def per_snr(values: np.ndarray, snr) -> np.ndarray:
+    """``values`` (..., n) as (..., 1, ..., 1, n), with a unit axis for each axis of ``snr``.
+
+    A batch of per-stream gains then broadcasts against the SNRs of a curve:
+    ``stream_rate`` at SNRs of shape S returns (..., *S).
+    """
+    return values.reshape(values.shape[:-1] + (1,) * np.ndim(snr) + values.shape[-1:])
+
+
 def stream_rate(snr, gains, ns: int = 1):
     """Rate sum_i log2(1 + snr/ns * g_i) in b/s/Hz of parallel streams at each SNR, clamped at 0.
 
-    The rate has the shape of ``snr``; the gains run along the last axis. 1 + x rounds
-    first, as in a determinant: below x ~ 1e-4, log1p would differ by over 1e-12 relative.
+    The gains run along the last axis and broadcast against the SNRs: ``per_snr``
+    gives a batch of spectra the axes for a curve of rates per spectrum. 1 + x
+    rounds first, as in a determinant: below x ~ 1e-4, log1p would differ by
+    over 1e-12 relative.
     """
     snrs = np.asarray(snr, dtype=float)
     if not np.isfinite(snrs).all() or (snrs < 0).any():
         raise ValueError(f"snr must be finite and non-negative, got {snr}")
     return np.maximum(np.log2(1.0 + (snrs / ns)[..., None] * gains).sum(axis=-1), 0.0)
+
+
+def _eigh(a: np.ndarray):
+    """eig_hermitian of one matrix, or of each matrix of a stack in one LAPACK call."""
+    return eig_hermitian(a) if a.ndim == 2 else eig_hermitian_stack(a)
 
 
 def rate(h, f, w, snr, ns: int):
@@ -129,23 +153,40 @@ def rate(h, f, w, snr, ns: int):
     one eigensolve for every SNR. The relative error grows like cond(W*W) * eps over
     the kept pairs: rounding level for the combiners the schemes build (cond below
     10), about 1e-7 near cond 1e9.
+
+    Leading axes of h, f and w hold a batch of links, rated in stacked calls:
+    the rates get shape ``(*B, *snr.shape)``, each bitwise the link's own call.
+    A link that keeps fewer than ns pairs is rated alone.
     """
     h = np.asarray(h, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    if f.shape[1] != ns or w.shape[1] != ns:
+    if f.shape[-1] != ns or w.shape[-1] != ns:
         raise DimensionMismatchError(
-            f"precoder/combiner must have ns={ns} columns, got {f.shape[1]}, {w.shape[1]}"
+            f"precoder/combiner must have ns={ns} columns, got {f.shape[-1]}, {w.shape[-1]}"
         )
-    w_h = w.conj().T
-    spec_w = eig_hermitian(w_h @ w)
-    lmax = float(spec_w.values[0])
-    if lmax <= 0:
+    w_h = np.swapaxes(w.conj(), -1, -2)
+    spec_w = _eigh(w_h @ w)
+    lmax = spec_w.values[..., :1]
+    if (lmax <= 0).any():
         raise SingularCombinerError("combiner is zero")
-    keep = int(np.count_nonzero(spec_w.values > lmax / COMBINER_COND_LIMIT))
-    lam, vectors = spec_w.values[:keep], spec_w.vectors[:, :keep]
-    c = (vectors.conj().T @ w_h @ h @ f) / np.sqrt(lam)[:, None]
-    return stream_rate(snr, eig_hermitian(c @ c.conj().T).values, ns)
+    keep = np.count_nonzero(spec_w.values > lmax / COMBINER_COND_LIMIT, axis=-1)
+
+    def curve(values, vectors, w_h, h, f):
+        c = (np.swapaxes(vectors.conj(), -1, -2) @ w_h @ h @ f) / np.sqrt(values)[..., None]
+        gains = _eigh(c @ np.swapaxes(c.conj(), -1, -2)).values
+        return stream_rate(snr, per_snr(gains, snr), ns)
+
+    full = keep == ns
+    if full.all():
+        return curve(spec_w.values, spec_w.vectors, w_h, h, f)
+    rates = np.empty(keep.shape + np.shape(snr))
+    if full.any():
+        rates[full] = curve(*(x[full] for x in (spec_w.values, spec_w.vectors, w_h, h, f)))
+    for b in zip(*np.nonzero(~full)) if keep.ndim else [()]:
+        k = keep[b]
+        rates[b] = curve(spec_w.values[b][:k], spec_w.vectors[b][:, :k], w_h[b], h[b], f[b])
+    return rates if rates.ndim else rates[()]
 
 
 def rate_upper_bound(n: int, m: int, ns: int, snr: float) -> float:

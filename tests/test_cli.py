@@ -51,6 +51,29 @@ ROOT = Path(__file__).resolve().parents[1]
 DESK = ROOT / "configs" / "desk_scale.yaml"
 SMOKE = ROOT / "configs" / "small_smoke.yaml"
 
+# the benchmark's fine-grid link (4 x 4 arrays per side, 2 x 2 streams) with
+# spare RF chains, at 0 deg and the 36 angles that fine-grid draws from seed 1
+ROTATION_SWEEP_CONFIG = {
+    "frequency_ghz": 28.0,
+    "distance_m": 50.0,
+    "tx": {"n_v": 4, "n_h": 4},
+    "rx": {"n_v": 4, "n_h": 4},
+    "ns": 4,
+    "ns_split": [2, 2],
+    "n_rf_tx": 8,
+    "n_rf_rx": 6,
+    "snr_db": [-10, 0, 20],
+    "schemes": ["digital-uniform", "digital-wf", "asymptotic-hybrid", "omp-hybrid", "phase-extract"],
+    "spacing_mode": "optimal",
+    "rotation_deg": [
+        0.0, 0.276, 1.206, 2.925, 3.335, 3.715, 3.806, 4.009, 8.271, 12.302, 13.399, 15.455,
+        17.611, 27.519, 28.39, 28.676, 29.057, 29.984, 30.26, 30.55, 33.432, 34.908, 41.606,
+        45.311, 49.756, 49.965, 51.093, 55.327, 56.723, 57.394, 58.377, 58.915, 61.898, 63.944,
+        64.937, 64.987, 69.157,
+    ],
+    "layout": "parallelogram",
+}
+
 
 def assert_matches_golden(rows, name, count):
     """Sweep rows against a committed CSV under tests/data, rates to 1e-9 relative."""
@@ -60,6 +83,17 @@ def assert_matches_golden(rows, name, count):
         assert (row[0], row[1], row[2]) == (gold[0], float(gold[1]), float(gold[2]))
         for got, want in zip(row[3:], gold[3:]):
             assert abs(got - float(want)) <= 1e-9 * abs(float(want)), gold
+
+
+def assert_batch_invariant(config):
+    """A sweep's rows are bitwise those of its one-angle sweeps, taken in key order."""
+    _, rows = cli.run_rate_sweep(config)
+    alone = [
+        row for rot in config.rotation_deg
+        for row in cli.run_rate_sweep(dataclasses.replace(config, rotation_deg=(rot,)))[1]
+    ]
+    assert len(rows) == len(config.schemes) * len(config.snr_db) * len(config.rotation_deg)
+    assert rows == sorted(alone, key=lambda row: row[:3])
 
 
 def csv_bytes_at_blas_threads(command, config, tmp_path):
@@ -193,6 +227,31 @@ class TestRateSweep:
         _, rows = cli.run_rate_sweep(config)
         assert_matches_golden(rows, "spare_rf_rate_sweep.csv", 30)
 
+    def test_many_angle_sweep_matches_golden_bytes(self, tmp_path):
+        # 0 deg and 36 seeded angles on 4 x 4 arrays with spare RF chains on
+        # both sides, unequal: every row of a many-angle sweep, byte for byte
+        path, out = tmp_path / "rotation.yaml", tmp_path / "rotation.csv"
+        path.write_text(yaml.safe_dump(ROTATION_SWEEP_CONFIG, sort_keys=False))
+        assert cli.main(["rotation-sweep", "--config", str(path), "--out", str(out)]) == 0
+        golden = ROOT / "tests" / "data" / "rotation_sweep.csv"
+        assert len(golden.read_bytes().splitlines()) == 1 + 555
+        assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("overrides", [{}, {"n_rf_tx": 8, "n_rf_rx": 6}], ids=["smoke", "spare-rf"])
+    def test_batch_rows_are_the_one_angle_rows(self, overrides):
+        data = yaml.safe_load(SMOKE.read_text())
+        assert_batch_invariant(parse_config({**data, **overrides}))
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        angles=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 80.0)), min_size=1, max_size=8, unique=True),
+        n_rf=st.tuples(st.integers(5, 16), st.integers(5, 16)),
+    )
+    def test_batching_never_changes_a_row(self, angles, n_rf):
+        data = yaml.safe_load(SMOKE.read_text())
+        data.update(rotation_deg=angles, n_rf_tx=n_rf[0], n_rf_rx=n_rf[1])
+        assert_batch_invariant(parse_config(data))
+
     @pytest.mark.parametrize("arrays", ["16", "15"])
     def test_rank_deficient_omp_combiner_gets_its_rate(self, tmp_path, arrays):
         # at 0 deg with n_rf = ns = 4 two OMP atom energies tie at the cut, so
@@ -250,6 +309,9 @@ class TestRateSweep:
         header, rows = read_rows(out)
         assert header[-1] == "wall_time_ms"
         assert all(float(r[-1]) >= 0.0 for r in rows)
+        # each scheme is one batch over the rotations and SNRs, whose time its rows share
+        for scheme in ("digital-uniform", "omp-hybrid"):
+            assert len({r[-1] for r in rows if r[0] == scheme}) == 1
 
     def test_rotation_sweep_alias(self, small_config, tmp_path):
         out = tmp_path / "rot.csv"
@@ -268,6 +330,27 @@ class TestRateSweep:
             ["rate-sweep", "--config", str(small_config), "--out", str(tmp_path / "x.csv")]
         )
         assert code == 3
+
+    def test_numeric_failure_names_the_failing_angle(self, small_config, tmp_path, monkeypatch, capsys):
+        # the sweep rates all angles in one call; its error path rates them one
+        # at a time to name the angle that fails
+        from beamfocus.scenario import Scenario
+
+        rate = Scenario.rate
+
+        def fails_at_15(self, scheme, snr):
+            if scheme == "omp-hybrid" and 15.0 in np.atleast_1d(self.rotation_deg):
+                raise FloatingPointError("synthetic failure at 15 deg")
+            return rate(self, scheme, snr)
+
+        monkeypatch.setattr(Scenario, "rate", fails_at_15)
+        path = tmp_path / "three.yaml"
+        path.write_text(SMALL_YAML.replace("rotation_deg: [0, 15]", "rotation_deg: [0, 15, 30]"))
+        code = cli.main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "scheme=omp-hybrid snr_db=-5.0,5.0 rotation_deg=15.0: synthetic failure" in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["rate-sweep", "aperture-sweep"])
     def test_convergence_error_exit_code(self, small_config, tmp_path, monkeypatch, capsys, command):

@@ -16,9 +16,11 @@ from beamfocus.linalg import (
     NonSquareError,
     dft_matrix,
     eig_hermitian,
+    eig_hermitian_stack,
     least_squares,
     subspace_svd,
     svd,
+    svd_stack,
 )
 from beamfocus.validation import check_dft_unitarity, check_eigen_reconstruction
 
@@ -370,6 +372,46 @@ class TestSvd:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceError):
             svd(np.eye(3))
+
+
+class TestStacks:
+    """The stacked cores factor each matrix bitwise as the one-matrix calls do."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(rank_deficient_factorizations(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_svd_stack_is_svd_of_each(self, case, seed, real):
+        # a stack mixing a matrix with clusters and a null space, its mixed
+        # twin, and a generic one: only the first two take the cluster rotation
+        a1, a2, _ = case
+        rng = np.random.default_rng(seed)
+        plain = rng.standard_normal(a1.shape) + 1j * rng.standard_normal(a1.shape)
+        stack = np.stack([a1, plain, a2]).real if real else np.stack([a1, plain, a2])
+        rank = int(rng.integers(1, min(a1.shape) + 1))
+        got = svd_stack(stack, rank)
+        for i, a in enumerate(stack):
+            want = svd(a, rank)
+            for field in ("left", "singular_values", "right"):
+                assert np.array_equal(getattr(got, field)[i], getattr(want, field)), field
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(1, 9), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_eig_hermitian_stack_is_eig_hermitian_of_each(self, n, count, real, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_hermitian(rng, n) for _ in range(count)])
+        stack = 0.5 * (stack.real + np.swapaxes(stack.real, 1, 2)) if real else stack
+        got = eig_hermitian_stack(stack)
+        for i, a in enumerate(stack):
+            want = eig_hermitian(a)
+            assert np.array_equal(got.values[i], want.values)
+            assert np.array_equal(got.vectors[i], want.vectors)
+
+    def test_stacks_keep_every_check(self):
+        with pytest.raises(ValueError, match="3-D"):
+            svd_stack(np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            eig_hermitian_stack(np.full((2, 3, 3), np.nan))
+        with pytest.raises(NonHermitianError):
+            eig_hermitian_stack(np.stack([np.eye(3), np.triu(np.ones((3, 3)))]))
 
 
 @st.composite

@@ -603,8 +603,9 @@ class TestScenario:
             assert wide.rate("asymptotic-hybrid", snr) <= wide.rate("digital-wf", snr)
 
     def test_sweep_builds_each_stage_once_per_scenario(self, monkeypatch):
-        # 31 SNRs at each of two rotations: the channel, the digital SVD and
-        # every hybrid builder run once per scenario (OMP once per side)
+        # 31 SNRs at each of two rotations, one scenario for the sweep: the
+        # channel is built per angle, and the digital SVD and every hybrid
+        # builder run once, on the stack of both angles (OMP once per side)
         calls = {}
 
         def counting(module, name):
@@ -625,9 +626,24 @@ class TestScenario:
         _, rows = cli.run_rate_sweep(config)
         assert len(rows) == 5 * 31 * 2
         assert calls == {
-            "exact_channel": 2, "digital_svd": 2, "asymptotic_hybrid": 2,
-            "omp_hybrid": 4, "phase_extraction_hybrid": 2,
+            "exact_channel": 2, "digital_svd": 1, "asymptotic_hybrid": 1,
+            "omp_hybrid": 2, "phase_extraction_hybrid": 1,
         }
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        count=st.integers(1, 8), rows=st.integers(1, 300), cols=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trace_scaling_norm_is_np_linalg_norm_of_each(self, count, rows, cols, seed):
+        # beams scales a stack of precoders by each one's Frobenius norm; a sum
+        # of squares along an axis rounds differently from np.linalg.norm
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
+        got = scenario_module._frobenius(x)
+        assert got.shape == (count, 1, 1)
+        assert all(got[i, 0, 0] == np.linalg.norm(x[i]) for i in range(count))
+        assert scenario_module._frobenius(x[0])[0, 0] == np.linalg.norm(x[0])
 
     def test_water_fill_beats_uniform_at_low_snr(self):
         config = parse_config(cfg())
@@ -876,6 +892,20 @@ class TestDigitalPath:
             kappa = np.linalg.cond(f) * np.linalg.cond(w) ** 2 * amplification
             bound = 1e-12 + 1e2 * EPS * kappa
             assert relative_gap(fast.rate(scheme, snrs), dense.rate(scheme, snrs)) <= bound, scheme
+
+    def test_a_desk_sweep_is_each_angle_alone(self):
+        # each angle of a stack takes its own subspace iteration from its own
+        # start block, and every scheme's rows are the angle's own, bitwise
+        config = load_config(str(CONFIG_DIR / "desk_scale.yaml"))
+        sweep = Scenario(config, (0.0, 10.0))
+        snrs = 10 ** (np.array(config.snr_db) / 10)
+        for i, rotation in enumerate(sweep.rotation_deg):
+            alone = Scenario(config, rotation)
+            assert fresnel_start_of(alone) is not None
+            for field in ("precoder", "combiner", "singular_values"):
+                assert np.array_equal(getattr(sweep.digital, field)[i], getattr(alone.digital, field))
+            for scheme in SCHEMES:
+                assert np.array_equal(sweep.rate(scheme, snrs)[i], alone.rate(scheme, snrs)), scheme
 
     def test_only_the_subspace_path_builds_the_tx_dictionary(self):
         # fresnel_start calls for the dictionary past its gates only, so a

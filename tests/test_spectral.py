@@ -508,6 +508,47 @@ class TestRate:
             assert calls == {"eig": 2, "solve": 0}
 
 
+class TestBatches:
+    """Leading axes of a batch give each element's own call, bitwise."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        spectra=st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=4, max_size=4),
+            min_size=1, max_size=5,
+        ),
+        gains=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+    )
+    def test_water_filling_batch_is_each_spectrum(self, spectra, gains):
+        eigs = -np.sort(-np.array(spectra), axis=1)
+        eigs[:, 0] = np.maximum(eigs[:, 0], 1.0)  # no all-zero spectrum
+        got = water_filling(eigs, 1.0, np.array(gains))
+        assert got.powers.shape == (len(spectra), len(gains), 4)
+        for i, lam in enumerate(eigs):
+            want = water_filling(lam, 1.0, np.array(gains))
+            assert np.array_equal(got.powers[i], want.powers)
+            assert np.array_equal(got.water_level[i], want.water_level)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(count=st.integers(1, 5), ns=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_rate_batch_is_each_link(self, count, ns, seed):
+        # links whose combiner Gram keeps every pair, and one that drops a
+        # pair (two equal combiner columns), rated alone inside the batch
+        rng = np.random.default_rng(seed)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        h, f, w = cn(count, 6, 5), cn(count, 5, ns), cn(count, 6, ns)
+        if ns > 1:
+            w[0, :, 1] = w[0, :, 0]
+        snrs = np.array([[0.5, 2.0, 8.0]])
+        got = rate(h, f, w, snrs, ns)
+        assert got.shape == (count, 1, 3)
+        for i in range(count):
+            assert np.array_equal(got[i], rate(h[i], f[i], w[i], snrs, ns))
+
+
 class TestRateUpperBound:
     def test_desk_scale_value(self):
         assert abs(rate_upper_bound(256, 256, 16, 1.0) - 128.08999278710206) <= 1e-9

@@ -209,39 +209,31 @@ class TwistedDft:
         return self.twist[..., :, None] * np.kron(self.f_v, self.f_h).conj().T
 
 
-def _twisted_dft(layout, params: ChannelParams, side: Side) -> TwistedDft:
+def _twisted_dft(layout: AntennaLayout, params: ChannelParams, side: Side) -> TwistedDft:
     # conj(diagonal) times the conjugate-transposed 2-D DFT; unitary by construction
-    single = isinstance(layout, AntennaLayout)
-    layouts = (layout,) if single else tuple(layout)
-    for one in layouts:
-        if one.side is not side:
-            raise ValueError(f"expected a {side.value} layout, got {one.side.value}")
-    twists = [np.conj(quadratic_phase(one, params)) for one in layouts]
+    if layout.side is not side:
+        raise ValueError(f"expected a {side.value} layout, got {layout.side.value}")
     return TwistedDft(
-        twist=twists[0] if single else stacked(twists),
-        f_v=dft_matrix(layouts[0].n_v),
-        f_h=dft_matrix(layouts[0].n_h),
+        twist=np.conj(quadratic_phase(layout, params)),
+        f_v=dft_matrix(layout.n_v),
+        f_h=dft_matrix(layout.n_h),
     )
 
 
-def stacked(arrays: list) -> np.ndarray:
-    """Equal-shape arrays along a new leading axis: a view of a lone array, else one copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def dictionary_tx(layout, params: ChannelParams) -> TwistedDft:
+def dictionary_tx(layout: AntennaLayout, params: ChannelParams) -> TwistedDft:
     """Transmit-side unitary dictionary: conj(d_t) twist times the 2-D DFT.
 
-    A sequence of layouts of one array (the rotations of a sweep) gives the
-    stacked dictionary, one twist row per layout over the factors built once.
+    A stacked layout of one array (the rotations of a sweep, from
+    ``geometry.build_layouts``) gives the stacked dictionary, one twist row
+    per layout over the factors built once.
     """
     return _twisted_dft(layout, params, Side.TX)
 
 
-def dictionary_rx(layout, params: ChannelParams) -> TwistedDft:
+def dictionary_rx(layout: AntennaLayout, params: ChannelParams) -> TwistedDft:
     """Receive-side unitary dictionary; its d_r twist includes the link-distance phase.
 
-    A sequence of layouts gives the stacked dictionary, as for ``dictionary_tx``.
+    A stacked layout gives the stacked dictionary, as for ``dictionary_tx``.
     """
     return _twisted_dft(layout, params, Side.RX)
 

@@ -47,15 +47,22 @@ class ChannelSet:
 
 
 def exact_channel(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> np.ndarray:
-    """Unit-modulus N x M channel with exact pairwise-distance phases.
+    """Unit-modulus N x M channel with exact pairwise-distance phases; see ``exact_channels``."""
+    return exact_channels(tx, rx, params)
+
+
+def exact_channels(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> np.ndarray:
+    """``exact_channel`` of two layouts, or of two stacks of R layouts (R x N x M) in one pass.
 
     The distances are built in the real part of the output, with the
     imaginary part as scratch, so no N x M x 3 difference tensor is made.
+    dx^2, dy^2 and dz^2 are summed in that order, so each channel of a
+    stack is bitwise the one its layouts give alone.
     """
-    out = np.zeros((rx.count, tx.count), dtype=np.complex128)
+    out = np.zeros((*rx.coords.shape[:-2], rx.count, tx.count), dtype=np.complex128)
     dist, scratch = out.real, out.imag
-    for r, t in zip(rx.coords, tx.coords):
-        np.subtract.outer(r, t, out=scratch)
+    for axis in range(3):
+        np.subtract(rx.coords[..., axis, :, None], tx.coords[..., axis, None, :], out=scratch)
         np.square(scratch, out=scratch)
         dist += scratch
     np.sqrt(dist, out=dist)
@@ -85,10 +92,11 @@ def quadratic_phase(layout: AntennaLayout, params: ChannelParams) -> np.ndarray:
 
     d_t for a transmit layout, d_r (which carries the link-distance phase)
     for a receive layout. fresnel_factors and both beamforming
-    dictionaries take their diagonals from here.
+    dictionaries take their diagonals from here. A stack of R layouts gives
+    R diagonals, each bitwise its layout's own.
     """
     d = params.distance
-    x, y, z = layout.coords
+    x, y, z = (layout.coords[..., axis, :] for axis in range(3))
     if layout.side is Side.TX:
         phase = z - (x**2 + y**2) / (2.0 * d)
     else:

@@ -32,12 +32,30 @@ class GridPointError(RuntimeError):
         )
 
 
-# Each command formats a row with one %-format. '%.12g' % x is f'{x:.12g}' for
-# every float (nan, inf, -0.0 and subnormals too), so the bytes are those of a
+# Each command formats its rows with %-formats: a row at a time, or for
+# rate-sweep a group of rows at a time. '%.12g' % x is f'{x:.12g}' for every
+# float (nan, inf, -0.0 and subnormals too), so the bytes are those of a
 # value-by-value format.
-def _rate_line(timing: bool):
-    """The row format of rate-sweep, with --timing's wall_time_ms column or without."""
-    return ("%s,%.12g,%.12g,%.12g,%.12g" + ",%.12g" * timing + "\n").__mod__
+def _rate_lines(groups):
+    """The text of rate-sweep's rows, one string per group of ``run_rate_sweep``.
+
+    The rows of a group share their scheme and snr cells, and the groups of
+    a sweep share one tuple of rotations, so each of those cells is
+    formatted once: the sweep's rotation cells when a group brings another
+    tuple (compared by identity, so -0.0 and 0.0 or two NaNs stay apart),
+    and a group's key cells and --timing cell into a template of all its
+    rows, which its rates and gaps fill in one %-format.
+    """
+    last = cells = None
+    for scheme, snr_db, rotations, rates, gaps, *timing in groups:
+        if rotations is not last:
+            last, cells = rotations, ["%.12g,%%.12g,%%.12g" % rot for rot in rotations]
+        # a key cell's own '%' must not read as a conversion
+        head = ("%s,%.12g," % (scheme, snr_db)).replace("%", "%%")
+        tail = "".join(",%.12g" % ms for ms in timing) + "\n"
+        values = [None] * (2 * len(cells))
+        values[0::2], values[1::2] = rates, gaps
+        yield (head + (tail + head).join(cells) + tail if cells else "") % tuple(values)
 
 
 def _spectrum_line(row: tuple) -> str:
@@ -51,15 +69,15 @@ def _aperture_line(row: tuple) -> str:
     return "%.12g,%.12g,%.12g,%.12g,%s,%.12g\n" % (scale, l_t, l_r, product, flag, rate)
 
 
-def _write_csv(path: str, header: list[str], rows, line) -> None:
-    """Write the header, then ``line(row)`` for each row, streamed to the file."""
+def _write_csv(path: str, header: list[str], lines) -> None:
+    """Write the header, then each string of ``lines`` (one or more rows' text), streamed to the file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(line, rows))
+        fh.writelines(lines)
 
 
-def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> list:
-    """Scenario.rate at each SNR of ``snr_db``, as (nested, for a sweep) lists.
+def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> np.ndarray:
+    """Scenario.rate at each SNR of ``snr_db``: the scenario's batch shape, then the SNRs'.
 
     A numeric failure is raised as GridPointError naming the rotation. A
     sweep's batch does not say which of its angles failed, so on that error
@@ -67,7 +85,7 @@ def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> list:
     """
     snrs = np.array([10 ** (s / 10.0) for s in snr_db])
     try:
-        return scenario.rate(scheme, snrs).tolist()
+        return scenario.rate(scheme, snrs)
     except NUMERIC_ERRORS as exc:
         failure, rotation = exc, scenario.rotation_deg
     if np.ndim(rotation):
@@ -100,43 +118,50 @@ def _check_out(path: str) -> None:
 
 
 def run_rate_sweep(config: ScenarioConfig, timing: bool = False):
-    """Evaluate every (scheme, snr, rotation) grid point; rows come back in key order.
+    """Evaluate every (scheme, snr, rotation) grid point; rows come back by (scheme, snr) group.
 
     One Scenario holds every rotation, so each scheme's rates come from one
     batched call as a rotations x SNRs array, and digital-uniform's, rated
     first, is also every scheme's gap reference. One angle is the scenario
-    of batch shape (), whose arrays are the plain matrices. The rows are
-    read off the arrays by walking the sorted schemes, SNRs and angles. The
-    grid's values are distinct (``_distinct``), so that is the order a sort
-    by (scheme, snr, rotation) would give.
+    of batch shape (), whose arrays are the plain matrices.
+
+    A group ``(scheme, snr_db, rotations, rates, gaps)``, with ``wall_time_ms``
+    appended under ``timing``, holds one row per rotation: ``rotations`` is
+    the sorted angles, one tuple shared by every group, and ``rates`` and
+    ``gaps`` are lists in that order. The groups come by sorted scheme, then
+    SNR. The grid's values are distinct (``_distinct``), so the rows come in
+    the order a sort by (scheme, snr, rotation) would give.
     """
     snr_db, rotations = config.snr_db, config.rotation_deg
     one = len(rotations) == 1
     scenario = Scenario(config, rotations[0] if one else rotations)
-    points = len(rotations) * len(snr_db)
+    shape = (len(rotations), len(snr_db))
     rates, timed = {}, {}
     for scheme in dict.fromkeys(("digital-uniform", *config.schemes)):
         start = time.perf_counter()
-        curves = _rate_curve(scenario, scheme, snr_db)
-        rates[scheme] = [curves] if one else curves
+        rates[scheme] = _rate_curve(scenario, scheme, snr_db).reshape(shape)
         # the batch's time shared by its rows. Each shared build is charged to
         # the first scheme that reads it: the channels and the digital SVD to
         # digital-uniform. The column sums to the evaluation time only if
         # digital-uniform is listed: otherwise it is timed but has no rows.
-        timed[scheme] = ((time.perf_counter() - start) * 1e3 / points,) if timing else ()
+        timed[scheme] = ((time.perf_counter() - start) * 1e3 / math.prod(shape),) if timing else ()
     reference = rates["digital-uniform"]
     snr_order = sorted(range(len(snr_db)), key=snr_db.__getitem__)
     rot_order = sorted(range(len(rotations)), key=rotations.__getitem__)
-    rows = []
+    angles = tuple(rotations[i] for i in rot_order)
+    key_order = np.ix_(rot_order, snr_order)
+    groups = []
     for scheme in sorted(config.schemes):
-        curves, extra = rates[scheme], timed[scheme]
-        for j in snr_order:
-            for i in rot_order:
-                rate, ref = curves[i][j], reference[i][j]
-                gap = rate / ref if ref > 0 else math.nan
-                rows.append((scheme, snr_db[j], rotations[i], rate, gap) + extra)
+        curves = rates[scheme]
+        gaps = np.divide(curves, reference, out=np.full(shape, math.nan), where=reference > 0)
+        # in key order, one list of rotations per SNR
+        rate_rows, gap_rows = (values[key_order].T.tolist() for values in (curves, gaps))
+        groups += [
+            (scheme, snr_db[j], angles, rate_row, gap_row, *timed[scheme])
+            for j, rate_row, gap_row in zip(snr_order, rate_rows, gap_rows)
+        ]
     header = ["scheme", "snr_db", "rotation_deg", "rate_bps_hz", "digital_gap_ratio"]
-    return header + (["wall_time_ms"] if timing else []), rows
+    return header + (["wall_time_ms"] if timing else []), groups
 
 
 def run_spectrum(config: ScenarioConfig):
@@ -169,7 +194,7 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
         feasible = aperture_feasible(
             nominal_t, nominal_r, config.ns, config.wavelength, config.distance_m
         )
-        (rate,) = _rate_curve(scenario, "digital-uniform", (snr_db,))
+        rate = _rate_curve(scenario, "digital-uniform", (snr_db,)).item()
         rows.append((scale, l_t, l_r, nominal_t * nominal_r, feasible, rate))
     header = ["scale", "l_t_m", "l_r_m", "nominal_product_m2", "feasible", "rate_bps_hz"]
     return header, rows
@@ -228,13 +253,13 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "spectrum":
             header, rows = run_spectrum(config)
-            line = _spectrum_line
+            lines, count = map(_spectrum_line, rows), len(rows)
         elif args.command in ("rate-sweep", "rotation-sweep"):
-            header, rows = run_rate_sweep(config, timing=args.timing)
-            line = _rate_line(args.timing)
+            header, groups = run_rate_sweep(config, timing=args.timing)
+            lines, count = _rate_lines(groups), len(groups) * len(config.rotation_deg)
         else:
             header, rows = run_aperture_sweep(config, _parse_scales(args.scales))
-            line = _aperture_line
+            lines, count = map(_aperture_line, rows), len(rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -242,8 +267,8 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 
-    _write_csv(args.out, header, rows, line)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _write_csv(args.out, header, lines)
+    print(f"wrote {count} rows to {args.out}")
     return 0
 
 

@@ -70,7 +70,8 @@ class AntennaLayout:
     """Realized antenna positions: 3 x K matrix of Cartesian coordinates in meters.
 
     Receive-side layouts carry the link distance as a z offset, so coords
-    are absolute for both sides.
+    are absolute for both sides. The layouts of one array at R tilts (the
+    rotations of a sweep) can be one layout whose coords are R x 3 x K.
     """
 
     coords: np.ndarray
@@ -80,7 +81,7 @@ class AntennaLayout:
 
     @property
     def count(self) -> int:
-        return self.coords.shape[1]
+        return self.coords.shape[-1]
 
 
 def spacing_ratio(
@@ -127,13 +128,15 @@ def optimal_spacing(
     return math.sqrt(ns_i * wavelength * distance / (n_i * m_i))
 
 
-def _rotation_xy(theta: float, phi: float) -> np.ndarray:
-    # rigid rotation about x by theta, then about y by phi
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ct, -st], [0.0, st, ct]])
-    rot_y = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    return rot_y @ rot_x
+def _rotation_xy(specs) -> np.ndarray:
+    # rigid rotation about x by theta, then about y by phi: one 3 x 3 per spec
+    rot_x, rot_y = [], []
+    for spec in specs:
+        ct, st = math.cos(spec.theta), math.sin(spec.theta)
+        cp, sp = math.cos(spec.phi), math.sin(spec.phi)
+        rot_x.append([[1.0, 0.0, 0.0], [0.0, ct, -st], [0.0, st, ct]])
+        rot_y.append([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    return np.array(rot_y) @ np.array(rot_x)
 
 
 def plane_cosine(theta: float, phi: float) -> float:
@@ -159,6 +162,25 @@ def build_layout(spec: ArraySpec, side: Side, distance: float) -> AntennaLayout:
     Rotated-UPA layouts rigidly rotate the flat grid instead (the baseline
     geometry a conventional tilted array would have).
     """
+    return build_layouts(spec, side, distance)
+
+
+def build_layouts(specs, side: Side, distance: float) -> AntennaLayout:
+    """``build_layout`` of one spec, or of a sequence of specs of one array in one pass.
+
+    The specs of a sequence differ only in their tilt, as a rotation
+    sweep's do, and give one layout whose coords are R x 3 x K, each tilt's
+    bitwise as ``build_layout`` realizes it alone: each tilt's trigonometry
+    is ``math``'s, as np.cos need not round as math.cos does, and a stack of
+    rotations multiplies the grid as each one does.
+    """
+    one = isinstance(specs, ArraySpec)
+    specs = (specs,) if one else tuple(specs)
+    spec = specs[0]
+    shape = (spec.n_v, spec.n_h, spec.d_v, spec.d_h, spec.layout_kind)
+    if any((s.n_v, s.n_h, s.d_v, s.d_h, s.layout_kind) != shape for s in specs):
+        raise ValueError("the specs of a stack of layouts may differ only in theta and phi")
+    batch = () if one else (len(specs),)
     idx = np.arange(spec.count)
     mv = idx // spec.n_h
     mh = idx % spec.n_h
@@ -166,13 +188,16 @@ def build_layout(spec: ArraySpec, side: Side, distance: float) -> AntennaLayout:
     y = spec.d_h * mh.astype(float)
 
     if spec.layout_kind is LayoutKind.PARALLELOGRAM_OPTIMAL:
-        cc = plane_cosine(spec.theta, spec.phi)
-        shear = math.cos(spec.theta) * math.sin(spec.phi) * x + math.sin(spec.theta) * y
-        z = shear / (-cc) if side is Side.TX else shear / cc
-        coords = np.vstack([x, y, z])
+        # the plane cos(theta) sin(phi) x + sin(theta) y + cc z = 0, per tilt
+        tilts = [(math.cos(s.theta) * math.sin(s.phi), math.sin(s.theta), plane_cosine(s.theta, s.phi))
+                 for s in specs]
+        a, b, cc = np.array(tilts).T.reshape(3, *batch, 1)
+        coords = np.empty((*batch, 3, spec.count))
+        coords[..., 0, :], coords[..., 1, :] = x, y
+        np.divide(a * x + b * y, -cc if side is Side.TX else cc, out=coords[..., 2, :])
     else:
         flat = np.vstack([x, y, np.zeros_like(x)])
-        coords = _rotation_xy(spec.theta, spec.phi) @ flat
+        coords = _rotation_xy(specs).reshape(*batch, 3, 3) @ flat
 
     if side is Side.RX:
         coords = coords + np.array([[0.0], [0.0], [distance]])

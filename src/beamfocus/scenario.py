@@ -289,10 +289,12 @@ class Scenario:
     ``rotation_deg`` is one angle, or a sequence of them. Every array then
     carries the batch shape of ``rotation_deg``: () for one angle, (R,) for
     R of them, ahead of its own axes, so ``h`` is N x M or R x N x M and
-    ``rate`` returns the SNR shape or R rows of it. The specs and layouts
-    are one object, or a tuple of one per angle. A sweep of R angles runs
-    every numeric layer once, in stacked calls, and each of its rows is
-    bitwise the one the angle's own scenario gives.
+    ``rate`` returns the SNR shape or R rows of it. The specs are one
+    object, or a tuple of one per angle; each layout is one, stacked for a
+    sweep (``geometry.build_layouts``). A sweep of R angles builds its
+    layouts, channels and dictionaries and runs every numeric layer once,
+    in stacked calls, and each of its rows is bitwise the one the angle's
+    own scenario gives.
 
     The heavy artifacts are built on first use and shared across the SNR
     grid. This is the one place that sets transmit power: trace ns for the
@@ -305,25 +307,20 @@ class Scenario:
         self.spacing_scale = spacing_scale
         self._one = np.ndim(rotation_deg) == 0
         angles = (rotation_deg,) if self._one else tuple(rotation_deg)
-        (d_tv, d_th), (d_rv, d_rh) = axis_spacings(config, spacing_scale)
-        tx_specs, rx_specs = [], []
-        for angle in angles:
-            theta = math.radians(angle)
-            tx_specs.append(geometry.ArraySpec(
-                n_v=config.tx.n_v, n_h=config.tx.n_h, d_v=d_tv, d_h=d_th,
-                theta=theta, phi=theta, layout_kind=config.layout,
-            ))
-            rx_specs.append(geometry.ArraySpec(
-                n_v=config.rx.n_v, n_h=config.rx.n_h, d_v=d_rv, d_h=d_rh,
-                theta=theta, phi=theta, layout_kind=config.layout,
-            ))
-        self.params = channel.ChannelParams(wavelength=config.wavelength, distance=config.distance_m)
-        tx_layouts = [geometry.build_layout(spec, geometry.Side.TX, config.distance_m) for spec in tx_specs]
-        rx_layouts = [geometry.build_layout(spec, geometry.Side.RX, config.distance_m) for spec in rx_specs]
-        self._pairs = list(zip(tx_specs, rx_specs, tx_layouts, rx_layouts))
-        self.tx_spec, self.rx_spec, self.tx_layout, self.rx_layout = (
-            self._batch(items) for items in (tx_specs, rx_specs, tx_layouts, rx_layouts)
+        tilts = [math.radians(angle) for angle in angles]
+        tx_specs, rx_specs = (
+            [
+                geometry.ArraySpec(n_v=array.n_v, n_h=array.n_h, d_v=d_v, d_h=d_h,
+                                   theta=tilt, phi=tilt, layout_kind=config.layout)
+                for tilt in tilts
+            ]
+            for array, (d_v, d_h) in zip((config.tx, config.rx), axis_spacings(config, spacing_scale))
         )
+        self._spec_pairs = list(zip(tx_specs, rx_specs))
+        self.tx_spec, self.rx_spec = self._batch(tx_specs), self._batch(rx_specs)
+        self.params = channel.ChannelParams(wavelength=config.wavelength, distance=config.distance_m)
+        self.tx_layout = geometry.build_layouts(self.tx_spec, geometry.Side.TX, config.distance_m)
+        self.rx_layout = geometry.build_layouts(self.rx_spec, geometry.Side.RX, config.distance_m)
         self._beams: dict = {}
 
     def _batch(self, items: list):
@@ -332,8 +329,7 @@ class Scenario:
 
     @functools.cached_property
     def h(self) -> np.ndarray:
-        channels = [channel.exact_channel(tx, rx, self.params) for _, _, tx, rx in self._pairs]
-        return channels[0] if self._one else beamforming.stacked(channels)
+        return channel.exact_channels(self.tx_layout, self.rx_layout, self.params)
 
     @functools.cached_property
     def digital(self) -> beamforming.DigitalBeamformer:
@@ -341,7 +337,7 @@ class Scenario:
         h, ns = self.h, self.config.ns
         starts = [
             beamforming.fresnel_start(tx, rx, functools.partial(self._tx_dictionary_at, i), self.params, ns)
-            for i, (tx, rx, _, _) in enumerate(self._pairs)
+            for i, (tx, rx) in enumerate(self._spec_pairs)
         ]
         return beamforming.digital_svd(h, ns, self._batch(starts))
 

@@ -1,5 +1,6 @@
 """Tests for the exact channel, its quadratic-phase factors, and prolate structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from beamfocus.beamforming import dictionary_rx, dictionary_tx
 from beamfocus.channel import (
     ChannelParams,
     exact_channel,
+    exact_channels,
     fresnel_factors,
     gram,
     has_kron_core,
@@ -20,7 +22,7 @@ from beamfocus.channel import (
     prolate_matrix,
     quadratic_phase,
 )
-from beamfocus.geometry import ArraySpec, LayoutKind, Side, optimal_spacing
+from beamfocus.geometry import ArraySpec, LayoutKind, Side, build_layouts, optimal_spacing
 from beamfocus.linalg import dft_matrix
 
 LAMBDA_28GHZ = 299_792_458.0 / 28e9
@@ -149,6 +151,53 @@ class TestQuadraticPhaseProperties:
             twist = dic / f2h
             expected = np.conj(quadratic_phase(layout, params))[:, None]
             assert np.abs(twist - expected).max() <= 1e-12
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 words of a real or complex array, as integers: equal only if bitwise equal."""
+    return np.ascontiguousarray(a).view(np.float64).view(np.int64)
+
+
+@st.composite
+def tilted_sweeps(draw):
+    """A link's tx/rx specs at 1-6 distinct sweep angles (0 deg drawn often), as a Scenario tilts them."""
+    kind = draw(st.sampled_from(LayoutKind))
+    dist = draw(st.floats(10.0, 100.0))
+    angles = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 80.0)), min_size=1, max_size=6, unique=True))
+    base_t = draw(array_specs(0.0, 0.0, kind))
+    base_r = draw(array_specs(0.0, 0.0, kind))
+    specs = [
+        [dataclasses.replace(base, theta=math.radians(a), phi=math.radians(a)) for a in angles]
+        for base in (base_t, base_r)
+    ]
+    return specs[0], specs[1], ChannelParams(wavelength=LAMBDA_28GHZ, distance=dist)
+
+
+class TestStackedBuilds:
+    """A sweep's layouts, channels and dictionary twists, built as stacks, are each angle's own, bitwise."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(sweep=tilted_sweeps())
+    def test_stacks_are_the_per_angle_builds(self, sweep):
+        specs_t, specs_r, params = sweep
+        d = params.distance
+        tx, rx = build_layouts(specs_t, Side.TX, d), build_layouts(specs_r, Side.RX, d)
+        assert tx.coords.shape == (len(specs_t), 3, specs_t[0].count)
+        h = exact_channels(tx, rx, params)
+        twists = dictionary_tx(tx, params).twist, dictionary_rx(rx, params).twist
+        for i, (spec_t, spec_r) in enumerate(zip(specs_t, specs_r)):
+            one_t, one_r = layout_pair(spec_t, spec_r, d)
+            assert np.array_equal(bits(tx.coords[i]), bits(one_t.coords))
+            assert np.array_equal(bits(rx.coords[i]), bits(one_r.coords))
+            assert np.array_equal(bits(h[i]), bits(exact_channel(one_t, one_r, params)))
+            assert np.array_equal(bits(twists[0][i]), bits(dictionary_tx(one_t, params).twist))
+            assert np.array_equal(bits(twists[1][i]), bits(dictionary_rx(one_r, params).twist))
+
+    def test_a_stack_is_of_one_array(self):
+        spec = ArraySpec(n_v=2, n_h=3, d_v=0.1, d_h=0.1)
+        other = dataclasses.replace(spec, d_h=0.2, theta=0.1)
+        with pytest.raises(ValueError):
+            build_layouts([spec, other], Side.TX, 10.0)
 
 
 class TestKronFactorChannel:

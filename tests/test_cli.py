@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness and its CSV contracts."""
 
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -85,12 +86,26 @@ def assert_matches_golden(rows, name, count):
             assert abs(got - float(want)) <= 1e-9 * abs(float(want)), gold
 
 
+def flat_rows(groups):
+    """The rows of ``run_rate_sweep``'s groups, one (scheme, snr, rotation, rate, gap, ...) tuple each."""
+    return [
+        (scheme, snr, rot, rate, gap, *timing)
+        for scheme, snr, rotations, rates, gaps, *timing in groups
+        for rot, rate, gap in zip(rotations, rates, gaps, strict=True)
+    ]
+
+
+def sweep_rows(config):
+    """The rows of a rate sweep of ``config``, in file order."""
+    return flat_rows(cli.run_rate_sweep(config)[1])
+
+
 def assert_batch_invariant(config):
     """A sweep's rows are bitwise those of its one-angle sweeps, taken in key order."""
-    _, rows = cli.run_rate_sweep(config)
+    rows = sweep_rows(config)
     alone = [
         row for rot in config.rotation_deg
-        for row in cli.run_rate_sweep(dataclasses.replace(config, rotation_deg=(rot,)))[1]
+        for row in sweep_rows(dataclasses.replace(config, rotation_deg=(rot,)))
     ]
     assert len(rows) == len(config.schemes) * len(config.snr_db) * len(config.rotation_deg)
     assert rows == sorted(alone, key=lambda row: row[:3])
@@ -128,24 +143,55 @@ FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e-300]),
 )
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)))  # any text UTF-8 can encode
+# grid-axis values: repeats, and -0.0 beside 0.0 and NaNs, drawn often
+KEYS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, 1.0]), FLOATS)
+
+
+@st.composite
+def rate_groups(draw, timing):
+    """Groups shaped as run_rate_sweep's: each tuple of rotations is shared by the groups that follow it."""
+    groups = []
+    for _ in range(draw(st.integers(0, 3))):
+        rotations = tuple(draw(st.lists(KEYS, max_size=6)))
+        values = st.lists(FLOATS, min_size=len(rotations), max_size=len(rotations))
+        for _ in range(draw(st.integers(0, 4))):
+            extra = (draw(FLOATS),) if timing else ()
+            groups.append((draw(TEXT), draw(KEYS), rotations, draw(values), draw(values), *extra))
+    return groups
+
+
+# per command: its rows as text, the rows a draw gives, and those rows as cell tuples
 ROW_SHAPES = {
-    "rate-sweep": (
-        cli._rate_line(False), st.tuples(TEXT, FLOATS, FLOATS, FLOATS, FLOATS),
-    ),
-    "rate-sweep --timing": (
-        cli._rate_line(True), st.tuples(TEXT, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
-    ),
+    "rate-sweep": (cli._rate_lines, rate_groups(timing=False), flat_rows),
+    "rate-sweep --timing": (cli._rate_lines, rate_groups(timing=True), flat_rows),
     "spectrum": (
-        cli._spectrum_line,
-        st.one_of(
+        functools.partial(map, cli._spectrum_line),
+        st.lists(st.one_of(
             st.tuples(st.just("eigenvalue"), TEXT, FLOATS, FLOATS),
             st.tuples(st.just("summary"), TEXT, FLOATS, st.just("")),
-        ),
+        ), max_size=20),
+        list,
     ),
     "aperture-sweep": (
-        cli._aperture_line, st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, st.booleans(), FLOATS),
+        functools.partial(map, cli._aperture_line),
+        st.lists(st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, st.booleans(), FLOATS), max_size=20),
+        list,
     ),
 }
+
+
+def written_bytes(header, lines) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        cli._write_csv(path, header, lines)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def value_by_value(header, rows) -> bytes:
+    """The oracle: each cell formatted alone by _fmt."""
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 class TestCsvWriter:
@@ -154,15 +200,35 @@ class TestCsvWriter:
     @given(data=st.data())
     @example(data=None)  # no rows: the header alone
     def test_bytes_match_value_by_value_format(self, shape, data):
-        line, row = ROW_SHAPES[shape]
-        rows = [] if data is None else data.draw(st.lists(row, max_size=20))
+        lines, draw_rows, cells = ROW_SHAPES[shape]
+        rows = [] if data is None else data.draw(draw_rows)
         header = ["a", "b"]
-        want = "".join([",".join(header) + "\n"] + [",".join(map(_fmt, r)) + "\n" for r in rows])
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "out.csv")
-            cli._write_csv(path, header, rows, line)
-            with open(path, "rb") as fh:
-                assert fh.read() == want.encode("utf-8")
+        assert written_bytes(header, lines(rows)) == value_by_value(header, cells(rows))
+
+    @pytest.mark.parametrize("timing", [(), (2.5,)], ids=["untimed", "timing"])
+    def test_rate_groups_keep_each_key_apart(self, timing):
+        # equal rotation tuples that are not one object, -0.0 beside 0.0, NaN
+        # keys, a '%' in a key, an empty sweep, and one rotation tuple shared by
+        # two groups: each row as the value-by-value format writes it
+        sweep = (0.0, -0.0, math.nan, 1.0, 1.0)
+        groups = [
+            ("a%s", -0.0, sweep, [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, -0.0, math.nan, math.inf, 1.0], *timing),
+            ("a%s", 0.0, sweep, [6.0, 7.0, 8.0, 9.0, 10.0], [0.1, 0.2, 0.3, 0.4, 0.5], *timing),
+            ("b", math.nan, (-0.0,), [1.5], [0.25], *timing),
+            ("b", math.nan, (0.0,), [2.5], [0.75], *timing),
+            ("c", 1.0, (), [], [], *timing),
+            ("c", 2.0, (0.0,), [3.5], [1.0], *timing),
+        ]
+        header = ["scheme", "snr_db", "rotation_deg", "rate_bps_hz", "digital_gap_ratio"]
+        got = written_bytes(header, cli._rate_lines(groups))
+        assert got == value_by_value(header, flat_rows(groups))
+        assert len(got.splitlines()) == 1 + 5 + 5 + 1 + 1 + 0 + 1
+        assert b"\nb,nan,-0," in got and b"\nb,nan,0," in got
+
+    def test_rate_groups_reject_a_rate_per_missing_rotation(self):
+        lines = cli._rate_lines([("a", 0.0, (0.0, 1.0), [1.0], [1.0])])
+        with pytest.raises(ValueError):
+            next(lines)
 
 
 class TestRateSweep:
@@ -214,7 +280,7 @@ class TestRateSweep:
     def test_desk_rates_match_golden_csv(self):
         # every scheme, hybrids included, against the committed desk sweep:
         # a change in the picked atoms or the SVD basis shows here
-        _, rows = cli.run_rate_sweep(load_config(str(DESK)))
+        rows = sweep_rows(load_config(str(DESK)))
         assert_matches_golden(rows, "desk_rate_sweep.csv", 35)
 
     def test_spare_rf_rates_match_golden_csv(self):
@@ -224,7 +290,7 @@ class TestRateSweep:
         text = SMOKE.read_text().replace("n_rf_tx: 4", "n_rf_tx: 8").replace("n_rf_rx: 4", "n_rf_rx: 6")
         config = parse_config(yaml.safe_load(text))
         assert (config.n_rf_tx, config.n_rf_rx, config.rotation_deg) == (8, 6, (0.0, 20.0))
-        _, rows = cli.run_rate_sweep(config)
+        rows = sweep_rows(config)
         assert_matches_golden(rows, "spare_rf_rate_sweep.csv", 30)
 
     def test_many_angle_sweep_matches_golden_bytes(self, tmp_path):
@@ -281,7 +347,7 @@ class TestRateSweep:
         config = parse_config(yaml.safe_load(reversed_text))
         assert (config.snr_db, config.rotation_deg) == ((10.0, 0.0, -10.0), (20.0, 0.0))
         assert config.schemes[0] == "phase-extract"
-        _, rows = cli.run_rate_sweep(config)
+        rows = sweep_rows(config)
         assert len(rows) == 30
         assert rows == sorted(rows, key=lambda r: r[:3])
         path = tmp_path / "reversed.yaml"

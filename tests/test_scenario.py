@@ -604,8 +604,8 @@ class TestScenario:
 
     def test_sweep_builds_each_stage_once_per_scenario(self, monkeypatch):
         # 31 SNRs at each of two rotations, one scenario for the sweep: the
-        # channel is built per angle, and the digital SVD and every hybrid
-        # builder run once, on the stack of both angles (OMP once per side)
+        # channels, the digital SVD and every hybrid builder are built once,
+        # on the stack of both angles (OMP once per side)
         calls = {}
 
         def counting(module, name):
@@ -617,16 +617,16 @@ class TestScenario:
 
             monkeypatch.setattr(module, name, counted)
 
-        counting(channel, "exact_channel")
+        counting(channel, "exact_channels")
         for name in ("digital_svd", "asymptotic_hybrid", "omp_hybrid", "phase_extraction_hybrid"):
             counting(beamforming, name)
         config = parse_config(cfg(
             n_rf_tx=8, n_rf_rx=6, snr_db=list(range(-10, 21)), rotation_deg=[0, 20], schemes=SCHEMES,
         ))
-        _, rows = cli.run_rate_sweep(config)
-        assert len(rows) == 5 * 31 * 2
+        _, groups = cli.run_rate_sweep(config)
+        assert sum(len(rates) for _, _, _, rates, *_ in groups) == 5 * 31 * 2
         assert calls == {
-            "exact_channel": 2, "digital_svd": 1, "asymptotic_hybrid": 1,
+            "exact_channels": 1, "digital_svd": 1, "asymptotic_hybrid": 1,
             "omp_hybrid": 2, "phase_extraction_hybrid": 1,
         }
 
@@ -984,7 +984,8 @@ class TestSpectrumData:
         def unused(*args):
             raise AssertionError("spectrum_data built the exact channel")
 
-        monkeypatch.setattr(channel, "exact_channel", unused)
+        for name in ("exact_channel", "exact_channels"):
+            monkeypatch.setattr(channel, name, unused)
         values, _, _ = spectrum_data(config)
         # the real centred Gram rounds differently from the complex one
         assert np.abs(values - expected).max() <= spectrum_tolerance(expected, 16)

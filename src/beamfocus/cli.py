@@ -16,8 +16,10 @@ import time
 import numpy as np
 
 from .geometry import aperture, aperture_feasible, nominal_extent
-from .linalg import ConvergenceError, active_backend
-from .scenario import ConfigError, Scenario, ScenarioConfig, _distinct, load_config, spectrum_data
+from .linalg import ConvergenceError, active_backend, singular_values
+from .scenario import (
+    ConfigError, Scenario, ScenarioConfig, _distinct, load_config, spectrum_data, uniform_rate,
+)
 
 # what a grid point's numerics can raise; anything else is a bug and surfaces
 # as a traceback rather than as exit code 3
@@ -25,10 +27,12 @@ NUMERIC_ERRORS = (ArithmeticError, ValueError, np.linalg.LinAlgError, Convergenc
 
 
 class GridPointError(RuntimeError):
-    def __init__(self, scheme, snr_db, rotation_deg, cause):
+    def __init__(self, scheme, snr_db, rotation_deg, cause, spacing_scale=None):
         points = ",".join(map(str, snr_db))  # the SNR grid of the failing curve
+        # an aperture sweep's point has a spacing scale too; a rate sweep's has none
+        scale = "" if spacing_scale is None else f" spacing_scale={spacing_scale}"
         super().__init__(
-            f"numeric failure at scheme={scheme} snr_db={points} rotation_deg={rotation_deg}: {cause}"
+            f"numeric failure at scheme={scheme} snr_db={points} rotation_deg={rotation_deg}{scale}: {cause}"
         )
 
 
@@ -180,8 +184,15 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
     scale on which the threshold is exact for optimally spaced arrays; the
     l_t/l_r columns report realized corner-to-corner apertures. ``scales``
     must be distinct, positive and finite, as ``_parse_scales`` checks.
+
+    The rate is a function of the singular values alone, and no beam is
+    built for it: each scale's channel is factored values-only by
+    ``linalg.singular_values``. The scales run one at a time, so one
+    channel is held at once. A numeric failure is raised as GridPointError
+    naming the scale.
     """
     snr_db = config.snr_db[0]
+    snr = 10 ** (snr_db / 10.0)
     rot = config.rotation_deg[0]
     rows = []
     for scale in sorted(scales):
@@ -194,7 +205,10 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
         feasible = aperture_feasible(
             nominal_t, nominal_r, config.ns, config.wavelength, config.distance_m
         )
-        rate = _rate_curve(scenario, "digital-uniform", (snr_db,)).item()
+        try:
+            rate = float(uniform_rate(singular_values(scenario.h)[: config.ns], snr, config.ns))
+        except NUMERIC_ERRORS as exc:
+            raise GridPointError("digital-uniform", (snr_db,), rot, exc, spacing_scale=scale) from exc
         rows.append((scale, l_t, l_r, nominal_t * nominal_r, feasible, rate))
     header = ["scale", "l_t_m", "l_r_m", "nominal_product_m2", "feasible", "rate_bps_hz"]
     return header, rows

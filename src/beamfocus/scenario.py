@@ -391,16 +391,25 @@ class Scenario:
         """
         if scheme not in ("digital-uniform", "digital-wf"):
             return spectral.rate(self.h, *self.beams(scheme), snr, self.config.ns)
+        if scheme == "digital-uniform":
+            return uniform_rate(self.digital.singular_values, snr, self.config.ns)
         gains = self.digital.singular_values**2
         snrs = np.asarray(snr, dtype=float)
-        if scheme == "digital-uniform":
-            return spectral.stream_rate(snr, spectral.per_snr(gains, snrs), self.config.ns)
         # any allocation gives rate 0 at SNR 0; stream_rate rejects a bad SNR
         live = (0 < snrs) & (snrs < math.inf)
         powers = np.zeros((*gains.shape[:-1], *snrs.shape, gains.shape[-1]))
         if live.any():
             powers[..., live, :] = spectral.water_filling(gains, 1.0, snrs[live]).powers
         return spectral.stream_rate(snrs, powers * spectral.per_snr(gains, snrs))
+
+
+def uniform_rate(sigma: np.ndarray, snr, ns: int):
+    """digital-uniform's rate from the singular values ``sigma``: each stream at power 1.
+
+    The rate at each linear SNR of ``snr``, with the batch shape of
+    ``sigma`` (its leading axes) ahead of snr's.
+    """
+    return spectral.stream_rate(snr, spectral.per_snr(sigma**2, snr), ns)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import beamfocus
 from beamfocus import beamforming, channel, cli, spectral, validation
-from beamfocus.scenario import load_config, parse_config
+from beamfocus.linalg import ConvergenceError
+from beamfocus.scenario import Scenario, load_config, parse_config
 
 SMALL_YAML = """\
 frequency_ghz: 28.0
@@ -231,6 +232,22 @@ class TestCsvWriter:
             next(lines)
 
 
+def fail_first_factorization(monkeypatch, command, exc):
+    """Make ``command``'s first rate raise ``exc``.
+
+    A rate sweep fails at Scenario.rate, and an aperture sweep at the
+    values-only SVD of each scale's channel.
+    """
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    if command == "rate-sweep":
+        monkeypatch.setattr(Scenario, "rate", fail)
+    else:
+        monkeypatch.setattr(cli, "singular_values", fail)
+
+
 class TestRateSweep:
     def test_rows_and_ordering(self, small_config, tmp_path):
         out = tmp_path / "rates.csv"
@@ -420,27 +437,22 @@ class TestRateSweep:
 
     @pytest.mark.parametrize("command", ["rate-sweep", "aperture-sweep"])
     def test_convergence_error_exit_code(self, small_config, tmp_path, monkeypatch, capsys, command):
-        from beamfocus.linalg import ConvergenceError
-        from beamfocus.scenario import Scenario
-
-        def fail(self, scheme, snr):
-            raise ConvergenceError("synthetic LAPACK failure")
-
-        monkeypatch.setattr(Scenario, "rate", fail)
-        code = cli.main([command, "--config", str(small_config), "--out", str(tmp_path / "x.csv")])
-        assert code == 3
-        # a rate-sweep curve spans the SNR grid; aperture-sweep rates the first SNR only
-        points = "-5.0,5.0" if command == "rate-sweep" else "-5.0"
-        assert f"scheme=digital-uniform snr_db={points} rotation_deg=0.0" in capsys.readouterr().err
+        # a rate-sweep curve spans the SNR grid; aperture-sweep rates the first
+        # SNR only, at each scale in turn, and names the scale
+        point = "snr_db=-5.0,5.0 rotation_deg=0.0:" if command == "rate-sweep" else (
+            "snr_db=-5.0 rotation_deg=0.0 spacing_scale=0.25:"
+        )
+        for error in (ConvergenceError, np.linalg.LinAlgError):
+            with monkeypatch.context() as patch:
+                fail_first_factorization(patch, command, error("synthetic LAPACK failure"))
+                code = cli.main([command, "--config", str(small_config), "--out", str(tmp_path / "x.csv")])
+            assert code == 3
+            assert f"scheme=digital-uniform {point} synthetic LAPACK failure" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["rate-sweep", "aperture-sweep"])
     def test_programming_error_propagates(self, small_config, tmp_path, monkeypatch, command):
-        from beamfocus.scenario import Scenario
-
-        def bug(self, scheme, snr):
-            raise TypeError("synthetic bug")
-
-        monkeypatch.setattr(Scenario, "rate", bug)
+        fail_first_factorization(monkeypatch, command, TypeError("synthetic bug"))
         with pytest.raises(TypeError, match="synthetic bug"):
             cli.main([command, "--config", str(small_config), "--out", str(tmp_path / "x.csv")])
 
@@ -592,7 +604,61 @@ class TestSpectrum:
         assert len([r for r in rows if r[0] == "eigenvalue"]) == 4
 
 
+def edited_config(path, *edits):
+    """The text of the config at ``path`` with each ``(field, value)`` line replaced, checked to apply."""
+    text = path.read_text()
+    for key, value in edits:
+        lines = [line for line in text.splitlines() if line.startswith(f"{key}: ")]
+        assert len(lines) == 1, key
+        text = text.replace(lines[0], f"{key}: {value}")
+    return text
+
+
+# the aperture goldens: the desk link over both sigma paths (the subspace
+# iteration at scale 1, values-only dense SVDs at the other scales), the
+# half-wavelength desk link of rank 13 below its 16 streams, and the
+# panel-shaped smoke copy that CI runs (a 64 x 64 receiver with 8 RF chains
+# per side, at 0 degrees)
+APERTURE_GOLDENS = {
+    "desk_aperture_sweep.csv": DESK.read_text(),
+    "half_wavelength_aperture_sweep.csv": edited_config(DESK, ("spacing_mode", "half-wavelength")),
+    "panel_aperture_sweep.csv": edited_config(
+        SMOKE, ("rx", "{n_v: 64, n_h: 64}"), ("n_rf_tx", "8"), ("n_rf_rx", "8"), ("rotation_deg", "[0]"),
+    ),
+}
+
+
 class TestApertureSweep:
+    @pytest.mark.parametrize("name", APERTURE_GOLDENS)
+    def test_matches_golden_bytes(self, name, tmp_path):
+        path, out = tmp_path / "aperture.yaml", tmp_path / "aperture.csv"
+        path.write_text(APERTURE_GOLDENS[name])
+        assert cli.main(["aperture-sweep", "--config", str(path), "--out", str(out)]) == 0
+        golden = ROOT / "tests" / "data" / name
+        assert len(golden.read_bytes().splitlines()) == 1 + 5
+        assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("name", ["panel_aperture_sweep.csv", "desk_aperture_sweep.csv"])
+    def test_builds_no_beam(self, name, monkeypatch):
+        # every scale, desk's 256 x 256 channel at scale 1 too, builds no
+        # digital beam and forms no singular vector
+        config = parse_config(yaml.safe_load(APERTURE_GOLDENS[name]))
+        vector_svds, svd = [], np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                vector_svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def no_beams(*args, **kwargs):
+            raise AssertionError("digital_svd in an aperture sweep")
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(beamforming, "digital_svd", no_beams)
+        _, rows = cli.run_aperture_sweep(config, (0.25, 0.5, 0.75, 1.0, 1.5))
+        assert len(rows) == 5
+        assert vector_svds == []
+
     def test_knee_and_feasibility(self, small_config, tmp_path):
         out = tmp_path / "aperture.csv"
         assert cli.main([

@@ -414,6 +414,77 @@ class TestStacks:
             eig_hermitian_stack(np.stack([np.eye(3), np.triu(np.ones((3, 3)))]))
 
 
+class TestSingularValues:
+    """The values-only SVD: svd's values to rounding, with its zero cut, and no vectors."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(rank_deficient_factorizations(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_svd_to_rounding(self, case, seed, real):
+        # two backward-stable SVDs of one matrix: by Weyl each value is within
+        # its backward error of the exact one, max(m, n) eps sigma_0 each taken
+        # here, so the two agree to twice that. The null space of a1 and a2
+        # (and of their real parts) lies near eps sigma_0, far below the cut,
+        # so both zero it
+        a1, a2, rank = case
+        rng = np.random.default_rng(seed)
+        plain = rng.standard_normal(a1.shape) + 1j * rng.standard_normal(a1.shape)
+        for a in (a1, a2, plain):
+            a = a.real if real else a
+            got, want = linalg.singular_values(a), svd(a).singular_values
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 2 * max(a.shape) * np.finfo(float).eps * want[0]
+            assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.count_nonzero(linalg.singular_values(a1)) == rank
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(rank_deficient_factorizations(), st.integers(0, 2**32 - 1))
+    def test_stack_is_each_matrix_alone(self, case, seed):
+        a1, a2, _ = case
+        rng = np.random.default_rng(seed)
+        plain = rng.standard_normal(a1.shape) + 1j * rng.standard_normal(a1.shape)
+        stack = np.stack([a1, plain, a2])
+        got = linalg.singular_values(stack)
+        assert got.shape == (3, min(a1.shape))
+        for i, a in enumerate(stack):
+            assert np.array_equal(got[i], linalg.singular_values(a))
+
+    def test_zero_cut_is_svds_own(self, monkeypatch):
+        # one helper cuts for both solvers; values at or below SVD_RANK_RTOL sigma_0 go
+        a = np.diag([2.0, 1e-9, 5e-11, 1e-12])
+        assert np.array_equal(linalg.singular_values(a), [2.0, 1e-9, 0.0, 0.0])
+        assert np.array_equal(svd(a).singular_values, [2.0, 1e-9, 0.0, 0.0])
+        calls = []
+        zero_cut = linalg._zero_cut
+
+        def record(sigma):
+            calls.append(sigma.shape)
+            zero_cut(sigma)
+
+        monkeypatch.setattr(linalg, "_zero_cut", record)
+        linalg.singular_values(a)
+        svd(a)
+        linalg.singular_values(np.stack([a, a]))
+        assert calls == [(4,), (1, 4), (2, 4)]
+
+    def test_keeps_every_check(self):
+        with pytest.raises(ValueError, match="2-D"):
+            linalg.singular_values(np.ones(3))
+        with pytest.raises(ValueError, match="2-D"):
+            linalg.singular_values(np.ones((2, 2, 2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            linalg.singular_values(np.array([[1.0, np.inf]]))
+        with pytest.raises(ValueError, match="non-empty"):
+            linalg.singular_values(np.zeros((2, 0, 3)))
+
+    def test_lapack_failure_reported_as_convergence_error(self, monkeypatch):
+        def fail(a, compute_uv=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError):
+            linalg.singular_values(np.eye(3))
+
+
 @st.composite
 def gapped_factorizations(draw):
     """(a, rank, start): a spectrum with a cluster among its top ``rank`` values, then a gap.

@@ -1,13 +1,14 @@
 """Tests for config parsing/validation and scenario assembly."""
 
 import functools
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beamfocus import beamforming, channel, cli, linalg, scenario as scenario_module, spectral
@@ -835,6 +836,57 @@ class TestDigitalRateProperties:
         snrs = 10 ** (np.arange(-30.0, 31.0, 10.0) / 10)
         for scheme in ("digital-uniform", "digital-wf"):
             assert relative_gap(mixed.rate(scheme, snrs), plain.rate(scheme, snrs)) <= 1e-12, scheme
+
+
+def sigma_rate_rtol(ns: int, z: float, shape: tuple) -> float:
+    """Relative bound on digital-uniform's rate from two backward-stable SVDs of one channel.
+
+    With x = snr / ns, the rate is sum_i log2(1 + x g_i) over g_i = sigma_i^2,
+    and z = sqrt(x) sigma_0. Each LAPACK SVD's values are, by Weyl, within its
+    backward error of the exact ones, taken as max(N, M) eps sigma_0, so the
+    two sets differ by delta = r sigma_0 with r = 2 max(N, M) eps. The zero
+    cut at rho = SVD_RANK_RTOL may fall on either side of a value within
+    delta of rho sigma_0, which then moves by up to (rho + r) sigma_0.
+    log(1 + s^2) has slope at most 1 in s and log(1 + a) slope at most 1 in
+    a, so an uncut stream's term moves by at most min(z^2 (2 r + r^2), z r)
+    in natural log, and a cut one's by z^2 (rho + r)^2. Each side also rounds
+    1 + x g_i and x g_i (eps per stream) and sums ns logs (ns eps relative).
+    The rate is at least its top stream's term, log(1 + z^2) / log(2).
+    """
+    r = 2 * max(shape) * EPS
+    moved = max(min(z * z * (2 * r + r * r), z * r), z * z * (linalg.SVD_RANK_RTOL + r) ** 2)
+    return ns * (moved + 2 * EPS) / math.log1p(z * z) + 2 * ns * EPS
+
+
+class TestApertureRate:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_links(), st.floats(0.0, 60.0), st.floats(0.25, 2.0), st.floats(-20.0, 30.0))
+    # rank 6 below ns = 36: half-wavelength 6 x 6 arrays over 100 m, tilted rotated UPAs
+    @example(
+        {"tx": {"n_v": 6, "n_h": 6}, "rx": {"n_v": 6, "n_h": 6}, "ns": 36, "ns_split": [6, 6],
+         "n_rf_tx": 36, "n_rf_rx": 36, "distance_m": 100.0, "spacing_mode": "half-wavelength",
+         "layout": "rotated-upa"},
+        20.0, 1.0, 10.0,
+    )
+    def test_sigma_only_rate_is_the_digital_rate(self, overrides, rotation, scale, snr_db):
+        # the sweep rates from its values-only sigma; a scenario rates from the
+        # digital beams' sigma, the SVD with vectors
+        config = parse_config(cfg(**overrides, snr_db=[snr_db], rotation_deg=[rotation]))
+        (row,) = cli.run_aperture_sweep(config, (scale,))[1]
+        scenario = Scenario(config, rotation, scale)
+        snr = 10 ** (snr_db / 10.0)
+        want = scenario.rate("digital-uniform", snr)
+        sigma = scenario.digital.singular_values
+        bound = sigma_rate_rtol(config.ns, math.sqrt(snr / config.ns) * sigma[0], scenario.h.shape)
+        assert abs(row[-1] - want) <= bound * want
+
+    def test_rank_deficient_example_is_rank_deficient(self):
+        config = parse_config(cfg(
+            tx={"n_v": 6, "n_h": 6}, rx={"n_v": 6, "n_h": 6}, ns=36, ns_split=[6, 6], n_rf_tx=36,
+            n_rf_rx=36, distance_m=100.0, spacing_mode="half-wavelength", layout="rotated-upa",
+        ))
+        sigma = linalg.singular_values(Scenario(config, 20.0).h)
+        assert np.count_nonzero(sigma) == 6
 
 
 class TestDigitalPath:

@@ -16,8 +16,7 @@ constraint since the rate formula whitens them.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,11 +120,7 @@ def _top_triplets(h: np.ndarray, ns: int, start) -> SvdResult:
 
 
 def fresnel_start(
-    spec_tx: ArraySpec,
-    spec_rx: ArraySpec,
-    tx_dict: Callable[[], TwistedDft],
-    params: ChannelParams,
-    ns: int,
+    spec_tx: ArraySpec, spec_rx: ArraySpec, twist: np.ndarray, params: ChannelParams, ns: int
 ):
     """Start block of ``digital_svd``'s subspace iteration, or None where the dense SVD runs.
 
@@ -133,10 +128,10 @@ def fresnel_start(
     of the channel has singular values the products ``s = sigma_v sigma_h`` of
     the axis factors of ``channel.kron_factor_channel``, and its right singular
     vectors are the atoms of the TX dictionary with each axis's DFT swapped
-    for the rows of that axis's v^H. The block holds the first k of them,
-    ordered by s with ``_gain_order``'s tie rule. ``tx_dict`` returns that
-    dictionary and is called only past the gates below, so a call that
-    returns None builds none.
+    for the rows of that axis's v^H: a ``TwistedDft`` over ``twist``, the
+    dictionary's per-antenna twist conj(d_t) of one angle (M entries). The
+    block holds the first k of them, ordered by s with ``_gain_order``'s tie
+    rule.
 
     Column ns - 1 converges like (s[k] / s[ns - 1])^2 per pass, so k is the
     smallest width with s[k] <= SUBSPACE_GAP * s[ns - 1]. None stands for k =
@@ -161,7 +156,7 @@ def fresnel_start(
     k = ns + past[0] if past.size else min(n, m)
     if 4 * k > min(n, m):
         return None
-    return replace(tx_dict(), f_v=vh_v, f_h=vh_h).columns(order[:k])
+    return TwistedDft(twist, vh_v, vh_h).columns(order[:k])
 
 
 @dataclass(frozen=True, eq=False)

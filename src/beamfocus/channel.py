@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AntennaLayout, ArraySpec, LayoutKind, Side, aperture, build_layout
+from .geometry import AntennaLayout, ArraySpec, LayoutKind, Side, aperture, build_layout, check_one_layout
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def exact_channels(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) 
 
 
 def taylor_channel(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams) -> np.ndarray:
-    """Channel built from the second-order distance expansion in 1/D."""
+    """Channel built from the second-order distance expansion in 1/D, of one layout pair."""
+    check_one_layout("taylor_channel", tx, rx)
     d = params.distance
     tx_x, tx_y, tx_z = tx.coords
     rx_x, rx_y = rx.coords[0], rx.coords[1]
@@ -110,6 +111,7 @@ def warn_large_aperture(tx: AntennaLayout, rx: AntennaLayout, params: ChannelPar
     There the quadratic-phase factorization stops describing the exact
     channel. fresnel_factors and the Kronecker spectrum both warn from here.
     """
+    check_one_layout("warn_large_aperture", tx, rx)
     big = max(aperture(tx), aperture(rx))
     if big >= params.distance:
         warnings.warn(
@@ -126,8 +128,9 @@ def fresnel_factors(tx: AntennaLayout, rx: AntennaLayout, params: ChannelParams)
     The recomposition conj(d_r) * h_tilde * d_t reproduces taylor_channel
     exactly; the gap to the exact channel is the Taylor remainder, which
     shrinks as the link distance grows relative to the apertures, as
-    warn_large_aperture checks.
+    warn_large_aperture checks. A stacked layout raises ValueError.
     """
+    check_one_layout("fresnel_factors", tx, rx)
     d = params.distance
     warn_large_aperture(tx, rx, params)
     tx_x, tx_y = tx.coords[0], tx.coords[1]
@@ -213,7 +216,7 @@ def prolate_matrix(alpha: float, k_param: int, dim: int) -> np.ndarray:
 def layout_pair(
     spec_tx: ArraySpec, spec_rx: ArraySpec, distance: float
 ) -> tuple[AntennaLayout, AntennaLayout]:
-    """Convenience pair builder used by sweeps and fixtures."""
+    """The (TX, RX) layouts of one spec pair, for validation links and test fixtures."""
     return (
         build_layout(spec_tx, Side.TX, distance),
         build_layout(spec_rx, Side.RX, distance),

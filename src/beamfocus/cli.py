@@ -40,20 +40,17 @@ class GridPointError(RuntimeError):
 # rate-sweep a group of rows at a time. '%.12g' % x is f'{x:.12g}' for every
 # float (nan, inf, -0.0 and subnormals too), so the bytes are those of a
 # value-by-value format.
-def _rate_lines(groups):
+def _rate_lines(rotations, groups):
     """The text of rate-sweep's rows, one string per group of ``run_rate_sweep``.
 
-    The rows of a group share their scheme and snr cells, and the groups of
-    a sweep share one tuple of rotations, so each of those cells is
-    formatted once: the sweep's rotation cells when a group brings another
-    tuple (compared by identity, so -0.0 and 0.0 or two NaNs stay apart),
-    and a group's key cells and --timing cell into a template of all its
-    rows, which its rates and gaps fill in one %-format.
+    Every group holds one row per angle of ``rotations``, the sweep's sorted
+    angles, so the rotation cells are formatted once for the sweep. The rows
+    of a group share their scheme and snr cells, so a group's key cells and
+    --timing cell are formatted once into a template of all its rows, which
+    its rates and gaps fill in one %-format.
     """
-    last = cells = None
-    for scheme, snr_db, rotations, rates, gaps, *timing in groups:
-        if rotations is not last:
-            last, cells = rotations, ["%.12g,%%.12g,%%.12g" % rot for rot in rotations]
+    cells = ["%.12g,%%.12g,%%.12g" % rot for rot in rotations]
+    for scheme, snr_db, rates, gaps, *timing in groups:
         # a key cell's own '%' must not read as a conversion
         head = ("%s,%.12g," % (scheme, snr_db)).replace("%", "%%")
         tail = "".join(",%.12g" % ms for ms in timing) + "\n"
@@ -81,24 +78,23 @@ def _write_csv(path: str, header: list[str], lines) -> None:
 
 
 def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> np.ndarray:
-    """Scenario.rate at each SNR of ``snr_db``: the scenario's batch shape, then the SNRs'.
+    """Scenario.rate at each SNR of ``snr_db``: one row per angle of the sweep's scenario.
 
-    A numeric failure is raised as GridPointError naming the rotation. A
-    sweep's batch does not say which of its angles failed, so on that error
-    path only, the scheme is rated again one angle at a time.
+    A numeric failure is raised as GridPointError naming the rotation. The
+    batch does not say which of its angles failed, so on that error path
+    only, the scheme is rated again one angle at a time.
     """
     snrs = np.array([10 ** (s / 10.0) for s in snr_db])
     try:
         return scenario.rate(scheme, snrs)
     except NUMERIC_ERRORS as exc:
         failure, rotation = exc, scenario.rotation_deg
-    if np.ndim(rotation):
-        for rot in rotation:
-            try:
-                Scenario(scenario.config, rot, scenario.spacing_scale).rate(scheme, snrs)
-            except NUMERIC_ERRORS as exc:
-                failure, rotation = exc, rot
-                break
+    for rot in rotation:
+        try:
+            Scenario(scenario.config, rot, scenario.spacing_scale).rate(scheme, snrs)
+        except NUMERIC_ERRORS as exc:
+            failure, rotation = exc, rot
+            break
     raise GridPointError(scheme, snr_db, rotation, failure) from failure
 
 
@@ -124,35 +120,31 @@ def _check_out(path: str) -> None:
 def run_rate_sweep(config: ScenarioConfig, timing: bool = False):
     """Evaluate every (scheme, snr, rotation) grid point; rows come back by (scheme, snr) group.
 
-    One Scenario holds every rotation, so each scheme's rates come from one
-    batched call as a rotations x SNRs array, and digital-uniform's, rated
-    first, is also every scheme's gap reference. One angle is the scenario
-    of batch shape (), whose arrays are the plain matrices.
+    One Scenario holds every rotation, one angle or many, so each scheme's
+    rates come from one batched call as a rotations x SNRs array, and
+    digital-uniform's, rated first, is also every scheme's gap reference.
 
-    A group ``(scheme, snr_db, rotations, rates, gaps)``, with ``wall_time_ms``
-    appended under ``timing``, holds one row per rotation: ``rotations`` is
-    the sorted angles, one tuple shared by every group, and ``rates`` and
-    ``gaps`` are lists in that order. The groups come by sorted scheme, then
-    SNR. The grid's values are distinct (``_distinct``), so the rows come in
-    the order a sort by (scheme, snr, rotation) would give.
+    Returns ``(header, rotations, groups)``: the sorted angles, and a group
+    ``(scheme, snr_db, rates, gaps)`` per (scheme, snr), with ``wall_time_ms``
+    appended under ``timing``, whose lists hold a row per angle in that
+    order. The groups come by sorted scheme, then SNR; the grid's values are
+    distinct (``_distinct``), so the rows come as a sort would give them.
     """
     snr_db, rotations = config.snr_db, config.rotation_deg
-    one = len(rotations) == 1
-    scenario = Scenario(config, rotations[0] if one else rotations)
+    scenario = Scenario(config, rotations)
     shape = (len(rotations), len(snr_db))
     rates, timed = {}, {}
     for scheme in dict.fromkeys(("digital-uniform", *config.schemes)):
         start = time.perf_counter()
-        rates[scheme] = _rate_curve(scenario, scheme, snr_db).reshape(shape)
+        rates[scheme] = _rate_curve(scenario, scheme, snr_db)
         # the batch's time shared by its rows. Each shared build is charged to
-        # the first scheme that reads it: the channels and the digital SVD to
-        # digital-uniform. The column sums to the evaluation time only if
-        # digital-uniform is listed: otherwise it is timed but has no rows.
+        # the first scheme that reads it: the channels, the TX dictionary and the
+        # digital SVD to digital-uniform. The column sums to the evaluation time
+        # only if digital-uniform is listed: otherwise it is timed but has no rows.
         timed[scheme] = ((time.perf_counter() - start) * 1e3 / math.prod(shape),) if timing else ()
     reference = rates["digital-uniform"]
     snr_order = sorted(range(len(snr_db)), key=snr_db.__getitem__)
     rot_order = sorted(range(len(rotations)), key=rotations.__getitem__)
-    angles = tuple(rotations[i] for i in rot_order)
     key_order = np.ix_(rot_order, snr_order)
     groups = []
     for scheme in sorted(config.schemes):
@@ -161,11 +153,12 @@ def run_rate_sweep(config: ScenarioConfig, timing: bool = False):
         # in key order, one list of rotations per SNR
         rate_rows, gap_rows = (values[key_order].T.tolist() for values in (curves, gaps))
         groups += [
-            (scheme, snr_db[j], angles, rate_row, gap_row, *timed[scheme])
+            (scheme, snr_db[j], rate_row, gap_row, *timed[scheme])
             for j, rate_row, gap_row in zip(snr_order, rate_rows, gap_rows)
         ]
     header = ["scheme", "snr_db", "rotation_deg", "rate_bps_hz", "digital_gap_ratio"]
-    return header + (["wall_time_ms"] if timing else []), groups
+    angles = tuple(rotations[i] for i in rot_order)
+    return header + (["wall_time_ms"] if timing else []), angles, groups
 
 
 def run_spectrum(config: ScenarioConfig):
@@ -269,8 +262,8 @@ def main(argv=None) -> int:
             header, rows = run_spectrum(config)
             lines, count = map(_spectrum_line, rows), len(rows)
         elif args.command in ("rate-sweep", "rotation-sweep"):
-            header, groups = run_rate_sweep(config, timing=args.timing)
-            lines, count = _rate_lines(groups), len(groups) * len(config.rotation_deg)
+            header, rotations, groups = run_rate_sweep(config, timing=args.timing)
+            lines, count = _rate_lines(rotations, groups), len(groups) * len(rotations)
         else:
             header, rows = run_aperture_sweep(config, _parse_scales(args.scales))
             lines, count = map(_aperture_line, rows), len(rows)

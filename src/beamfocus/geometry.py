@@ -204,6 +204,13 @@ def build_layouts(specs, side: Side, distance: float) -> AntennaLayout:
     return AntennaLayout(coords=coords, side=side, n_v=spec.n_v, n_h=spec.n_h)
 
 
+def check_one_layout(reader: str, *layouts: AntennaLayout) -> None:
+    """Raise ValueError naming ``reader``, which reads 3 x K coords, for a stack (R x 3 x K)."""
+    for layout in layouts:
+        if layout.coords.ndim != 2:
+            raise ValueError(f"{reader} takes one layout, got a stack of coords {layout.coords.shape}")
+
+
 def aperture(layout: AntennaLayout) -> float:
     """Largest Euclidean distance between two elements of the array.
 
@@ -211,6 +218,7 @@ def aperture(layout: AntennaLayout) -> float:
     grid, and the farthest pair of points of a parallelogram is a pair of
     its corners, so only the four corner elements are compared.
     """
+    check_one_layout("aperture", layout)
     n_v, n_h = layout.n_v, layout.n_h
     corners = layout.coords[:, [0, n_h - 1, (n_v - 1) * n_h, n_v * n_h - 1]].T
     diff = corners[:, None, :] - corners[None, :, :]

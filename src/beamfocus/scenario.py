@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
 
 from . import beamforming, channel, geometry, spectral
-from .linalg import eig_hermitian
+from .linalg import _frobenius, eig_hermitian
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -335,15 +335,12 @@ class Scenario:
     def digital(self) -> beamforming.DigitalBeamformer:
         # h before the start block: the other order raises desk-sweep's peak RSS by 0.4 MiB
         h, ns = self.h, self.config.ns
+        twists = self.tx_dictionary.twist.reshape(-1, self.tx_layout.count)
         starts = [
-            beamforming.fresnel_start(tx, rx, functools.partial(self._tx_dictionary_at, i), self.params, ns)
-            for i, (tx, rx) in enumerate(self._spec_pairs)
+            beamforming.fresnel_start(tx, rx, twist, self.params, ns)
+            for (tx, rx), twist in zip(self._spec_pairs, twists)
         ]
         return beamforming.digital_svd(h, ns, self._batch(starts))
-
-    def _tx_dictionary_at(self, i: int) -> beamforming.TwistedDft:
-        dictionary = self.tx_dictionary
-        return dictionary if self._one else replace(dictionary, twist=dictionary.twist[i])
 
     @functools.cached_property
     def tx_dictionary(self) -> beamforming.TwistedDft:
@@ -410,19 +407,6 @@ def uniform_rate(sigma: np.ndarray, snr, ns: int):
     ``sigma`` (its leading axes) ahead of snr's.
     """
     return spectral.stream_rate(snr, spectral.per_snr(sigma**2, snr), ns)
-
-
-def _frobenius(x: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of x, or of each matrix of a stack, as ``np.linalg.norm`` rounds it.
-
-    That norm is two BLAS dot products of the flattened real and imaginary
-    parts, and a 1 x n times n x 1 matmul runs that dot product, so this is
-    bitwise its value; a sum of squares along an axis is not. The result
-    keeps two unit axes to scale the matrices.
-    """
-    flat = x.reshape(*x.shape[:-2], 1, -1)
-    re, im = flat.real, flat.imag
-    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))
 
 
 # rounding leaves the centred Gram's imaginary part near 1e-14 of its real

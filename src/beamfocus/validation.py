@@ -320,7 +320,7 @@ def check_subspace_svd(scenario=None) -> CheckResult:
     scenario = Scenario(desk_config(), 0.0) if scenario is None else scenario
     h, ns = scenario.h, scenario.config.ns
     start = beamforming.fresnel_start(
-        scenario.tx_spec, scenario.rx_spec, lambda: scenario.tx_dictionary, scenario.params, ns
+        scenario.tx_spec, scenario.rx_spec, scenario.tx_dictionary.twist, scenario.params, ns
     )
     if start is None:
         return _result("subspace-svd", False, "the scenario keeps the dense SVD")

@@ -21,6 +21,8 @@ from beamfocus.channel import (
     layout_pair,
     prolate_matrix,
     quadratic_phase,
+    taylor_channel,
+    warn_large_aperture,
 )
 from beamfocus.geometry import ArraySpec, LayoutKind, Side, build_layouts, optimal_spacing
 from beamfocus.linalg import dft_matrix
@@ -198,6 +200,22 @@ class TestStackedBuilds:
         other = dataclasses.replace(spec, d_h=0.2, theta=0.1)
         with pytest.raises(ValueError):
             build_layouts([spec, other], Side.TX, 10.0)
+
+    # the stacks that each reader misread: two 1 x 3 arrays gave fresnel_factors
+    # a 9 x 9 core, three 2 x 2 arrays gave taylor_channel a 3 x 3 x 4 array,
+    # and warn_large_aperture raised IndexError from 4 antennas
+    @pytest.mark.parametrize("reader, n_v, n_h, count", [
+        (fresnel_factors, 1, 3, 2), (taylor_channel, 2, 2, 3), (warn_large_aperture, 2, 2, 2),
+    ], ids=["fresnel_factors", "taylor_channel", "warn_large_aperture"])
+    def test_one_layout_readers_reject_a_stack(self, reader, n_v, n_h, count):
+        specs = [ArraySpec(n_v=n_v, n_h=n_h, d_v=0.1, d_h=0.1, theta=0.1 * i, phi=0.1 * i)
+                 for i in range(count)]
+        params = ChannelParams(wavelength=0.01, distance=10.0)
+        tx, rx = build_layouts(specs, Side.TX, 10.0), build_layouts(specs, Side.RX, 10.0)
+        one_tx = build_layouts(specs[0], Side.TX, 10.0)
+        for pair in ((tx, rx), (one_tx, rx)):  # a stack on both sides, and on the RX side only
+            with pytest.raises(ValueError, match=f"^{reader.__name__} takes one layout"):
+                reader(*pair, params)
 
 
 class TestKronFactorChannel:

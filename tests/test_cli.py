@@ -87,18 +87,35 @@ def assert_matches_golden(rows, name, count):
             assert abs(got - float(want)) <= 1e-9 * abs(float(want)), gold
 
 
-def flat_rows(groups):
+def edited_config(path, *edits):
+    """The text of the config at ``path`` with each ``(field, value)`` line replaced, checked to apply."""
+    text = path.read_text()
+    for key, value in edits:
+        lines = [line for line in text.splitlines() if line.startswith(f"{key}: ")]
+        assert len(lines) == 1, key
+        text = text.replace(lines[0], f"{key}: {value}")
+    return text
+
+
+# the panel-shaped smoke copy that CI runs: a 64 x 64 receiver with 8 RF
+# chains per side, at 0 degrees
+PANEL_SHAPED = edited_config(
+    SMOKE, ("rx", "{n_v: 64, n_h: 64}"), ("n_rf_tx", "8"), ("n_rf_rx", "8"), ("rotation_deg", "[0]"),
+)
+
+
+def flat_rows(rotations, groups):
     """The rows of ``run_rate_sweep``'s groups, one (scheme, snr, rotation, rate, gap, ...) tuple each."""
     return [
         (scheme, snr, rot, rate, gap, *timing)
-        for scheme, snr, rotations, rates, gaps, *timing in groups
+        for scheme, snr, rates, gaps, *timing in groups
         for rot, rate, gap in zip(rotations, rates, gaps, strict=True)
     ]
 
 
 def sweep_rows(config):
     """The rows of a rate sweep of ``config``, in file order."""
-    return flat_rows(cli.run_rate_sweep(config)[1])
+    return flat_rows(*cli.run_rate_sweep(config)[1:])
 
 
 def assert_batch_invariant(config):
@@ -149,22 +166,25 @@ KEYS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, 1.0]), FLOATS)
 
 
 @st.composite
-def rate_groups(draw, timing):
-    """Groups shaped as run_rate_sweep's: each tuple of rotations is shared by the groups that follow it."""
+def rate_sweeps(draw, timing):
+    """``(rotations, groups)`` shaped as run_rate_sweep's: every group has a rate per rotation."""
+    rotations = tuple(draw(st.lists(KEYS, max_size=6)))
+    values = st.lists(FLOATS, min_size=len(rotations), max_size=len(rotations))
     groups = []
-    for _ in range(draw(st.integers(0, 3))):
-        rotations = tuple(draw(st.lists(KEYS, max_size=6)))
-        values = st.lists(FLOATS, min_size=len(rotations), max_size=len(rotations))
-        for _ in range(draw(st.integers(0, 4))):
-            extra = (draw(FLOATS),) if timing else ()
-            groups.append((draw(TEXT), draw(KEYS), rotations, draw(values), draw(values), *extra))
-    return groups
+    for _ in range(draw(st.integers(0, 6))):
+        extra = (draw(FLOATS),) if timing else ()
+        groups.append((draw(TEXT), draw(KEYS), draw(values), draw(values), *extra))
+    return rotations, groups
 
 
 # per command: its rows as text, the rows a draw gives, and those rows as cell tuples
 ROW_SHAPES = {
-    "rate-sweep": (cli._rate_lines, rate_groups(timing=False), flat_rows),
-    "rate-sweep --timing": (cli._rate_lines, rate_groups(timing=True), flat_rows),
+    "rate-sweep": (
+        lambda sweep: cli._rate_lines(*sweep), rate_sweeps(timing=False), lambda sweep: flat_rows(*sweep),
+    ),
+    "rate-sweep --timing": (
+        lambda sweep: cli._rate_lines(*sweep), rate_sweeps(timing=True), lambda sweep: flat_rows(*sweep),
+    ),
     "spectrum": (
         functools.partial(map, cli._spectrum_line),
         st.lists(st.one_of(
@@ -202,32 +222,32 @@ class TestCsvWriter:
     @example(data=None)  # no rows: the header alone
     def test_bytes_match_value_by_value_format(self, shape, data):
         lines, draw_rows, cells = ROW_SHAPES[shape]
-        rows = [] if data is None else data.draw(draw_rows)
+        no_rows = ((), []) if shape.startswith("rate-sweep") else []
+        rows = no_rows if data is None else data.draw(draw_rows)
         header = ["a", "b"]
         assert written_bytes(header, lines(rows)) == value_by_value(header, cells(rows))
 
     @pytest.mark.parametrize("timing", [(), (2.5,)], ids=["untimed", "timing"])
     def test_rate_groups_keep_each_key_apart(self, timing):
-        # equal rotation tuples that are not one object, -0.0 beside 0.0, NaN
-        # keys, a '%' in a key, an empty sweep, and one rotation tuple shared by
-        # two groups: each row as the value-by-value format writes it
+        # -0.0 beside 0.0 and NaNs among the rotations and the snr keys, a '%'
+        # in a key, and an empty sweep: each row as the value-by-value format
+        # writes it
         sweep = (0.0, -0.0, math.nan, 1.0, 1.0)
         groups = [
-            ("a%s", -0.0, sweep, [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, -0.0, math.nan, math.inf, 1.0], *timing),
-            ("a%s", 0.0, sweep, [6.0, 7.0, 8.0, 9.0, 10.0], [0.1, 0.2, 0.3, 0.4, 0.5], *timing),
-            ("b", math.nan, (-0.0,), [1.5], [0.25], *timing),
-            ("b", math.nan, (0.0,), [2.5], [0.75], *timing),
-            ("c", 1.0, (), [], [], *timing),
-            ("c", 2.0, (0.0,), [3.5], [1.0], *timing),
+            ("a%s", -0.0, [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, -0.0, math.nan, math.inf, 1.0], *timing),
+            ("a%s", 0.0, [6.0, 7.0, 8.0, 9.0, 10.0], [0.1, 0.2, 0.3, 0.4, 0.5], *timing),
+            ("b", math.nan, [1.5, 2.5, 3.5, 4.5, 5.5], [0.25, 0.75, 1.0, 1.0, 1.0], *timing),
         ]
         header = ["scheme", "snr_db", "rotation_deg", "rate_bps_hz", "digital_gap_ratio"]
-        got = written_bytes(header, cli._rate_lines(groups))
-        assert got == value_by_value(header, flat_rows(groups))
-        assert len(got.splitlines()) == 1 + 5 + 5 + 1 + 1 + 0 + 1
-        assert b"\nb,nan,-0," in got and b"\nb,nan,0," in got
+        got = written_bytes(header, cli._rate_lines(sweep, groups))
+        assert got == value_by_value(header, flat_rows(sweep, groups))
+        assert len(got.splitlines()) == 1 + 3 * 5
+        assert b"\na%s,-0,0," in got and b"\na%s,0,-0," in got and b"\nb,nan,nan," in got
+        empty = [("c", 1.0, [], [], *timing)]
+        assert written_bytes(header, cli._rate_lines((), empty)) == value_by_value(header, [])
 
     def test_rate_groups_reject_a_rate_per_missing_rotation(self):
-        lines = cli._rate_lines([("a", 0.0, (0.0, 1.0), [1.0], [1.0])])
+        lines = cli._rate_lines((0.0, 1.0), [("a", 0.0, [1.0], [1.0])])
         with pytest.raises(ValueError):
             next(lines)
 
@@ -299,6 +319,26 @@ class TestRateSweep:
         # a change in the picked atoms or the SVD basis shows here
         rows = sweep_rows(load_config(str(DESK)))
         assert_matches_golden(rows, "desk_rate_sweep.csv", 35)
+
+    def test_panel_rates_match_golden_csv(self):
+        # a 64 x 64 receiver: the streamed gain rankings, phase extraction's
+        # pads and the dense digital SVD of a 4096 x 16 channel
+        rows = sweep_rows(parse_config(yaml.safe_load(PANEL_SHAPED)))
+        assert_matches_golden(rows, "panel_rate_sweep.csv", 15)
+
+    @pytest.mark.parametrize("text", [DESK.read_text(), PANEL_SHAPED], ids=["desk", "panel-shaped"])
+    def test_one_angle_sweep_is_the_scalar_scenario(self, text):
+        # the CLI rates one angle as a batch of one; spectrum, aperture-sweep
+        # and validate build the scenario of that angle alone, and its rates
+        # must be the sweep's, bitwise
+        config = parse_config(yaml.safe_load(text))
+        (rotation,) = config.rotation_deg
+        scenario = Scenario(config, rotation)
+        snrs = np.array([10 ** (s / 10.0) for s in config.snr_db])
+        got = {(scheme, snr): rate for scheme, snr, _, rate, _ in sweep_rows(config)}
+        for scheme in config.schemes:
+            want = scenario.rate(scheme, snrs).tolist()
+            assert [got[scheme, snr] for snr in config.snr_db] == want, scheme
 
     def test_spare_rf_rates_match_golden_csv(self):
         # n_rf above ns on both sides, unequal: the asymptotic SVD baseband,
@@ -604,27 +644,14 @@ class TestSpectrum:
         assert len([r for r in rows if r[0] == "eigenvalue"]) == 4
 
 
-def edited_config(path, *edits):
-    """The text of the config at ``path`` with each ``(field, value)`` line replaced, checked to apply."""
-    text = path.read_text()
-    for key, value in edits:
-        lines = [line for line in text.splitlines() if line.startswith(f"{key}: ")]
-        assert len(lines) == 1, key
-        text = text.replace(lines[0], f"{key}: {value}")
-    return text
-
-
 # the aperture goldens: the desk link over both sigma paths (the subspace
 # iteration at scale 1, values-only dense SVDs at the other scales), the
 # half-wavelength desk link of rank 13 below its 16 streams, and the
-# panel-shaped smoke copy that CI runs (a 64 x 64 receiver with 8 RF chains
-# per side, at 0 degrees)
+# panel-shaped smoke copy
 APERTURE_GOLDENS = {
     "desk_aperture_sweep.csv": DESK.read_text(),
     "half_wavelength_aperture_sweep.csv": edited_config(DESK, ("spacing_mode", "half-wavelength")),
-    "panel_aperture_sweep.csv": edited_config(
-        SMOKE, ("rx", "{n_v: 64, n_h: 64}"), ("n_rf_tx", "8"), ("n_rf_rx", "8"), ("rotation_deg", "[0]"),
-    ),
+    "panel_aperture_sweep.csv": PANEL_SHAPED,
 }
 
 

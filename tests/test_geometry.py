@@ -18,6 +18,7 @@ from beamfocus.geometry import (
     aperture_feasible,
     axis_streams,
     build_layout,
+    build_layouts,
     nominal_extent,
     optimal_spacing,
     spacing_ratio,
@@ -152,6 +153,11 @@ class TestAperture:
         rx = build_layout(spec, Side.RX, 10.0)
         assert abs(aperture(tx) - aperture(rx)) <= 1e-12
 
+    def test_stacked_layout_rejected(self):
+        # two stacked 1 x 3 arrays read as 0.06 m, where each alone spans 0.2 m or more
+        specs = [ArraySpec(n_v=1, n_h=3, d_v=0.1, d_h=0.1, theta=t, phi=t) for t in (0.0, 0.3)]
+        with pytest.raises(ValueError, match="^aperture takes one layout"):
+            aperture(build_layouts(specs, Side.TX, 10.0))
 
     @pytest.mark.parametrize("kind", list(LayoutKind))
     def test_corners_match_all_pairs(self, kind):

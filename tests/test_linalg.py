@@ -546,7 +546,7 @@ class TestSubspaceSvd:
         config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "desk_scale.yaml"))
         scenario = Scenario(config, 0.0)
         start = beamforming.fresnel_start(
-            scenario.tx_spec, scenario.rx_spec, lambda: scenario.tx_dictionary, scenario.params, config.ns
+            scenario.tx_spec, scenario.rx_spec, scenario.tx_dictionary.twist, scenario.params, config.ns
         )
         passes = []
         qr = np.linalg.qr

@@ -392,6 +392,20 @@ class TestRateSweep:
         for snr in snrs:
             assert 0.0 < rates["omp-hybrid", snr] <= rates["digital-wf", snr]
 
+    def test_rank_deficient_rates_match_golden_bytes(self, tmp_path):
+        # the 16 x 16 link above: the one committed sweep whose OMP combiner
+        # keeps 3 of its 4 Gram pairs, every row byte for byte
+        text = edited_config(DESK, ("ns", 4), ("ns_split", "[2, 2]"), ("n_rf_tx", 4), ("n_rf_rx", 4))
+        _, w = Scenario(parse_config(yaml.safe_load(text)), 0.0).beams("omp-hybrid")
+        gram = np.linalg.eigvalsh(w.conj().T @ w)
+        assert np.count_nonzero(gram > gram[-1] / spectral.COMBINER_COND_LIMIT) == 3
+        path, out = tmp_path / "rank.yaml", tmp_path / "rank.csv"
+        path.write_text(text)
+        assert cli.main(["rate-sweep", "--config", str(path), "--out", str(out)]) == 0
+        golden = ROOT / "tests" / "data" / "rank_deficient_rate_sweep.csv"
+        assert len(golden.read_bytes().splitlines()) == 1 + 35
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_rows_come_in_key_order_whatever_the_config_order(self, tmp_path):
         # the rows are read off the curves in (scheme, snr, rotation) order, not sorted
         text = SMOKE.read_text()

@@ -25,6 +25,10 @@ from .scenario import (
 # as a traceback rather than as exit code 3
 NUMERIC_ERRORS = (ArithmeticError, ValueError, np.linalg.LinAlgError, ConvergenceError)
 
+# a grid point's overflow, zero division or invalid value raises FloatingPointError,
+# an ArithmeticError, whatever the warnings filter; as a decorator it nests
+_RAISE_ON_FP = np.errstate(divide="raise", over="raise", invalid="raise")
+
 
 class GridPointError(RuntimeError):
     def __init__(self, scheme, snr_db, rotation_deg, cause, spacing_scale=None):
@@ -77,21 +81,26 @@ def _write_csv(path: str, header: list[str], lines) -> None:
         fh.writelines(lines)
 
 
+def _linear_snrs(snr_db) -> np.ndarray:
+    """10 ** (dB / 10) of each dB value; past about 3082 dB it raises OverflowError."""
+    return np.array([10 ** (s / 10.0) for s in snr_db])
+
+
+@_RAISE_ON_FP
 def _rate_curve(scenario: Scenario, scheme: str, snr_db: tuple) -> np.ndarray:
     """Scenario.rate at each SNR of ``snr_db``: one row per angle of the sweep's scenario.
 
-    A numeric failure is raised as GridPointError naming the rotation. The
-    batch does not say which of its angles failed, so on that error path
-    only, the scheme is rated again one angle at a time.
+    A numeric failure, an overflowing SNR or rate too, is raised as
+    GridPointError naming the rotation. The batch does not say which angle
+    failed, so on that error path only it is rated one angle at a time.
     """
-    snrs = np.array([10 ** (s / 10.0) for s in snr_db])
     try:
-        return scenario.rate(scheme, snrs)
+        return scenario.rate(scheme, _linear_snrs(snr_db))
     except NUMERIC_ERRORS as exc:
         failure, rotation = exc, scenario.rotation_deg
     for rot in rotation:
         try:
-            Scenario(scenario.config, rot, scenario.spacing_scale).rate(scheme, snrs)
+            Scenario(scenario.config, rot, scenario.spacing_scale).rate(scheme, _linear_snrs(snr_db))
         except NUMERIC_ERRORS as exc:
             failure, rotation = exc, rot
             break
@@ -170,6 +179,7 @@ def run_spectrum(config: ScenarioConfig):
     return header, rows
 
 
+@_RAISE_ON_FP
 def run_aperture_sweep(config: ScenarioConfig, scales):
     """Digital-uniform rate vs spacing scale at the first SNR/rotation point.
 
@@ -181,27 +191,26 @@ def run_aperture_sweep(config: ScenarioConfig, scales):
     The rate is a function of the singular values alone, and no beam is
     built for it: each scale's channel is factored values-only by
     ``linalg.singular_values``. The scales run one at a time, so one
-    channel is held at once. A numeric failure is raised as GridPointError
-    naming the scale.
+    channel is held at once. A numeric failure, in a scale's geometry too,
+    is raised as GridPointError naming the scale.
     """
-    snr_db = config.snr_db[0]
-    snr = 10 ** (snr_db / 10.0)
-    rot = config.rotation_deg[0]
+    snr_db, rot = config.snr_db[:1], config.rotation_deg[0]
     rows = []
     for scale in sorted(scales):
-        scenario = Scenario(config, rot, spacing_scale=scale)
-        l_t = aperture(scenario.tx_layout)
-        l_r = aperture(scenario.rx_layout)
-        ts, rs = scenario.tx_spec, scenario.rx_spec
-        nominal_t = nominal_extent(ts.n_v, ts.n_h, ts.d_v, ts.d_h)
-        nominal_r = nominal_extent(rs.n_v, rs.n_h, rs.d_v, rs.d_h)
-        feasible = aperture_feasible(
-            nominal_t, nominal_r, config.ns, config.wavelength, config.distance_m
-        )
         try:
-            rate = float(uniform_rate(singular_values(scenario.h)[: config.ns], snr, config.ns))
+            scenario = Scenario(config, rot, spacing_scale=scale)
+            l_t = aperture(scenario.tx_layout)
+            l_r = aperture(scenario.rx_layout)
+            ts, rs = scenario.tx_spec, scenario.rx_spec
+            nominal_t = nominal_extent(ts.n_v, ts.n_h, ts.d_v, ts.d_h)
+            nominal_r = nominal_extent(rs.n_v, rs.n_h, rs.d_v, rs.d_h)
+            feasible = aperture_feasible(
+                nominal_t, nominal_r, config.ns, config.wavelength, config.distance_m
+            )
+            sigma = singular_values(scenario.h)[: config.ns]
+            rate = float(uniform_rate(sigma, _linear_snrs(snr_db)[0], config.ns))
         except NUMERIC_ERRORS as exc:
-            raise GridPointError("digital-uniform", (snr_db,), rot, exc, spacing_scale=scale) from exc
+            raise GridPointError("digital-uniform", snr_db, rot, exc, spacing_scale=scale) from exc
         rows.append((scale, l_t, l_r, nominal_t * nominal_r, feasible, rate))
     header = ["scale", "l_t_m", "l_r_m", "nominal_product_m2", "feasible", "rate_bps_hz"]
     return header, rows
@@ -236,11 +245,11 @@ def main(argv=None) -> int:
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue spectrum and cluster summary")
     add_common(p_spec)
-    for name in ("rate-sweep", "rotation-sweep"):
-        p = sub.add_parser(name, help="rates for every scheme/SNR/rotation grid point")
-        add_common(p)
-        p.add_argument("--timing", action="store_true",
-                       help="append wall_time_ms: each scheme's batch time / (rotations x SNRs)")
+    p_rate = sub.add_parser("rate-sweep", aliases=["rotation-sweep"],
+                            help="rates for every scheme/SNR/rotation grid point")
+    add_common(p_rate)
+    p_rate.add_argument("--timing", action="store_true",
+                        help="append wall_time_ms: each scheme's batch time / (rotations x SNRs)")
     p_ap = sub.add_parser("aperture-sweep", help="digital rate vs spacing scale")
     add_common(p_ap)
     p_ap.add_argument("--scales", default="0.25,0.5,0.75,1.0,1.5",

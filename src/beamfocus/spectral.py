@@ -148,15 +148,14 @@ def rate(h, f, w, snr, ns: int):
     (an OMP combiner whose atoms tie at the cut, say) is scored on its range; only a
     zero W raises SingularCombinerError. W is whitened with the eigenpairs (V, Lambda)
     of its Gram W*W, keeping those above lambda_max / COMBINER_COND_LIMIT (all of them
-    on a well-conditioned W). C = Lambda^-1/2 V* W* H F on the r kept rows does not
-    depend on the SNR: the rate is stream_rate over the eigenvalues of the r x r C C*,
-    one eigensolve for every SNR. The relative error grows like cond(W*W) * eps over
-    the kept pairs: rounding level for the combiners the schemes build (cond below
-    10), about 1e-7 near cond 1e9.
+    on a well-conditioned W). C = Lambda^-1/2 V* W* H F with a zero row per dropped pair
+    does not depend on the SNR, and a zero row's gain adds log2(1 + 0) = 0: the rate is
+    stream_rate over the eigenvalues of C C*, one eigensolve for every SNR. The relative
+    error grows like cond(W*W) * eps over the kept pairs: rounding level for the
+    combiners the schemes build (cond below 10), about 1e-7 near cond 1e9.
 
     Leading axes of h, f and w hold a batch of links, rated in stacked calls:
     the rates get shape ``(*B, *snr.shape)``, each bitwise the link's own call.
-    A link that keeps fewer than ns pairs is rated alone.
     """
     h = np.asarray(h, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
@@ -170,23 +169,13 @@ def rate(h, f, w, snr, ns: int):
     lmax = spec_w.values[..., :1]
     if (lmax <= 0).any():
         raise SingularCombinerError("combiner is zero")
-    keep = np.count_nonzero(spec_w.values > lmax / COMBINER_COND_LIMIT, axis=-1)
-
-    def curve(values, vectors, w_h, h, f):
-        c = (np.swapaxes(vectors.conj(), -1, -2) @ w_h @ h @ f) / np.sqrt(values)[..., None]
-        gains = _eigh(c @ np.swapaxes(c.conj(), -1, -2)).values
-        return stream_rate(snr, per_snr(gains, snr), ns)
-
-    full = keep == ns
-    if full.all():
-        return curve(spec_w.values, spec_w.vectors, w_h, h, f)
-    rates = np.empty(keep.shape + np.shape(snr))
-    if full.any():
-        rates[full] = curve(*(x[full] for x in (spec_w.values, spec_w.vectors, w_h, h, f)))
-    for b in zip(*np.nonzero(~full)) if keep.ndim else [()]:
-        k = keep[b]
-        rates[b] = curve(spec_w.values[b][:k], spec_w.vectors[b][:, :k], w_h[b], h[b], f[b])
-    return rates if rates.ndim else rates[()]
+    kept = spec_w.values > lmax / COMBINER_COND_LIMIT
+    # a dropped pair's eigenvalue may round below zero, so only kept ones are rooted
+    root = np.sqrt(spec_w.values, out=np.ones_like(spec_w.values), where=kept)
+    c = (np.swapaxes(spec_w.vectors.conj(), -1, -2) @ w_h @ h @ f) / root[..., None]
+    c = np.where(kept[..., None], c, 0.0)
+    gains = _eigh(c @ np.swapaxes(c.conj(), -1, -2)).values
+    return stream_rate(snr, per_snr(gains, snr), ns)
 
 
 def rate_upper_bound(n: int, m: int, ns: int, snr: float) -> float:

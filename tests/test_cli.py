@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,22 @@ class TestRateSweep:
         with pytest.raises(TypeError, match="synthetic bug"):
             cli.main([command, "--config", str(small_config), "--out", str(tmp_path / "x.csv")])
 
+    @pytest.mark.parametrize("action", ["error", "default"])
+    @pytest.mark.parametrize("snr_db", ["4000", "3070"])
+    @pytest.mark.parametrize("command", ["rate-sweep", "aperture-sweep"])
+    def test_overflowing_snr_exits_3_naming_the_point(self, tmp_path, capsys, command, snr_db, action):
+        # 4000 dB overflows the dB conversion, 3070 dB the desk rate: neither
+        # may write inf rates or raise a RuntimeWarning, whatever the filter
+        path, out = tmp_path / "loud.yaml", tmp_path / "loud.csv"
+        path.write_text(edited_config(DESK, ("snr_db", f"[{snr_db}]")))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == 3
+        scale = " spacing_scale=0.25" if command == "aperture-sweep" else ""
+        assert f"scheme=digital-uniform snr_db={snr_db}.0 rotation_deg=0.0{scale}:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigErrors:
     def test_bad_config_exit_two(self, tmp_path, capsys):
@@ -699,6 +716,18 @@ class TestApertureSweep:
         _, rows = cli.run_aperture_sweep(config, (0.25, 0.5, 0.75, 1.0, 1.5))
         assert len(rows) == 5
         assert vector_svds == []
+
+    @pytest.mark.parametrize("action", ["error", "default"])
+    @pytest.mark.parametrize("scale", ["1e300", "1e-200"])
+    def test_scale_the_geometry_cannot_hold_exits_3_naming_it(self, tmp_path, capsys, scale, action):
+        # the apertures overflow at 1e300 and underflow to 0 at 1e-200
+        out = tmp_path / "scale.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code = cli.main(["aperture-sweep", "--config", str(SMOKE), "--out", str(out), "--scales", scale])
+        assert code == 3
+        assert f"rotation_deg=0.0 spacing_scale={float(scale)}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_knee_and_feasibility(self, small_config, tmp_path):
         out = tmp_path / "aperture.csv"

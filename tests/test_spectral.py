@@ -533,7 +533,7 @@ class TestBatches:
     @given(count=st.integers(1, 5), ns=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_rate_batch_is_each_link(self, count, ns, seed):
         # links whose combiner Gram keeps every pair, and one that drops a
-        # pair (two equal combiner columns), rated alone inside the batch
+        # pair (two equal combiner columns), each rated bitwise as alone
         rng = np.random.default_rng(seed)
 
         def cn(*shape):
